@@ -8,7 +8,7 @@ region), and ships an exhaustive enumeration oracle plus a benchmark
 harness for validating the heuristic.
 """
 
-from .correction import CorrectionResult, TraceEntry, least_important, make_trial, minimize_corrections
+from .correction import CorrectionResult, TraceEntry, minimize_corrections
 from .errors import (
     BudgetExceededError,
     CorrectionMaskError,
@@ -71,8 +71,6 @@ __all__ = [
     "hpbw",
     "l0_norm",
     "l1_norm",
-    "least_important",
-    "make_trial",
     "max_sll",
     "minimize_corrections",
     "pattern_db",

@@ -44,6 +44,8 @@ class ArrayGeometry:
     """Element positions of a linear array along the x axis, in wavelengths."""
 
     positions: np.ndarray
+    # (u, steering matrix) of the last read-only u seen by steering_matrix
+    _steering: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
@@ -136,6 +138,8 @@ class AngularRegion:
 
     def __post_init__(self):
         u = np.unique(np.asarray(self.samples, dtype=float))
+        if not np.all(np.isfinite(u)):
+            raise ValueError("region samples must be finite")
         if u.size and (u[0] < -1.0 or u[-1] > 1.0):
             raise ValueError("region samples must lie in [-1, 1]")
         object.__setattr__(self, "samples", _readonly(u))
@@ -186,9 +190,22 @@ class MetricSpec:
 
 
 def steering_matrix(geometry: ArrayGeometry, u) -> np.ndarray:
-    """Matrix of element phasors exp(j*2*pi*x_n*u), one row per u sample."""
+    """
+    Matrix of element phasors exp(j*2*pi*x_n*u), one row per u sample.
+
+    A read-only u that owns its data, such as the samples of an
+    AngularRegion, is taken to be immutable: the matrix built for it is kept
+    on the geometry (one at a time) and the same read-only matrix is returned
+    while later calls pass that same u object. Any other u is built fresh.
+    """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    return np.exp(2j * np.pi * np.outer(u, geometry.positions))
+    memo = geometry._steering  # read once: a concurrent replacement only costs a rebuild
+    if memo is not None and memo[0] is u:
+        return memo[1]
+    a = np.exp(2j * np.pi * np.outer(u, geometry.positions))
+    if not u.flags.writeable and u.flags.owndata:
+        object.__setattr__(geometry, "_steering", (u, _readonly(a)))
+    return a
 
 
 def array_factor(geometry: ArrayGeometry, weights, u):

@@ -62,10 +62,10 @@ class SolverConfig:
         for name in ("max_iterations", "max_grad_steps", "feasibility_steps", "min_step",
                      "optimality_tol", "constraint_tol_db", "smooth_start", "smooth_floor",
                      "smooth_decay", "barrier_start", "barrier_growth"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.zero_threshold < 0:
-            raise ValueError("zero_threshold must be non-negative")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.zero_threshold < np.inf:
+            raise ValueError("zero_threshold must be non-negative and finite")
 
     def with_overrides(self, **kwargs) -> "SolverConfig":
         return replace(self, **kwargs)
@@ -174,6 +174,11 @@ def _descend(fun, z, max_steps: int, min_step: float, grad_tol: float, success=N
     return z, value, steps, "budget"
 
 
+def _adjoint(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # a^H x without materializing a conjugate copy of a.
+    return np.conj(a.T @ np.conj(x))
+
+
 def _violation(land: _Landscape, z: np.ndarray, with_grad: bool, push: float = 1e-6):
     """Squared hinge of the relative constraint violations and its gradient.
 
@@ -193,7 +198,7 @@ def _violation(land: _Landscape, z: np.ndarray, with_grad: bool, push: float = 1
         return value, None
     c = 2.0 * hinge / (tau * p0)
     gamma = float(np.sum(c * q)) / p0
-    grad = 2.0 * (land.A.conj().T @ (c * f)) - 2.0 * gamma * f0
+    grad = 2.0 * _adjoint(land.A, c * f) - 2.0 * gamma * f0
     return value, grad
 
 
@@ -234,7 +239,7 @@ def _stage_fun(land: _Landscape, t: float, mu: float, scale: float):
         if not with_grad:
             return value, None
         c = 1.0 / b
-        grad = z / s + (2.0 * (land.A.conj().T @ (c * f)) - tau * float(np.sum(c)) * 2.0 * f0) / t
+        grad = z / s + (2.0 * _adjoint(land.A, c * f) - tau * float(np.sum(c)) * 2.0 * f0) / t
         return value, grad
 
     return fun
@@ -268,16 +273,16 @@ def _stage_hessian(land: _Landscape, z: np.ndarray, t: float, mu: float) -> np.n
     # curvature of -log(tau*|F0|^2 - |F(u)|^2): outer products of the
     # constraint gradients, plus the sample-power curvature, minus the
     # broadside-power curvature (the nonconvex part).
-    p = land.A.conj().T @ (land.A * c[:, None])
-    h += 2.0 * _real_block(p) / t
-    gb = 2.0 * f[:, None] * np.conj(land.A) - 2.0 * tau * f0
+    a_conj = np.conj(land.A)
+    h += 2.0 * _real_block(a_conj.T @ (land.A * c[:, None])) / t
+    gb = 2.0 * f[:, None] * a_conj - 2.0 * tau * f0
+    del a_conj  # free each m x f temporary early: they set the solve's peak memory
     v = np.concatenate([gb.real, gb.imag], axis=1)
+    del gb
     h += (v * (c ** 2)[:, None]).T @ v / t
-    ones = np.ones(nfree)
-    jblock = np.zeros((2 * nfree, 2 * nfree))
-    jblock[:nfree, :nfree] = np.outer(ones, ones)
-    jblock[nfree:, nfree:] = np.outer(ones, ones)
-    h -= 2.0 * tau * csum * jblock / t
+    j = 2.0 * tau * csum / t
+    h[:nfree, :nfree] -= j
+    h[nfree:, nfree:] -= j
     return h
 
 

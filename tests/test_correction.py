@@ -7,11 +7,10 @@ from arraymend import (
     InfeasibleError,
     MetricSpec,
     apply_failures,
-    least_important,
-    make_trial,
     minimize_corrections,
     uniform_positions,
 )
+from arraymend.correction import least_important, make_trial
 from conftest import check_trace_invariants
 
 INITIAL_SOLVE_REF = np.array([-0.438, 0.0, 0.593, -9.72e-6])

@@ -1,6 +1,9 @@
 """Pattern-model unit tests. dB anchors are checked against independent
 brute-force evaluations computed inside the tests."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from arraymend import (
     pattern_db,
     sidelobe_region,
     sll_db,
+    steering_matrix,
     uniform_grid,
     uniform_positions,
 )
@@ -232,6 +236,79 @@ class TestSidelobeRegion:
         wide = sidelobe_region(11.7, 2001)
         narrow = AngularRegion(wide.samples[np.abs(wide.samples) > 0.4])
         assert max_sll(g, w, narrow) <= max_sll(g, w, wide) + 1e-12
+
+    def test_rejects_non_finite_samples(self):
+        for bad in ([np.nan, 0.5], [0.2, np.inf], [-np.inf], [np.nan]):
+            with pytest.raises(ValueError):
+                AngularRegion(np.array(bad))
+
+
+def phasors(geometry, u):
+    return np.exp(2j * np.pi * np.outer(u, geometry.positions))
+
+
+class TestSteeringMemo:
+    def test_region_samples_share_one_readonly_matrix(self):
+        g = uniform_positions(12, 0.5)
+        region = sidelobe_region(20.0, 401)
+        first = steering_matrix(g, region.samples)
+        assert steering_matrix(g, region.samples) is first
+        assert not first.flags.writeable
+        assert np.array_equal(first, phasors(g, region.samples))
+
+    def test_writeable_u_is_built_fresh(self):
+        g = uniform_positions(5, 0.5)
+        u = np.linspace(-1.0, 1.0, 9)
+        first = steering_matrix(g, u)
+        u[2] = 0.123
+        second = steering_matrix(g, u)
+        assert second is not first and second.flags.writeable
+        assert np.array_equal(second, phasors(g, u))
+
+    def test_readonly_view_of_writeable_data_is_built_fresh(self):
+        g = uniform_positions(5, 0.5)
+        u = np.linspace(-1.0, 1.0, 9)
+        view = u[:]
+        view.flags.writeable = False
+        steering_matrix(g, view)
+        u[2] = 0.123
+        assert np.array_equal(steering_matrix(g, view), phasors(g, u))
+
+    def test_alternating_regions_never_swap(self):
+        g = uniform_positions(12, 0.5)
+        other = uniform_positions(12, 0.6)
+        regions = [sidelobe_region(20.0, 401), sidelobe_region(30.0, 401),
+                   AngularRegion(np.array([-0.7, 0.5])), AngularRegion(np.array([-0.6, 0.4]))]
+        for _ in range(3):
+            for region in regions:
+                for geometry in (g, other):
+                    assert np.array_equal(steering_matrix(geometry, region.samples),
+                                          phasors(geometry, region.samples))
+
+    def test_threads_sharing_a_geometry_get_their_own_region(self):
+        g = uniform_positions(8, 0.5)
+        regions = [AngularRegion(np.array([-0.7, 0.5])), AngularRegion(np.array([-0.6, 0.4]))]
+        expected = [phasors(g, r.samples) for r in regions]
+        wrong = []
+
+        def work(k):
+            for i in range(2000):
+                which = (i + k) % 2
+                if not np.array_equal(steering_matrix(g, regions[which].samples), expected[which]):
+                    wrong.append((k, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert wrong == []
 
 
 class TestScenarioAndMetric:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,15 @@ from arraymend import (
     MetricSpec,
     SolverConfig,
     apply_failures,
+    dolph_chebyshev,
     evaluate_metric,
     l0_norm,
     l1_norm,
+    sidelobe_region,
     solve_constrained_l1,
     uniform_positions,
 )
+from arraymend.solver import _Landscape, _stage_fun, _stage_hessian, _violation
 
 INITIAL_SOLVE_REF = np.array([-0.438, 0.0, 0.593, -9.72e-6])
 
@@ -132,3 +137,138 @@ class TestSolverConfig:
             SolverConfig(min_step=0.0)
         with pytest.raises(ValueError):
             SolverConfig(zero_threshold=-1e-3)
+        for field in dataclasses.fields(SolverConfig):
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError):
+                    SolverConfig(**{field.name: bad})
+
+
+# The gradient and Hessian formulas as first written, with explicit conjugate
+# copies of the steering matrix and an explicit broadside block; the solver's
+# kernels must agree with them.
+
+def reference_violation_grad(land, z, push=1e-6):
+    f, f0 = land.fields(z)
+    p0 = abs(f0) ** 2
+    tau = land.tau * (1.0 - push)
+    q = np.abs(f) ** 2
+    r = q / (tau * p0) - 1.0
+    hinge = np.maximum(r, 0.0)
+    c = 2.0 * hinge / (tau * p0)
+    gamma = float(np.sum(c * q)) / p0
+    return 2.0 * (land.A.conj().T @ (c * f)) - 2.0 * gamma * f0
+
+
+def reference_stage_grad(land, z, t, mu):
+    tau = land.tau
+    f0 = land.F0_base + np.sum(z)
+    f = land.F_base + land.A @ z
+    b = tau * abs(f0) ** 2 - np.abs(f) ** 2
+    s = np.sqrt(np.abs(z) ** 2 + mu * mu)
+    c = 1.0 / b
+    return z / s + (2.0 * (land.A.conj().T @ (c * f)) - tau * float(np.sum(c)) * 2.0 * f0) / t
+
+
+def reference_stage_hessian(land, z, t, mu):
+    nfree = z.size
+    tau = land.tau
+    f0 = land.F0_base + np.sum(z)
+    f = land.F_base + land.A @ z
+    q = np.abs(f) ** 2
+    b = tau * abs(f0) ** 2 - q
+    s = np.sqrt(np.abs(z) ** 2 + mu * mu)
+    inv_s = 1.0 / s
+    a_re, a_im = z.real, z.imag
+    h = np.zeros((2 * nfree, 2 * nfree))
+    i = np.arange(nfree)
+    h[i, i] = inv_s - a_re * a_re * inv_s ** 3
+    h[nfree + i, nfree + i] = inv_s - a_im * a_im * inv_s ** 3
+    h[i, nfree + i] = h[nfree + i, i] = -a_re * a_im * inv_s ** 3
+    c = 1.0 / b
+    csum = float(np.sum(c))
+    p = land.A.conj().T @ (land.A * c[:, None])
+    h += 2.0 * np.block([[p.real, -p.imag], [p.imag, p.real]]) / t
+    gb = 2.0 * f[:, None] * np.conj(land.A) - 2.0 * tau * f0
+    v = np.concatenate([gb.real, gb.imag], axis=1)
+    h += (v * (c ** 2)[:, None]).T @ v / t
+    ones = np.ones(nfree)
+    jblock = np.zeros((2 * nfree, 2 * nfree))
+    jblock[:nfree, :nfree] = np.outer(ones, ones)
+    jblock[nfree:, nfree:] = np.outer(ones, ones)
+    h -= 2.0 * tau * csum * jblock / t
+    return h
+
+
+def _toy_problem():
+    geometry = uniform_positions(4, 0.5)
+    w_faulty = apply_failures(np.array([1.0, 0.419, 0.419, 1.0]),
+                              FailureScenario.from_indices(4, [2]))
+    region = AngularRegion(np.array([-0.7, -0.5, 0.5, 0.7]))
+    free = np.array([True, False, True, True])
+    z = np.array([-0.3 + 0.05j, 0.4 - 0.02j, 0.01 + 0.03j])
+    return geometry, w_faulty, region, free, z
+
+
+def _seeded_problem():
+    rng = np.random.default_rng(20)
+    geometry = uniform_positions(20, 0.5)
+    scenario = FailureScenario.from_indices(20, [3, 11, 12])
+    w_faulty = apply_failures(dolph_chebyshev(20, -25.0), scenario)
+    region = sidelobe_region(16.0, 401)
+    free = scenario.admissible.copy()
+    free[[0, 7, 15]] = False                    # frozen working elements
+    z = 0.05 * (rng.standard_normal(free.sum()) + 1j * rng.standard_normal(free.sum()))
+    return geometry, w_faulty, region, free, z
+
+
+def _landscape(problem, margin_db):
+    """Landscape whose target sits margin_db above the worst level at z."""
+    geometry, w_faulty, region, free, z = problem
+    probe = _Landscape(geometry, w_faulty, MetricSpec(region=region, target_db=0.0), free)
+    worst_db = 10.0 * np.log10(probe.worst_ratio(z))
+    land = _Landscape(geometry, w_faulty,
+                      MetricSpec(region=region, target_db=worst_db + margin_db), free)
+    return land, z
+
+
+PROBLEMS = {"toy": _toy_problem, "seeded_n20": _seeded_problem}
+T, MU = 10.0, 1e-2
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+class TestKernels:
+    def test_violation_gradient_matches_reference(self, name):
+        land, z = _landscape(PROBLEMS[name](), -3.0)  # some samples violate
+        value, grad = _violation(land, z, True)
+        assert value > 0
+        np.testing.assert_allclose(grad, reference_violation_grad(land, z), rtol=1e-12)
+
+    def test_stage_gradient_matches_reference(self, name):
+        land, z = _landscape(PROBLEMS[name](), 3.0)   # strictly inside the barrier domain
+        value, grad = _stage_fun(land, T, MU, 1.0)(z, True)
+        assert np.isfinite(value)
+        np.testing.assert_allclose(grad, reference_stage_grad(land, z, T, MU), rtol=1e-12)
+
+    def test_stage_hessian_matches_reference(self, name):
+        land, z = _landscape(PROBLEMS[name](), 3.0)
+        np.testing.assert_allclose(_stage_hessian(land, z, T, MU),
+                                   reference_stage_hessian(land, z, T, MU), rtol=1e-12)
+
+    def test_stage_hessian_matches_gradient_differences(self, name):
+        land, z = _landscape(PROBLEMS[name](), 3.0)
+        fun = _stage_fun(land, T, MU, 1.0)
+        n = z.size
+        step = 1e-6
+
+        def real_grad(x):
+            g = fun(x[:n] + 1j * x[n:], True)[1]
+            return np.concatenate([g.real, g.imag])
+
+        x = np.concatenate([z.real, z.imag])
+        fd = np.empty((2 * n, 2 * n))
+        for k in range(2 * n):
+            e = np.zeros(2 * n)
+            e[k] = step
+            fd[:, k] = (real_grad(x + e) - real_grad(x - e)) / (2 * step)
+        h = _stage_hessian(land, z, T, MU)
+        np.testing.assert_allclose(fd, h, rtol=1e-5, atol=1e-5 * np.abs(h).max())

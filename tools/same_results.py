@@ -1,0 +1,114 @@
+"""
+Check that two arraymend source trees give bit-for-bit the same results.
+
+    python3 tools/same_results.py PARENT_SRC CHANGE_SRC
+
+Each argument is a directory holding the `arraymend` package, such as a
+checkout's `src/`. Each tree runs in its own interpreter with
+one BLAS thread, pinned before numpy loads, because the thread count changes
+results. Both run the benchmark's eight correction scenarios (`CATALOG` and
+`BATCH_SCENARIOS` of benchmark/bench_workloads.py, read from this checkout)
+and the test_case_1 oracle up to support 3. The script compares each
+correction vector exactly, plus the correction count, l1, k_opt and the
+removal trace, and the oracle's support and solve count. It prints one line
+per item and exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+ORACLE_PROBLEM = "test_case_1"
+ORACLE_MAX_SUPPORT = 3
+SHOWN = ("n_corrections", "k_opt", "support", "n_solves", "error")  # printed per item
+
+
+def _complex_list(a) -> list:
+    # float repr round-trips exactly through JSON
+    return None if a is None else [[float(v.real), float(v.imag)] for v in a]
+
+
+def collect() -> dict:
+    """Results of every item in this interpreter, as exact JSON values."""
+    sys.path.insert(0, str(ROOT / "benchmark"))
+    from dataclasses import asdict
+
+    import bench_workloads as bw
+    from arraymend.correction import minimize_corrections
+    from arraymend.oracle import exhaustive_min
+
+    def resolved(name):
+        return bw.am_bench.resolve_scenario(bw.load_spec(ROOT, name))
+
+    out = {}
+    for name in bw.CATALOG + bw.BATCH_SCENARIOS:
+        res = resolved(name)
+        try:
+            r = minimize_corrections(res.geometry, res.weights, res.scenario, res.metric, res.config)
+        except Exception as err:  # a raised error is a result to compare too
+            out[name] = {"error": f"{type(err).__name__}: {err}"}
+            continue
+        out[name] = {"delta": _complex_list(r.delta), "n_corrections": r.n_corrections,
+                     "l1": r.l1, "k_opt": r.k_opt, "trace": [asdict(e) for e in r.trace]}
+    res = resolved(ORACLE_PROBLEM)
+    o = exhaustive_min(res.geometry, res.weights, res.scenario, res.metric, res.config,
+                       max_support=ORACLE_MAX_SUPPORT)
+    out[f"oracle:{ORACLE_PROBLEM}"] = {"delta": _complex_list(o.delta), "support": list(o.support),
+                                       "n_solves": o.n_solves, "l1": o.l1}
+    return out
+
+
+def run_tree(src: Path) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(src), **{v: "1" for v in BLAS_THREAD_VARS})
+    return subprocess.Popen([sys.executable, __file__, "--collect"], env=env, cwd=ROOT,
+                            stdout=subprocess.PIPE, text=True)
+
+
+def differences(a: dict, b: dict) -> list[str]:
+    """Names of the fields that differ between two results of one item."""
+    def same(key):
+        if key == "delta" and a.get(key) is not None and b.get(key) is not None:
+            return np.array_equal(np.array(a[key]), np.array(b[key]))
+        return a.get(key) == b.get(key)
+    return sorted(k for k in a.keys() | b.keys() if not same(k))
+
+
+def main(argv) -> int:
+    if argv == ["--collect"]:
+        print(json.dumps(collect()))
+        return 0
+    if len(argv) != 2:
+        print("usage: " + __doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    srcs = [Path(p).resolve() for p in argv]
+    for src in srcs:
+        if not (src / "arraymend" / "__init__.py").is_file():
+            print(f"error: no arraymend package under {src}", file=sys.stderr)
+            return 2
+    procs = [run_tree(src) for src in srcs]
+    outs = [p.communicate()[0] for p in procs]
+    if any(p.returncode for p in procs):
+        print("error: a tree failed to run", file=sys.stderr)
+        return 2
+    parent, change = (json.loads(o) for o in outs)
+    names = list(dict.fromkeys([*parent, *change]))
+    bad = 0
+    for name in names:
+        diff = differences(parent.get(name, {}), change.get(name, {}))
+        bad += bool(diff)
+        shown = {k: v for k, v in change.get(name, {}).items() if k in SHOWN}
+        print(f"{name:28s} {'DIFFERS in ' + ', '.join(diff) if diff else 'same':40s} {shown}")
+    print(f"{bad} of {len(names)} items differ")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
