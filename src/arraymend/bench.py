@@ -311,6 +311,7 @@ def run_oracle(spec: ScenarioSpec, out_dir, max_support: int | None = None,
         "status": "ok" if result.feasible else "infeasible-up-to-m",
         "searched_up_to": result.searched_up_to,
         "n_solves": result.n_solves,
+        "n_certified": result.n_certified,
         "elapsed_s": result.elapsed_s,
     })
     if result.feasible:

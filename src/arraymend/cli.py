@@ -74,8 +74,11 @@ def main(argv=None) -> int:
             record, result = run_oracle(spec, args.out, args.max_support,
                                         args.grid, args.constraint_tol)
             if result.feasible:
+                rejected = result.n_solves - 1
+                proof = ("minimum proven" if result.n_certified == rejected else
+                         f"{result.n_certified} of {rejected} rejections proven")
                 print(f"{record['name']}: minimum support={result.min_support} "
-                      f"elements={list(result.support)}")
+                      f"elements={list(result.support)} ({proof})")
             else:
                 print(f"{record['name']}: infeasible up to support {result.searched_up_to}")
                 return EXIT_INFEASIBLE

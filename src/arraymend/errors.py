@@ -2,7 +2,17 @@
 
 
 class InfeasibleError(RuntimeError):
-    """No excitation correction satisfying the pattern constraint was found."""
+    """
+    No excitation correction satisfying the pattern constraint was found.
+
+    certified is True when the failure is proven (a dual certificate, or an
+    exact check with nothing left to solve for), False when a search merely
+    gave up.
+    """
+
+    def __init__(self, message: str = "", certified: bool = False):
+        super().__init__(message)
+        self.certified = certified
 
 
 class NumericalFailureError(RuntimeError):

@@ -3,10 +3,13 @@ Ground-truth minimum-correction search by support enumeration.
 
 For growing support size m, every size-m subset of the working elements is
 tried in lexicographic index order: the l1 solve is restricted to that
-subset and the first subset admitting a feasible correction wins, so the
-returned support size is the true minimum (up to the inner solver's
-ability to certify feasibility). Intended for small instances; the solve
-count grows as sum_m C(N_C, m).
+subset and the first subset admitting a feasible correction wins. Each
+rejection the inner solve proves (by a dual certificate of infeasibility,
+or the empty subset's exact zero-correction check) counts in n_certified.
+The returned support size is proven minimal when
+n_certified == n_solves - 1, that is when every rejected subset was proven
+infeasible rather than given up on. Intended for small instances; the
+solve count grows as sum_m C(N_C, m).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ class OracleResult:
     achieved_phi_db: float | None
     searched_up_to: int          # largest support size examined
     n_solves: int
+    n_certified: int             # rejected subsets whose infeasibility is proven
     elapsed_s: float
 
     @property
@@ -68,7 +72,7 @@ def exhaustive_min(geometry: ArrayGeometry, original, scenario: FailureScenario,
     if not 0 <= limit <= scenario.n_controllable:
         raise ValueError("max_support must be within 0..N_C")
 
-    solves = 0
+    solves = certified = 0
     for m in range(limit + 1):
         for subset in itertools.combinations(working, m):
             solves += 1
@@ -78,7 +82,8 @@ def exhaustive_min(geometry: ArrayGeometry, original, scenario: FailureScenario,
             mask[list(subset)] = False
             try:
                 delta = solve_constrained_l1(geometry, w_faulty, metric, mask=mask, config=cfg)
-            except InfeasibleError:
+            except InfeasibleError as err:
+                certified += err.certified
                 continue
             return OracleResult(
                 feasible=True,
@@ -89,10 +94,11 @@ def exhaustive_min(geometry: ArrayGeometry, original, scenario: FailureScenario,
                 achieved_phi_db=evaluate_metric(metric, geometry, w_faulty + delta),
                 searched_up_to=m,
                 n_solves=solves,
+                n_certified=certified,
                 elapsed_s=time.perf_counter() - t0,
             )
     return OracleResult(
         feasible=False, support=(), delta=None, n_corrections=None, l1=None,
         achieved_phi_db=None, searched_up_to=limit, n_solves=solves,
-        elapsed_s=time.perf_counter() - t0,
+        n_certified=certified, elapsed_s=time.perf_counter() - t0,
     )

@@ -12,11 +12,17 @@ parts of the free entries; everything is deterministic.
 
 Two phases:
 
-* feasibility phase: Barzilai-Borwein gradient descent with a nonmonotone
-  backtracking line search on the squared hinge of the per-sample relative
-  violations (exact gradients, including the broadside-growth term), until
-  the bound holds strictly. Failure to reach the feasible region is the
-  infeasibility signal.
+* feasibility phase: first a search for a dual certificate of
+  infeasibility, a weighting of the region samples whose weighted sidelobe
+  power exceeds the bound for every correction (Elfving's c-optimal-design
+  duality over the convex cone form of Lebret & Boyd). A certificate raises
+  InfeasibleError(certified=True) at once; it exists only when the descent
+  below could never succeed, so it changes no verdict. Otherwise
+  Barzilai-Borwein gradient descent with a nonmonotone backtracking line
+  search on the squared hinge of the per-sample relative violations (exact
+  gradients, including the broadside-growth term) runs until the bound
+  holds strictly. Failure to reach the feasible region then raises an
+  uncertified InfeasibleError: the descent stalled, which proves nothing.
 * shrink phase: log-barrier stages over the per-sample constraints
   ratio*|F(0)|^2 - |F(u)|^2 > 0, each stage minimized by damped Newton
   steps (analytic Hessian, ridge-escalated Cholesky). The l1 objective is
@@ -39,6 +45,10 @@ _STEP_GROW = 2.0
 _STEP_MAX = 1e12
 _NONMONOTONE_WINDOW = 10
 _STALL_WINDOW = 120
+_CERT_MARGIN = 1e-6     # a certificate bounds the sidelobe power this far above the target
+_CERT_ITERATIONS = 200  # weight updates before the certificate search gives up
+_CERT_TREND = 10        # updates over which the search's progress is extrapolated
+_CERT_BLOCK = 8192      # entries (samples x unknowns) per block of the weighted Gram matrix
 
 
 @dataclass(frozen=True)
@@ -99,6 +109,9 @@ class _Landscape:
         self.F0_base = complex(np.sum(w_faulty))
         self.tau = 10.0 ** (metric.target_db / 10.0)
         self.m = int(metric.region.samples.size)
+        # The faulty excitations sit on free elements only, so the pattern is
+        # linear in x = z + w_free and x = 0 (an all-zero array) is reachable.
+        self.homogeneous = not np.any(w_faulty[~free])
 
     def fields(self, z: np.ndarray):
         return self.F_base + self.A @ z, self.F0_base + np.sum(z)
@@ -202,7 +215,102 @@ def _violation(land: _Landscape, z: np.ndarray, with_grad: bool, push: float = 1
     return value, grad
 
 
+def _weighted_gram(land: _Landscape, lam: np.ndarray) -> np.ndarray:
+    """P = sum_u lam_u conj(g_u) g_u^T over g_u = (A_u, F_base_u), or A_u when homogeneous."""
+    f = land.A.shape[1]
+    d = f if land.homogeneous else f + 1
+    p = np.zeros((d, d), dtype=complex)
+    rows = np.flatnonzero(lam)
+    step = max(1, _CERT_BLOCK // d)
+    # blocks of samples keep every temporary small next to the m x f steering columns
+    for r in range(0, rows.size, step):
+        i = rows[r:r + step]
+        a, w = land.A[i], lam[i]
+        p[:f, :f] += _adjoint(a, a * w[:, None])
+        if not land.homogeneous:
+            fb = land.F_base[i]
+            p[:f, f] += _adjoint(a, w * fb)
+            p[f, f] += np.sum(w * np.abs(fb) ** 2)
+    if not land.homogeneous:
+        p[f, :f] = np.conj(p[:f, f])
+    return p
+
+
+def _positive_definite(s: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _certificate(land: _Landscape) -> np.ndarray | None:
+    """
+    Region-sample weights proving that no correction meets the bound, or None.
+
+    Write F(u) = g_u^T y and F(0) = h^T y with y = (z, 1). Weights lam >= 0
+    summing to 1 for which P(lam) - tau*(1 + margin)*conj(h) h^T is positive
+    definite, P(lam) = sum_u lam_u conj(g_u) g_u^T, give
+    sum_u lam_u |F(u)|^2 > tau*(1 + margin)*|F(0)|^2 for every z, so some
+    sample exceeds the bound by more than the margin. When the landscape is
+    homogeneous the proof runs on x = z + w_free (g_u = A_u, h = 1) instead:
+    there x = 0 is an exact null vector of the (z, 1) form, and the all-zero
+    array it stands for has F(0) = 0, which no correction can use.
+
+    The weights follow the multiplicative c-optimal-design update
+    lam_u <- lam_u * |g_u^T v| with v = P^-1 conj(h) (Elfving's duality);
+    weights below 1e-12 of the largest are set to zero so that they cost no
+    Gram rows. The search gives up
+    - when P is singular;
+    - when v meets the bound itself, since then no weighting can exclude it;
+    - when 1/(h^T v), the least sum_u lam_u |F(u)|^2 / |F(0)|^2 these
+      weights allow, would still be below the target at the update cap if
+      it kept the pace of its last few updates (the pace slows as the
+      weights converge, so this extrapolation is optimistic);
+    - at the update cap.
+    Positive definiteness is tested on the matrix scaled by P's diagonal,
+    less 4*d*m*eps: each entry of the scaled P carries at most about m*eps of
+    rounding, so the test cannot pass on rounding alone.
+    """
+    f = land.A.shape[1]
+    d = f if land.homogeneous else f + 1
+    h = np.ones(d, dtype=complex)
+    if not land.homogeneous:
+        h[f] = land.F0_base
+    tau = land.tau * (1.0 + _CERT_MARGIN)
+    bound = tau * np.outer(np.conj(h), h)
+    guard = 4.0 * d * land.m * np.finfo(float).eps * np.eye(d)
+    lam = np.full(land.m, 1.0 / land.m)
+    lows = []
+    for it in range(_CERT_ITERATIONS):
+        p = _weighted_gram(land, lam)
+        inv = 1.0 / np.sqrt(np.diag(p).real)
+        unit = np.outer(inv, inv)
+        if _positive_definite((p - bound) * unit - guard):
+            return lam
+        if not _positive_definite(p * unit - guard):
+            return None
+        v = np.linalg.solve(p, np.conj(h))
+        gv = np.abs(land.A @ v[:f] + (0.0 if land.homogeneous else land.F_base * v[f]))
+        if land.tau * abs(h @ v) ** 2 >= np.max(gv) ** 2:
+            return None
+        lows.append(1.0 / (h @ v).real)
+        if it >= _CERT_TREND:
+            rate = (lows[-1] - lows[-1 - _CERT_TREND]) / _CERT_TREND
+            if lows[-1] + (_CERT_ITERATIONS - it) * rate < tau:
+                return None
+        lam = lam * gv
+        lam[lam < 1e-12 * np.max(lam)] = 0.0
+        lam /= np.sum(lam)
+    return None
+
+
 def _feasibility_phase(land: _Landscape, z: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+    if _certificate(land) is not None:
+        raise InfeasibleError(
+            "certified: a weighting of the region samples keeps the sidelobe power "
+            "above the bound for every correction", certified=True,
+        )
     strict = 1.0 - 1e-7
 
     def fun(x, with_grad):
@@ -367,7 +475,8 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
     mask marks elements whose correction entry is pinned to zero (failed
     elements plus any entries the caller has frozen). The returned vector is
     exactly zero there. Raises InfeasibleError when no correction within the
-    mask can meet the target, NumericalFailureError on non-finite values.
+    mask can meet the target (its certified flag tells a proof from a stalled
+    search), NumericalFailureError on non-finite values.
     """
     cfg = config if config is not None else SolverConfig()
     w = as_weights(w_faulty, geometry.n)
@@ -385,7 +494,8 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
     if land.worst_ratio(zero_free) <= tol_ratio:
         return np.zeros(geometry.n, dtype=complex)
     if nfree == 0:
-        raise InfeasibleError("no free elements and the zero correction misses the target")
+        raise InfeasibleError("no free elements and the zero correction misses the target",
+                              certified=True)
 
     if start is None:
         z = zero_free

@@ -167,7 +167,8 @@ class TestRunOracle:
         assert result.min_support == 1
         assert record["support"] == [3]
         assert record["status"] == "ok"
-        assert (tmp_path / "toy_oracle.json").exists()
+        written = json.loads((tmp_path / "toy_oracle.json").read_text())
+        assert written["n_solves"] == 3 and written["n_certified"] == 2  # (), (1,) rejected
 
     def test_infeasible_record(self, tmp_path):
         data = toy_spec_dict(name="toy_hopeless")
@@ -239,7 +240,7 @@ class TestCli:
         code = cli_main(["oracle", str(SCENARIO_DIR / "toy.json"), "--max-support", "2",
                          "--out", str(tmp_path)])
         assert code == 0
-        assert "minimum support=1" in capsys.readouterr().out
+        assert "minimum support=1 elements=[3] (minimum proven)" in capsys.readouterr().out
 
     def test_scale_output(self, capsys):
         code = cli_main(["scale", "--base", "5,45", "--base-n", "50", "--factor", "2",

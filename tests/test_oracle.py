@@ -41,6 +41,13 @@ class TestExhaustiveMin:
         assert result.min_support is None
         assert result.searched_up_to == 3
         assert result.n_solves == 8  # empty set + 3 singles + 3 pairs + 1 triple
+        assert result.n_certified == result.n_solves
+
+    def test_every_rejection_of_test_case_1_is_certified(self, tc1_oracle):
+        result, _ = tc1_oracle
+        assert result.support == (1, 4, 16)
+        assert result.n_solves == 103
+        assert result.n_certified == 102  # the minimum 3 is proven
 
     def test_empty_support_when_target_already_met(self):
         geometry = uniform_positions(8, 0.5)

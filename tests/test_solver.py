@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from arraymend import (
     solve_constrained_l1,
     uniform_positions,
 )
-from arraymend.solver import _Landscape, _stage_fun, _stage_hessian, _violation
+from arraymend.bench import ScenarioSpec, default_bw_target, resolve_scenario
+from arraymend.solver import _certificate, _Landscape, _stage_fun, _stage_hessian, _violation
+from conftest import load_spec
 
 INITIAL_SOLVE_REF = np.array([-0.438, 0.0, 0.593, -9.72e-6])
 
@@ -75,8 +78,9 @@ class TestSolveToy:
     def test_unreachable_target_is_infeasible(self, toy):
         geometry, w_faulty, _, mask = toy
         hopeless = MetricSpec(region=AngularRegion(np.array([-0.7, -0.5, 0.5, 0.7])), target_db=-100.0)
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(InfeasibleError, match="^certified") as info:
             solve_constrained_l1(geometry, w_faulty, hopeless, mask)
+        assert info.value.certified
 
     def test_single_free_element_resolve(self, toy):
         geometry, w_faulty, metric, _ = toy
@@ -117,8 +121,9 @@ class TestSolveToy:
 
     def test_all_masked_infeasible(self, toy):
         geometry, w_faulty, metric, _ = toy
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(InfeasibleError) as info:
             solve_constrained_l1(geometry, w_faulty, metric, np.ones(4, dtype=bool))
+        assert info.value.certified       # nothing to solve for: the exact zero check
 
 
 class TestSolverConfig:
@@ -272,3 +277,140 @@ class TestKernels:
             fd[:, k] = (real_grad(x + e) - real_grad(x - e)) / (2 * step)
         h = _stage_hessian(land, z, T, MU)
         np.testing.assert_allclose(fd, h, rtol=1e-5, atol=1e-5 * np.abs(h).max())
+
+
+def _support_landscape(geometry, w_faulty, metric, support):
+    """Landscape of a solve restricted to the 0-based elements in support."""
+    free = np.zeros(geometry.n, dtype=bool)
+    free[list(support)] = True
+    return _Landscape(geometry, w_faulty, metric, free)
+
+
+def _certified_min_eig(geometry, w_faulty, metric, support, lam, homogeneous=False):
+    """
+    Smallest eigenvalue of sum_u lam_u conj(g_u) g_u^T - tau * conj(h) h^T,
+    rebuilt from the array factor without the package's steering matrix.
+    A positive value proves that no correction over support meets the target.
+    """
+    a = np.exp(2j * np.pi * np.outer(metric.region.samples, geometry.positions))
+    cols = list(support)
+    if homogeneous:       # unknowns x = z + w_free, pattern A x, broadside sum(x)
+        g, h = a[:, cols], np.ones(len(cols))
+    else:                 # unknowns (z, 1), pattern A z + F_base, broadside sum(z) + F0_base
+        g = np.column_stack([a[:, cols], a @ w_faulty])
+        h = np.append(np.ones(len(cols)), np.sum(w_faulty))
+    tau = 10.0 ** (metric.target_db / 10.0)
+    p = (g.conj().T * lam) @ g
+    return float(np.linalg.eigvalsh(p - tau * np.outer(h.conj(), h)).min())
+
+
+def _unreachable():
+    """test_case_2_sll22 asked for -30 dB: no correction reaches it."""
+    spec = load_spec("test_case_2_sll22").to_dict()
+    spec.update(name="unreachable", metric={"kind": "max_sll", "target_db": -30.0})
+    res = resolve_scenario(ScenarioSpec.from_dict(spec))
+    w_faulty = apply_failures(res.weights, res.scenario)
+    support = np.flatnonzero(res.scenario.admissible)
+    return res.geometry, w_faulty, res.metric, support
+
+
+class TestCertificate:
+    def test_every_small_support_of_test_case_1_is_certified(self, tc1_parts):
+        geometry, weights, scenario, metric, _ = tc1_parts
+        w_faulty = apply_failures(weights, scenario)
+        working = np.flatnonzero(scenario.admissible)
+        for size in (1, 2):
+            for support in itertools.combinations(working, size):
+                land = _support_landscape(geometry, w_faulty, metric, support)
+                lam = _certificate(land)
+                assert lam is not None, support
+                assert np.all(lam >= 0) and np.isclose(lam.sum(), 1.0)
+                assert _certified_min_eig(geometry, w_faulty, metric, support, lam) > 0, support
+
+    def test_feasible_problems_are_not_certified(self, toy, tc1_parts):
+        geometry, w_faulty, metric, mask = toy
+        assert _certificate(_Landscape(geometry, w_faulty, metric, ~mask)) is None
+        geometry, weights, scenario, metric, _ = tc1_parts
+        w_faulty = apply_failures(weights, scenario)
+        first_solve = _Landscape(geometry, w_faulty, metric, scenario.admissible)
+        assert first_solve.homogeneous
+        assert _certificate(first_solve) is None
+        winner = _support_landscape(geometry, w_faulty, metric, (0, 3, 15))   # elements 1, 4, 16
+        assert _certificate(winner) is None
+
+    def test_unreachable_target_is_certified_on_the_homogeneous_form(self):
+        geometry, w_faulty, metric, support = _unreachable()
+        land = _support_landscape(geometry, w_faulty, metric, support)
+        assert land.homogeneous       # the faulty excitations all sit on free elements
+        lam = _certificate(land)
+        assert lam is not None
+        assert _certified_min_eig(geometry, w_faulty, metric, support, lam, homogeneous=True) > 0
+
+    def test_singular_form_is_never_certified(self, toy):
+        # Read as inhomogeneous (z, 1) problems, these unreachable targets have
+        # an exact null vector (z = -w_free): any proof of them rests on rounding.
+        geometry, w_faulty, metric, support = _unreachable()
+        lands = [_support_landscape(geometry, w_faulty, metric, support)]
+        geometry, w_faulty, metric, mask = toy
+        for target_db in np.arange(-60.0, -20.0, 2.0):
+            hopeless = MetricSpec(region=metric.region, target_db=float(target_db))
+            lands.append(_Landscape(geometry, w_faulty, hopeless, ~mask))
+        for land in lands:
+            assert land.homogeneous
+            land.homogeneous = False
+            assert _certificate(land) is None
+
+    def test_margin_keeps_barely_feasible_problem_uncertified(self):
+        # One free element carries the whole array, so every correction gives
+        # |F(u)|^2 = |F(0)|^2 on every sample: a worst ratio of 1 - 5e-7, which
+        # meets the bound even as the feasibility descent tightens it (1 - 1e-7).
+        geometry = uniform_positions(2, 0.5)
+        region = AngularRegion(np.array([-0.9, -0.5, 0.5, 0.9]))
+        metric = MetricSpec(region=region, target_db=-10.0 * np.log10(1.0 - 5e-7))
+        land = _Landscape(geometry, np.array([0.0, 1.0]), metric, np.array([False, True]))
+        assert land.worst_ratio(np.array([0.3 + 0.1j])) == pytest.approx(1.0 - 5e-7, abs=1e-12)
+        assert _certificate(land) is None
+
+    def test_never_certifies_where_an_inscribed_polygon_lp_is_feasible(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(7)
+        sides = 16
+        counts = {"lp_feasible": 0, "certified": 0}
+        for _ in range(3):
+            n = int(rng.integers(10, 17))
+            faults = sorted(int(i) for i in rng.choice(np.arange(1, n + 1), int(rng.integers(1, 4)),
+                                                       replace=False))
+            design = float(rng.uniform(-25.0, -15.0))
+            geometry = uniform_positions(n, 0.5)
+            scenario = FailureScenario.from_indices(n, faults)
+            w_faulty = apply_failures(dolph_chebyshev(n, design), scenario)
+            region = sidelobe_region(default_bw_target(scenario.n_controllable, design), 1001)
+            metric = MetricSpec(region=region, target_db=design + float(rng.uniform(0.0, 3.0)))
+            working = np.flatnonzero(scenario.admissible)
+            supports = [tuple(working), *itertools.combinations(working, 2)]
+            for support in supports:
+                land = _support_landscape(geometry, w_faulty, metric, support)
+                z = _polygon_lp_point(optimize, land, sides)
+                lam = _certificate(land)
+                if z is not None and land.worst_ratio(z) <= 1.0:
+                    counts["lp_feasible"] += 1
+                    assert lam is None, (n, faults, support)
+                counts["certified"] += lam is not None
+        assert counts["lp_feasible"] > 0 and counts["certified"] > 0, counts
+
+
+def _polygon_lp_point(optimize, land, sides):
+    """
+    A correction meeting |F(u)| <= sqrt(tau) Re F(0) through the inscribed
+    polygon Re(exp(-j theta_k) F(u)) <= sqrt(tau) cos(pi/sides) Re F(0), or None.
+    """
+    f = land.A.shape[1]
+    rot = np.exp(-2j * np.pi * np.arange(sides) / sides)
+    lhs = (rot[:, None, None] * land.A[None]).reshape(-1, f)       # rows (k, u)
+    rhs_const = (rot[:, None] * land.F_base[None]).reshape(-1)
+    r = np.sqrt(land.tau) * np.cos(np.pi / sides)
+    # Re(lhs z) + Re(rhs_const) <= r * (Re F0_base + sum Re z)
+    a_ub = np.hstack([lhs.real - r, -lhs.imag])
+    b_ub = r * land.F0_base.real - rhs_const.real
+    res = optimize.linprog(np.zeros(2 * f), A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
+    return res.x[:f] + 1j * res.x[f:] if res.status == 0 else None

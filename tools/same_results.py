@@ -7,11 +7,13 @@ Each argument is a directory holding the `arraymend` package, such as a
 checkout's `src/`. Each tree runs in its own interpreter with
 one BLAS thread, pinned before numpy loads, because the thread count changes
 results. Both run the benchmark's eight correction scenarios (`CATALOG` and
-`BATCH_SCENARIOS` of benchmark/bench_workloads.py, read from this checkout)
-and the test_case_1 oracle up to support 3. The script compares each
+`BATCH_SCENARIOS` of benchmark/bench_workloads.py, read from this checkout),
+the batch's unreachable row (`BATCH_UNREACHABLE`: test_case_2_sll22 at
+-30 dB) and the test_case_1 oracle up to support 3. The script compares each
 correction vector exactly, plus the correction count, l1, k_opt and the
-removal trace, and the oracle's support and solve count. It prints one line
-per item and exits 1 on any difference.
+removal trace, and the oracle's support and solve count. An item that raises
+is compared by the error's class, not its message, which may name how the
+error was found. It prints one line per item and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -48,13 +50,18 @@ def collect() -> dict:
     def resolved(name):
         return bw.am_bench.resolve_scenario(bw.load_spec(ROOT, name))
 
+    unreachable = bw.load_spec(ROOT, "test_case_2_sll22").to_dict()  # as the batch builds it
+    unreachable.update(name=bw.BATCH_UNREACHABLE, metric={"kind": "max_sll", "target_db": -30.0})
+    problems = {name: resolved(name) for name in bw.CATALOG + bw.BATCH_SCENARIOS}
+    problems[bw.BATCH_UNREACHABLE] = bw.am_bench.resolve_scenario(
+        bw.am_bench.ScenarioSpec.from_dict(unreachable))
+
     out = {}
-    for name in bw.CATALOG + bw.BATCH_SCENARIOS:
-        res = resolved(name)
+    for name, res in problems.items():
         try:
             r = minimize_corrections(res.geometry, res.weights, res.scenario, res.metric, res.config)
         except Exception as err:  # a raised error is a result to compare too
-            out[name] = {"error": f"{type(err).__name__}: {err}"}
+            out[name] = {"error": type(err).__name__}
             continue
         out[name] = {"delta": _complex_list(r.delta), "n_corrections": r.n_corrections,
                      "l1": r.l1, "k_opt": r.k_opt, "trace": [asdict(e) for e in r.trace]}
