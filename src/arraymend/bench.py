@@ -410,8 +410,11 @@ def batch_run(spec_dir, out_dir, parallelism: int = 1,
 
     Scenario failures (parse errors, infeasible targets) become rows in the
     summary rather than aborting the batch. Rows follow the sorted file
-    order regardless of the completion order.
+    order regardless of the completion order. Raises ValueError when
+    parallelism is below 1.
     """
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be at least 1, got {parallelism}")
     spec_dir = Path(spec_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -28,7 +28,13 @@ Two phases:
   steps (analytic Hessian, ridge-escalated Cholesky). The l1 objective is
   smoothed as sqrt(|dw|^2 + mu^2) with mu annealed toward zero while the
   barrier weight grows geometrically; the barrier domain keeps every
-  iterate feasible.
+  iterate feasible. The Hessian's barrier curvature is one Hermitian Gram
+  A^H diag(w) A, a Toeplitz gather of a single matrix-vector product when
+  the elements sit on a lattice x_n = x_0 + n*d (a dense real product
+  otherwise), one symmetric rank-m product B^T B, and rank-one terms. Each
+  stage computes the fields F(u), F(0) exactly once at its start and then
+  carries them: a Newton step costs one product A @ step, and every
+  line-search candidate is priced in O(m).
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ _CERT_MARGIN = 1e-6     # a certificate bounds the sidelobe power this far above
 _CERT_ITERATIONS = 200  # weight updates before the certificate search gives up
 _CERT_TREND = 10        # updates over which the search's progress is extrapolated
 _CERT_BLOCK = 8192      # entries (samples x unknowns) per block of the weighted Gram matrix
+_LATTICE_ULPS = 16     # relative position error, in ulps, that a lattice Gram tolerates
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,22 @@ def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.vdot(a, b)))
 
 
+def _lattice_lags(positions: np.ndarray, free: np.ndarray) -> np.ndarray | None:
+    """
+    Lag gather index of the free columns' Gram when x_n = x_0 + n*d, else None.
+
+    On such a lattice, sum_u w_u conj(A_uk) A_un depends only on the lag
+    n - k, so lags[k, n] = n - k + N - 1 indexes a vector of the 2N - 1 lags.
+    """
+    n = positions.size
+    d = (positions[-1] - positions[0]) / (n - 1)
+    off = positions - (positions[0] + d * np.arange(n))
+    if np.max(np.abs(off)) > _LATTICE_ULPS * np.finfo(float).eps * np.max(np.abs(positions)):
+        return None
+    idx = np.flatnonzero(free)
+    return idx[None, :] - idx[:, None] + (n - 1)
+
+
 class _Landscape:
     """Pattern pieces of one solve: fixed faulty fields plus free-column steering."""
 
@@ -105,6 +128,8 @@ class _Landscape:
                  metric: MetricSpec, free: np.ndarray):
         full = steering_matrix(geometry, metric.region.samples)
         self.A = full[:, free]
+        self.full = full            # the geometry's shared matrix, not a copy
+        self.lags = _lattice_lags(geometry.positions, free)
         self.F_base = full @ w_faulty
         self.F0_base = complex(np.sum(w_faulty))
         self.tau = 10.0 ** (metric.target_db / 10.0)
@@ -331,15 +356,11 @@ def _feasibility_phase(land: _Landscape, z: np.ndarray, cfg: SolverConfig) -> np
 
 
 def _stage_fun(land: _Landscape, t: float, mu: float, scale: float):
-    """Barrier objective of one stage over the exact per-sample constraints."""
+    """Barrier objective of one stage, given z and its fields f = F(u), f0 = F(0)."""
     tau = land.tau
 
-    def fun(z, with_grad):
-        f0 = land.F0_base + np.sum(z)
-        p0 = abs(f0) ** 2
-        f = land.F_base + land.A @ z
-        q = np.abs(f) ** 2
-        b = tau * p0 - q
+    def fun(z, f, f0, with_grad):
+        b = tau * abs(f0) ** 2 - np.abs(f) ** 2
         if np.any(b <= 0.0):
             return np.inf, None
         s = np.sqrt(np.abs(z) ** 2 + mu * mu)
@@ -353,19 +374,39 @@ def _stage_fun(land: _Landscape, t: float, mu: float, scale: float):
     return fun
 
 
-def _real_block(p: np.ndarray) -> np.ndarray:
-    # Real 2f x 2f representation of the Hermitian quadratic form z^H P z.
-    return np.block([[p.real, -p.imag], [p.imag, p.real]])
+def _gram(land: _Landscape, w: np.ndarray) -> np.ndarray:
+    """A^H diag(w) A for real w > 0: a Toeplitz gather on a lattice, else a real syrk."""
+    if land.lags is not None:
+        lag = (w * np.conj(land.full[:, 0])) @ land.full    # lags 0 .. N-1
+        return np.concatenate([np.conj(lag[:0:-1]), lag])[land.lags]
+    m, nfree = land.A.shape
+    v = np.empty((m, 2 * nfree))
+    root = np.sqrt(w)[:, None]
+    np.multiply(land.A.real, root, out=v[:, :nfree])
+    np.multiply(land.A.imag, root, out=v[:, nfree:])
+    vv = v.T @ v
+    re, im = vv[:nfree], vv[nfree:]
+    return (re[:, :nfree] + im[:, nfree:]) + 1j * (re[:, nfree:] - im[:, :nfree])
 
 
-def _stage_hessian(land: _Landscape, z: np.ndarray, t: float, mu: float) -> np.ndarray:
-    """Hessian of the stage objective in stacked (Re z, Im z) coordinates."""
+def _stage_hessian(land: _Landscape, z: np.ndarray, f: np.ndarray, f0: complex,
+                   t: float, mu: float) -> np.ndarray:
+    """
+    Hessian of the stage objective in stacked (Re z, Im z) coordinates.
+
+    The barrier part is (RB(P) + S(G)/2) / t with RB(P) = [[Re P, -Im P],
+    [Im P, Re P]] and S(G) = [[Re G, Im G], [Im G, -Re G]], where, with
+    c = 1/b, k = 2*tau*F0, r = A^H (c^2 F) and B = diag(c F) conj(A),
+        P = A^H diag(2c + 2c^2|F|^2) A - conj(k) r 1^T - k 1 r^H
+            + |k|^2 sum(c^2) / 2 - 2 tau sum(c)
+        G = 4 B^T B - 2k (r 1^T + 1 r^T) + k^2 sum(c^2).
+    They are the curvature of each |F(u)|^2, the outer products of the
+    constraint gradients 2 conj(A_u) F(u) - k (split into a Hermitian and a
+    symmetric part) and the broadside-power curvature, the nonconvex part.
+    """
     nfree = z.size
     tau = land.tau
-    f0 = land.F0_base + np.sum(z)
-    f = land.F_base + land.A @ z
-    q = np.abs(f) ** 2
-    b = tau * abs(f0) ** 2 - q
+    b = tau * abs(f0) ** 2 - np.abs(f) ** 2
 
     s = np.sqrt(np.abs(z) ** 2 + mu * mu)
     inv_s = 1.0 / s
@@ -377,32 +418,41 @@ def _stage_hessian(land: _Landscape, z: np.ndarray, t: float, mu: float) -> np.n
     h[i, nfree + i] = h[nfree + i, i] = -a_re * a_im * inv_s ** 3
 
     c = 1.0 / b
-    csum = float(np.sum(c))
-    # curvature of -log(tau*|F0|^2 - |F(u)|^2): outer products of the
-    # constraint gradients, plus the sample-power curvature, minus the
-    # broadside-power curvature (the nonconvex part).
-    a_conj = np.conj(land.A)
-    h += 2.0 * _real_block(a_conj.T @ (land.A * c[:, None])) / t
-    gb = 2.0 * f[:, None] * a_conj - 2.0 * tau * f0
-    del a_conj  # free each m x f temporary early: they set the solve's peak memory
-    v = np.concatenate([gb.real, gb.imag], axis=1)
-    del gb
-    h += (v * (c ** 2)[:, None]).T @ v / t
-    j = 2.0 * tau * csum / t
-    h[:nfree, :nfree] -= j
-    h[nfree:, nfree:] -= j
+    cf = c * f
+    c2sum = float(np.sum(c * c))
+    k = 2.0 * tau * f0
+    r = _adjoint(land.A, c * cf)
+    p = _gram(land, 2.0 * c + 2.0 * np.abs(cf) ** 2)
+    p -= np.conj(k) * r[:, None] + k * np.conj(r)[None, :]
+    p += 0.5 * abs(k) ** 2 * c2sum - 2.0 * tau * float(np.sum(c))
+    bm = land.A * np.conj(cf)[:, None]   # conj(B), the one m x f temporary: it sets the peak memory
+    g = 4.0 * np.conj(bm.T @ bm)         # B^T B from one symmetric rank-m product (syrk)
+    del bm
+    g -= 2.0 * k * (r[:, None] + r[None, :])
+    g += k * k * c2sum
+    g *= 0.5
+    h[:nfree, :nfree] += (p.real + g.real) / t
+    h[:nfree, nfree:] += (g.imag - p.imag) / t
+    h[nfree:, :nfree] += (p.imag + g.imag) / t
+    h[nfree:, nfree:] += (p.real - g.real) / t
     return h
 
 
 def _newton_stage(land: _Landscape, z: np.ndarray, t: float, mu: float,
                   max_iters: int, min_step: float, tol: float):
-    """Damped Newton minimization of one barrier stage."""
+    """
+    Damped Newton minimization of one barrier stage; returns (z, F(u), F(0)).
+
+    The fields are computed exactly at the start and then carried: a step
+    costs one product A @ step, and each line-search candidate F + alpha*dF
+    is priced in O(m).
+    """
     nfree = z.size
-    f0 = land.F0_base + np.sum(z)
+    f, f0 = land.fields(z)
     scale = land.tau * abs(f0) ** 2
     fun = _stage_fun(land, t, mu, scale)
 
-    value, grad = fun(z, True)
+    value, grad = fun(z, f, f0, True)
     if not np.isfinite(value):
         raise NumericalFailureError("barrier stage started outside the domain")
     for _ in range(max_iters):
@@ -410,7 +460,7 @@ def _newton_stage(land: _Landscape, z: np.ndarray, t: float, mu: float,
         gnorm = float(np.linalg.norm(g_real))
         if gnorm <= tol:
             break
-        h = _stage_hessian(land, z, t, mu)
+        h = _stage_hessian(land, z, f, f0, t, mu)
         diag = np.arange(2 * nfree)
         base = max(1.0, float(np.trace(h)) / (2 * nfree))
         step_real = None
@@ -431,23 +481,25 @@ def _newton_stage(land: _Landscape, z: np.ndarray, t: float, mu: float,
         if slope >= 0:  # not a descent direction; fall back to steepest descent
             step = -grad
             slope = -gnorm ** 2
+        d_f = land.A @ step
+        d_f0 = np.sum(step)
 
         alpha = 1.0
         accepted = False
         while alpha >= min_step:
-            cand = z + alpha * step
-            v_cand, _ = fun(cand, False)
+            cand, f_cand, f0_cand = z + alpha * step, f + alpha * d_f, f0 + alpha * d_f0
+            v_cand, _ = fun(cand, f_cand, f0_cand, False)
             if v_cand <= value + _ARMIJO * alpha * slope:
-                z, value = cand, v_cand
+                z, f, f0, value = cand, f_cand, f0_cand, v_cand
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
             break
-        _, grad = fun(z, True)
+        _, grad = fun(z, f, f0, True)
         if not np.all(np.isfinite(grad)):
             raise NumericalFailureError("non-finite gradient in barrier stage")
-    return z
+    return z, f, f0
 
 
 def _shrink_phase(land: _Landscape, z: np.ndarray, cfg: SolverConfig) -> np.ndarray:
@@ -456,7 +508,7 @@ def _shrink_phase(land: _Landscape, z: np.ndarray, cfg: SolverConfig) -> np.ndar
     stage_iters = max(8, cfg.max_grad_steps // 100)
     for _ in range(cfg.max_iterations):
         stage_tol = max(cfg.optimality_tol, 1e-4 / np.sqrt(t))
-        z = _newton_stage(land, z, t, mu, stage_iters, cfg.min_step, stage_tol)
+        z = _newton_stage(land, z, t, mu, stage_iters, cfg.min_step, stage_tol)[0]
         gap_ok = land.m / t <= cfg.optimality_tol * max(1.0, float(np.sum(np.abs(z))))
         mu_ok = mu <= cfg.smooth_floor * (1.0 + 1e-12)
         if gap_ok and mu_ok:

@@ -223,6 +223,19 @@ class TestBatch:
         assert float(row["eta_c_hat_pct"]) == pytest.approx(
             100.0 * int(row["n_corrections"]) / n_controllable, rel=1e-4)
 
+    @pytest.mark.parametrize("parallelism", [0, -2])
+    def test_rejects_parallelism_below_one(self, tmp_path, capsys, parallelism):
+        spec_dir = tmp_path / "specs"
+        spec_dir.mkdir()
+        (spec_dir / "toy.json").write_text(json.dumps(toy_spec_dict()))
+        with pytest.raises(ValueError, match="parallelism"):
+            batch_run(spec_dir, tmp_path / "out", parallelism=parallelism)
+        code = cli_main(["batch", str(spec_dir), "--out", str(tmp_path / "out"),
+                         f"--parallel={parallelism}"])
+        assert code == 1
+        assert "parallelism must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_empty_directory(self, tmp_path):
         spec_dir = tmp_path / "specs"
         spec_dir.mkdir()

@@ -6,6 +6,7 @@ import pytest
 
 from arraymend import (
     AngularRegion,
+    ArrayGeometry,
     FailureScenario,
     InfeasibleError,
     MetricSpec,
@@ -20,7 +21,15 @@ from arraymend import (
     uniform_positions,
 )
 from arraymend.bench import ScenarioSpec, default_bw_target, resolve_scenario
-from arraymend.solver import _certificate, _Landscape, _stage_fun, _stage_hessian, _violation
+from arraymend.solver import (
+    _certificate,
+    _feasibility_phase,
+    _Landscape,
+    _newton_stage,
+    _stage_fun,
+    _stage_hessian,
+    _violation,
+)
 from conftest import load_spec
 
 INITIAL_SOLVE_REF = np.array([-0.438, 0.0, 0.593, -9.72e-6])
@@ -214,9 +223,15 @@ def _toy_problem():
     return geometry, w_faulty, region, free, z
 
 
-def _seeded_problem():
+def _jittered_positions(n, seed=5):
+    """Half-wavelength positions moved by up to 0.05 wavelengths: not a lattice."""
+    jitter = np.random.default_rng(seed).uniform(-0.05, 0.05, n)
+    return ArrayGeometry(uniform_positions(n, 0.5).positions + jitter)
+
+
+def _seeded_problem(geometry=None):
     rng = np.random.default_rng(20)
-    geometry = uniform_positions(20, 0.5)
+    geometry = uniform_positions(20, 0.5) if geometry is None else geometry
     scenario = FailureScenario.from_indices(20, [3, 11, 12])
     w_faulty = apply_failures(dolph_chebyshev(20, -25.0), scenario)
     region = sidelobe_region(16.0, 401)
@@ -236,7 +251,14 @@ def _landscape(problem, margin_db):
     return land, z
 
 
-PROBLEMS = {"toy": _toy_problem, "seeded_n20": _seeded_problem}
+PROBLEMS = {
+    "toy": _toy_problem,
+    "seeded_n20": _seeded_problem,
+    "seeded_n20_spacing045": lambda: _seeded_problem(uniform_positions(20, 0.45)),
+    "seeded_n20_jittered": lambda: _seeded_problem(_jittered_positions(20)),
+}
+ON_LATTICE = {"toy": True, "seeded_n20": True, "seeded_n20_spacing045": True,
+              "seeded_n20_jittered": False}
 T, MU = 10.0, 1e-2
 
 
@@ -250,14 +272,18 @@ class TestKernels:
 
     def test_stage_gradient_matches_reference(self, name):
         land, z = _landscape(PROBLEMS[name](), 3.0)   # strictly inside the barrier domain
-        value, grad = _stage_fun(land, T, MU, 1.0)(z, True)
+        value, grad = _stage_fun(land, T, MU, 1.0)(z, *land.fields(z), True)
         assert np.isfinite(value)
         np.testing.assert_allclose(grad, reference_stage_grad(land, z, T, MU), rtol=1e-12)
 
     def test_stage_hessian_matches_reference(self, name):
         land, z = _landscape(PROBLEMS[name](), 3.0)
-        np.testing.assert_allclose(_stage_hessian(land, z, T, MU),
-                                   reference_stage_hessian(land, z, T, MU), rtol=1e-12)
+        assert (land.lags is not None) == ON_LATTICE[name]    # Toeplitz gather or dense syrk
+        h = _stage_hessian(land, z, *land.fields(z), T, MU)
+        ref = reference_stage_hessian(land, z, T, MU)
+        # The Grams sum in another order than the reference, so entries that
+        # cancel differ at rounding level: compare against the largest entry.
+        assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_stage_hessian_matches_gradient_differences(self, name):
         land, z = _landscape(PROBLEMS[name](), 3.0)
@@ -266,7 +292,8 @@ class TestKernels:
         step = 1e-6
 
         def real_grad(x):
-            g = fun(x[:n] + 1j * x[n:], True)[1]
+            zx = x[:n] + 1j * x[n:]
+            g = fun(zx, *land.fields(zx), True)[1]
             return np.concatenate([g.real, g.imag])
 
         x = np.concatenate([z.real, z.imag])
@@ -275,8 +302,50 @@ class TestKernels:
             e = np.zeros(2 * n)
             e[k] = step
             fd[:, k] = (real_grad(x + e) - real_grad(x - e)) / (2 * step)
-        h = _stage_hessian(land, z, T, MU)
+        h = _stage_hessian(land, z, *land.fields(z), T, MU)
         np.testing.assert_allclose(fd, h, rtol=1e-5, atol=1e-5 * np.abs(h).max())
+
+
+def _assert_carried_fields_exact(land, z, f, f0):
+    exact, exact0 = land.fields(z)
+    tol = 1e-12 * np.max(np.abs(exact))
+    assert np.max(np.abs(f - exact)) <= tol
+    assert abs(f0 - exact0) <= tol
+
+
+class TestCarriedFields:
+    """A Newton stage carries F and F(0) along its steps; they must stay exact."""
+
+    def test_seeded_landscape_through_the_stages(self):
+        land, z = _landscape(_seeded_problem(), 3.0)
+        for t, mu in ((1.0, 1e-2), (10.0, 1e-3), (100.0, 1e-4), (1e3, 1e-5), (1e4, 1e-6)):
+            z_next, f, f0 = _newton_stage(land, z, t, mu, 20, 1e-10, 1e-12)
+            assert not np.array_equal(z_next, z)
+            z = z_next
+            _assert_carried_fields_exact(land, z, f, f0)
+
+    def test_first_solve_of_size_scan_n100_row3(self):
+        res = resolve_scenario(load_spec("size_scan_n100_row3"))
+        w_faulty = apply_failures(res.weights, res.scenario)
+        land = _Landscape(res.geometry, w_faulty, res.metric, res.scenario.admissible)
+        cfg = SolverConfig()
+        z = _feasibility_phase(land, np.zeros(land.A.shape[1], dtype=complex), cfg)
+        z_next, f, f0 = _newton_stage(land, z, cfg.barrier_start, cfg.smooth_start, 20,
+                                      cfg.min_step, 1e-4)   # the shrink phase's first stage
+        assert not np.array_equal(z_next, z)
+        _assert_carried_fields_exact(land, z_next, f, f0)
+
+    def test_non_lattice_solve_meets_target_on_full_grid(self):
+        geometry = _jittered_positions(16)
+        scenario = FailureScenario.from_indices(16, [2, 3, 9])
+        w_faulty = apply_failures(dolph_chebyshev(16, -20.0), scenario)
+        # the default 4001-sample grid: the full grid the metric is judged on
+        metric = MetricSpec(region=sidelobe_region(default_bw_target(13, -20.0)), target_db=-16.0)
+        assert _Landscape(geometry, w_faulty, metric, scenario.admissible).lags is None
+        assert evaluate_metric(metric, geometry, w_faulty) > -16.0 + 4.0
+        delta = solve_constrained_l1(geometry, w_faulty, metric, scenario.mask)
+        assert np.all(delta[scenario.mask] == 0)
+        assert evaluate_metric(metric, geometry, w_faulty + delta) <= -16.0 + 0.02
 
 
 def _support_landscape(geometry, w_faulty, metric, support):

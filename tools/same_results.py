@@ -13,7 +13,10 @@ the batch's unreachable row (`BATCH_UNREACHABLE`: test_case_2_sll22 at
 correction vector exactly, plus the correction count, l1, k_opt and the
 removal trace, and the oracle's support and solve count. An item that raises
 is compared by the error's class, not its message, which may name how the
-error was found. It prints one line per item and exits 1 on any difference.
+error was found. It prints one line per item; under each item that differs,
+a second line gives parent -> change for the correction count, k_opt and the
+oracle's solve count, and the relative change of l1. It exits 1 on any
+difference.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 ORACLE_PROBLEM = "test_case_1"
 ORACLE_MAX_SUPPORT = 3
 SHOWN = ("n_corrections", "k_opt", "support", "n_solves", "error")  # printed per item
+MOVED = ("n_corrections", "k_opt", "n_solves")  # printed parent -> change when an item differs
 
 
 def _complex_list(a) -> list:
@@ -88,6 +92,14 @@ def differences(a: dict, b: dict) -> list[str]:
     return sorted(k for k in a.keys() | b.keys() if not same(k))
 
 
+def moved(a: dict, b: dict) -> str:
+    """Parent -> change of one differing item's counts, and the relative change of its l1."""
+    parts = [f"{k} {a.get(k)} -> {b.get(k)}" for k in MOVED if k in a or k in b]
+    if a.get("l1") and b.get("l1") is not None:
+        parts.append(f"l1 {(b['l1'] - a['l1']) / a['l1']:+.3e} relative")
+    return ", ".join(parts)
+
+
 def main(argv) -> int:
     if argv == ["--collect"]:
         print(json.dumps(collect()))
@@ -113,6 +125,8 @@ def main(argv) -> int:
         bad += bool(diff)
         shown = {k: v for k, v in change.get(name, {}).items() if k in SHOWN}
         print(f"{name:28s} {'DIFFERS in ' + ', '.join(diff) if diff else 'same':40s} {shown}")
+        if diff:
+            print(f"{'':28s} {moved(parent.get(name, {}), change.get(name, {}))}")
     print(f"{bad} of {len(names)} items differ")
     return 1 if bad else 0
 
