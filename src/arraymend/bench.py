@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .model import (
     uniform_grid,
     uniform_positions,
 )
-from .oracle import DEFAULT_SOLVE_CAP, OracleResult, exhaustive_min
+from .oracle import OracleResult, exhaustive_min
 from .solver import SolverConfig
 from .taper import apply_failures, dolph_chebyshev
 
@@ -104,8 +105,9 @@ class ResolvedScenario:
 
 def _resolve_taper(spec: ScenarioSpec) -> tuple[np.ndarray, float | None]:
     taper = spec.taper
-    if isinstance(taper, dict) and "dolph_chebyshev" in taper:
-        sll = float(taper["dolph_chebyshev"]["sll_db"])
+    design = taper.get("dolph_chebyshev") if isinstance(taper, dict) else None
+    if isinstance(design, dict) and "sll_db" in design:
+        sll = float(design["sll_db"])
         return dolph_chebyshev(spec.n_elements, sll), sll
     if isinstance(taper, dict) and "weights" in taper:
         taper = taper["weights"]
@@ -123,8 +125,7 @@ def default_bw_target(n_working: int, sll_db: float, spacing: float = 0.5) -> fl
     return beamwidth(uniform_positions(n_working, spacing), ref, sll_db)
 
 
-def resolve_scenario(spec: ScenarioSpec, grid_density: int | None = None,
-                     constraint_tol_db: float | None = None) -> ResolvedScenario:
+def resolve_scenario(spec: ScenarioSpec, grid_density: int | None = None) -> ResolvedScenario:
     """Build geometry, taper, failure mask, metric region, and solver config."""
     geometry = uniform_positions(spec.n_elements, spec.spacing_wavelengths)
     weights, design_sll = _resolve_taper(spec)
@@ -161,9 +162,10 @@ def resolve_scenario(spec: ScenarioSpec, grid_density: int | None = None,
         bw_val = float(bw_target)
         region = sidelobe_region(bw_val, int(density))
 
-    config = SolverConfig().with_overrides(**spec.solver) if spec.solver else SolverConfig()
-    if constraint_tol_db is not None:
-        config = config.with_overrides(constraint_tol_db=float(constraint_tol_db))
+    unknown = set(spec.solver) - {f.name for f in fields(SolverConfig)}
+    if unknown:
+        raise ValueError(f"unknown solver fields: {sorted(unknown)}")
+    config = SolverConfig(**spec.solver)
 
     return ResolvedScenario(
         spec=spec, geometry=geometry, weights=weights, scenario=scenario,
@@ -242,31 +244,25 @@ def _base_record(res: ResolvedScenario, grid: np.ndarray) -> dict:
     }
 
 
-def run_scenario(spec: ScenarioSpec, out_dir, grid_density: int | None = None,
-                 constraint_tol_db: float | None = None) -> tuple[dict, CorrectionResult | None]:
-    """
-    Run the correction on one scenario and write its three output files.
-
-    Writes <name>_result.json, <name>_pattern.csv, and <name>_trace.csv in
-    out_dir. On an infeasible scenario the diagnostic record is written
-    before InfeasibleError is re-raised.
-    """
+def _start(spec: ScenarioSpec, out_dir, grid_density: int | None):
+    """Output directory, resolved scenario, export grid, and base record of one run."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    res = resolve_scenario(spec, grid_density, constraint_tol_db)
+    res = resolve_scenario(spec, grid_density)
     grid = uniform_grid(DEFAULT_GRID_DENSITY if grid_density is None else grid_density)
-    record = _base_record(res, grid)
-    w_faulty = apply_failures(res.weights, res.scenario)
+    return out, res, grid, _base_record(res, grid)
 
+
+def _correct(res: ResolvedScenario, grid, record: dict) -> CorrectionResult:
+    """Minimize the corrections and fill in the record, on InfeasibleError before re-raising."""
     try:
         result = minimize_corrections(res.geometry, res.weights, res.scenario,
                                       res.metric, res.config)
     except InfeasibleError as err:
         record.update({"status": "infeasible", "detail": str(err)})
-        _write_json(out / f"{spec.name}_result.json", record)
         raise
 
-    w_corrected = w_faulty + result.delta
+    w_corrected = apply_failures(res.weights, res.scenario) + result.delta
     record.update({
         "status": "ok",
         "sll_corrected_db": max_sll(res.geometry, w_corrected, res.metric.region),
@@ -280,11 +276,30 @@ def run_scenario(spec: ScenarioSpec, out_dir, grid_density: int | None = None,
         "corrected_elements": result.corrected_elements,
         "elapsed_s": result.elapsed_s,
     })
+    return result
+
+
+def run_scenario(spec: ScenarioSpec, out_dir,
+                 grid_density: int | None = None) -> tuple[dict, CorrectionResult]:
+    """
+    Run the correction on one scenario and write its three output files.
+
+    Writes <name>_result.json, <name>_pattern.csv, and <name>_trace.csv in
+    out_dir. On an infeasible scenario the diagnostic record is written
+    before InfeasibleError is re-raised.
+    """
+    out, res, grid, record = _start(spec, out_dir, grid_density)
+    try:
+        result = _correct(res, grid, record)
+    except InfeasibleError:
+        _write_json(out / f"{spec.name}_result.json", record)
+        raise
     _write_json(out / f"{spec.name}_result.json", record)
 
+    w_faulty = apply_failures(res.weights, res.scenario)
     original_db = pattern_db(res.geometry, res.weights, grid)
     faulty_db = pattern_db(res.geometry, w_faulty, grid)
-    corrected_db = pattern_db(res.geometry, w_corrected, grid)
+    corrected_db = pattern_db(res.geometry, w_faulty + result.delta, grid)
     _write_csv(out / f"{spec.name}_pattern.csv",
                ["u", "original_db", "faulty_db", "corrected_db"],
                zip(grid.tolist(), original_db.tolist(), faulty_db.tolist(), corrected_db.tolist()))
@@ -296,17 +311,11 @@ def run_scenario(spec: ScenarioSpec, out_dir, grid_density: int | None = None,
 
 
 def run_oracle(spec: ScenarioSpec, out_dir, max_support: int | None = None,
-               grid_density: int | None = None, constraint_tol_db: float | None = None,
-               max_solves: int = DEFAULT_SOLVE_CAP) -> tuple[dict, OracleResult]:
+               grid_density: int | None = None) -> tuple[dict, OracleResult]:
     """Exhaustive minimum search for one scenario, serialized like run_scenario."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    res = resolve_scenario(spec, grid_density, constraint_tol_db)
-    grid = uniform_grid(DEFAULT_GRID_DENSITY if grid_density is None else grid_density)
-    record = _base_record(res, grid)
-
+    out, res, grid, record = _start(spec, out_dir, grid_density)
     result = exhaustive_min(res.geometry, res.weights, res.scenario, res.metric,
-                            res.config, max_support=max_support, max_solves=max_solves)
+                            res.config, max_support=max_support)
     record.update({
         "status": "ok" if result.feasible else "infeasible-up-to-m",
         "searched_up_to": result.searched_up_to,
@@ -341,30 +350,17 @@ def tradeoff_sweep(spec: ScenarioSpec, targets, out_dir,
         raise ValueError("targets must be sorted loosest (highest dB) first")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    header = ["target_db", "status", "n_corrections", "achieved_sll_db", "l1"]
     rows: list[dict] = []
     for target in targets:
-        sub = ScenarioSpec.from_dict(spec.to_dict())
-        sub.metric["target_db"] = target
-        res = resolve_scenario(sub, grid_density)
-        try:
-            result = minimize_corrections(res.geometry, res.weights, res.scenario,
-                                          res.metric, res.config)
-        except InfeasibleError:
-            rows.append({"target_db": target, "status": "infeasible",
-                         "n_corrections": None, "achieved_sll_db": None, "l1": None})
-            continue
-        w_corrected = apply_failures(res.weights, res.scenario) + result.delta
-        rows.append({
-            "target_db": target,
-            "status": "ok",
-            "n_corrections": result.n_corrections,
-            "achieved_sll_db": max_sll(res.geometry, w_corrected, res.metric.region),
-            "l1": result.l1,
-        })
-    _write_csv(out / f"{spec.name}_sweep.csv",
-               ["target_db", "status", "n_corrections", "achieved_sll_db", "l1"],
-               [(r["target_db"], r["status"], r["n_corrections"],
-                 r["achieved_sll_db"], r["l1"]) for r in rows])
+        _, res, grid, record = _start(replace(spec, metric={**spec.metric, "target_db": target}),
+                                      out, grid_density)
+        with suppress(InfeasibleError):
+            _correct(res, grid, record)
+        rows.append({"target_db": target, "status": record["status"],
+                     "n_corrections": record.get("n_corrections"),
+                     "achieved_sll_db": record.get("sll_corrected_db"), "l1": record.get("l1")})
+    _write_csv(out / f"{spec.name}_sweep.csv", header, [[r[c] for c in header] for r in rows])
     return rows
 
 
@@ -421,11 +417,9 @@ def batch_run(spec_dir, out_dir, parallelism: int = 1,
     paths = sorted(spec_dir.glob("*.json"))
 
     def one(path: Path) -> dict:
-        spec = None
         try:
             spec = ScenarioSpec.from_file(path)
-            record, _ = run_scenario(spec, out, grid_density)
-            return record
+            return run_scenario(spec, out, grid_density)[0]
         except InfeasibleError:
             # run_scenario wrote the diagnostic record before raising.
             with open(out / f"{spec.name}_result.json", "r", encoding="utf-8") as fh:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .bench import ScenarioSpec, batch_run, run_oracle, run_scenario, scale_failure_scenario, tradeoff_sweep
 from .errors import InfeasibleError
@@ -60,19 +61,25 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
+def _load_spec(args) -> ScenarioSpec:
+    """The scenario file, with any --constraint-tol written into its solver object."""
+    spec = ScenarioSpec.from_file(args.spec)
+    tol = getattr(args, "constraint_tol", None)
+    if tol is not None:
+        spec = replace(spec, solver={**spec.solver, "constraint_tol_db": tol})
+    return spec
+
+
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if args.command == "run":
-            spec = ScenarioSpec.from_file(args.spec)
-            record, _ = run_scenario(spec, args.out, args.grid, args.constraint_tol)
+            record, _ = run_scenario(_load_spec(args), args.out, args.grid)
             print(f"{record['name']}: corrections={record['n_corrections']} "
                   f"sll={record['sll_corrected_db']:.6g} dB "
                   f"(target {record['target_db']:.6g} dB)")
         elif args.command == "oracle":
-            spec = ScenarioSpec.from_file(args.spec)
-            record, result = run_oracle(spec, args.out, args.max_support,
-                                        args.grid, args.constraint_tol)
+            record, result = run_oracle(_load_spec(args), args.out, args.max_support, args.grid)
             if result.feasible:
                 rejected = result.n_solves - 1
                 proof = ("minimum proven" if result.n_certified == rejected else
@@ -83,9 +90,8 @@ def main(argv=None) -> int:
                 print(f"{record['name']}: infeasible up to support {result.searched_up_to}")
                 return EXIT_INFEASIBLE
         elif args.command == "sweep":
-            spec = ScenarioSpec.from_file(args.spec)
             targets = [float(t) for t in args.targets.split(",") if t.strip()]
-            rows = tradeoff_sweep(spec, targets, args.out, args.grid)
+            rows = tradeoff_sweep(_load_spec(args), targets, args.out, args.grid)
             for row in rows:
                 if row["status"] == "ok":
                     print(f"target {row['target_db']:.6g}: corrections={row['n_corrections']} "

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .model import ArrayGeometry, FailureScenario, MetricSpec, as_weights, evaluate_metric
-from .solver import SolverConfig, l0_norm, l1_norm, solve_constrained_l1
+from .solver import ZERO_THRESHOLD, SolverConfig, l0_norm, l1_norm, solve_constrained_l1
 from .taper import apply_failures
 
 
@@ -113,14 +113,14 @@ def minimize_corrections(geometry: ArrayGeometry, original, scenario: FailureSce
     best = solve_constrained_l1(geometry, w_faulty, metric, mask=omega, config=cfg)
     best_phi = phi_of(best)
     trace.append(TraceEntry(k=0, step=0, event="accepted",
-                            l0=l0_norm(best, cfg.zero_threshold), l1=l1_norm(best), phi_db=best_phi))
+                            l0=l0_norm(best, ZERO_THRESHOLD), l1=l1_norm(best), phi_db=best_phi))
 
     def accept(k: int, n: int, delta: np.ndarray, phi: float) -> None:
         nonlocal best, best_phi
         best, best_phi = delta, phi
         required[:] = False
         trace.append(TraceEntry(k=k, step=2, event="accepted", n_least=n,
-                                l0=l0_norm(delta, cfg.zero_threshold), l1=l1_norm(delta), phi_db=phi))
+                                l0=l0_norm(delta, ZERO_THRESHOLD), l1=l1_norm(delta), phi_db=phi))
 
     k = 0
     hard_cap = 4 * geometry.n * geometry.n + 64
@@ -128,10 +128,10 @@ def minimize_corrections(geometry: ArrayGeometry, original, scenario: FailureSce
         k += 1
         if k > hard_cap:
             raise RuntimeError("removal loop exceeded its iteration guard")
-        n = least_important(best, required, cfg.zero_threshold)
+        n = least_important(best, required, ZERO_THRESHOLD)
         if n is None:
             trace.append(TraceEntry(k=k, step=1, event="converged",
-                                    l0=l0_norm(best, cfg.zero_threshold), l1=l1_norm(best),
+                                    l0=l0_norm(best, ZERO_THRESHOLD), l1=l1_norm(best),
                                     phi_db=best_phi))
             break
         non_required[n - 1] = True
@@ -153,7 +153,7 @@ def minimize_corrections(geometry: ArrayGeometry, original, scenario: FailureSce
 
     return CorrectionResult(
         delta=best,
-        n_corrections=l0_norm(best, cfg.zero_threshold),
+        n_corrections=l0_norm(best, ZERO_THRESHOLD),
         l1=l1_norm(best),
         achieved_phi_db=best_phi,
         k_opt=k,

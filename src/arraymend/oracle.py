@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, InfeasibleError
 from .model import ArrayGeometry, FailureScenario, MetricSpec, as_weights, evaluate_metric
-from .solver import SolverConfig, l0_norm, l1_norm, solve_constrained_l1
+from .solver import ZERO_THRESHOLD, SolverConfig, l0_norm, l1_norm, solve_constrained_l1
 from .taper import apply_failures
 
 DEFAULT_SOLVE_CAP = 2_000_000
@@ -89,7 +89,7 @@ def exhaustive_min(geometry: ArrayGeometry, original, scenario: FailureScenario,
                 feasible=True,
                 support=tuple(int(i) + 1 for i in subset),
                 delta=delta,
-                n_corrections=l0_norm(delta, cfg.zero_threshold),
+                n_corrections=l0_norm(delta, ZERO_THRESHOLD),
                 l1=l1_norm(delta),
                 achieved_phi_db=evaluate_metric(metric, geometry, w_faulty + delta),
                 searched_up_to=m,

@@ -35,11 +35,15 @@ Two phases:
   stage computes the fields F(u), F(0) exactly once at its start and then
   carries them: a Newton step costs one product A @ step, and every
   line-search candidate is priced in O(m).
+
+SolverConfig holds the one setting callers change, constraint_tol_db. The
+rest are module constants: _FEASIBILITY_STEPS, _MIN_STEP, _MAX_STAGES,
+_STAGE_STEPS, _OPTIMALITY_TOL, _SMOOTH_*, _BARRIER_* and ZERO_THRESHOLD.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,36 +60,29 @@ _CERT_ITERATIONS = 200  # weight updates before the certificate search gives up
 _CERT_TREND = 10        # updates over which the search's progress is extrapolated
 _CERT_BLOCK = 8192      # entries (samples x unknowns) per block of the weighted Gram matrix
 _LATTICE_ULPS = 16     # relative position error, in ulps, that a lattice Gram tolerates
+_FEASIBILITY_STEPS = 2000  # descent-step budget of the feasibility phase
+_MIN_STEP = 1e-10          # smallest accepted line-search step
+_MAX_STAGES = 500          # cap on barrier stages
+_STAGE_STEPS = 20          # Newton-step cap of one barrier stage
+_OPTIMALITY_TOL = 1e-6     # first-order stationarity target
+_SMOOTH_START = 1e-2       # l1 smoothing anneal
+_SMOOTH_FLOOR = 1e-8
+_SMOOTH_DECAY = 0.1
+_BARRIER_START = 1.0       # barrier weight anneal
+_BARRIER_GROWTH = 10.0
+ZERO_THRESHOLD = 1e-12  # correction magnitudes at or below this do not count as changes
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Control parameters for the correction solvers."""
+    """The solve's one result-changing setting."""
 
-    max_iterations: int = 500        # cap on barrier stages
-    max_grad_steps: int = 2000       # descent-step budget across all stages
-    feasibility_steps: int = 2000    # descent-step budget of the feasibility phase
-    min_step: float = 1e-10          # smallest accepted line-search step
-    optimality_tol: float = 1e-6     # first-order stationarity target
     constraint_tol_db: float = 0.02  # accepted overshoot of the dB target
-    zero_threshold: float = 1e-12    # support-counting threshold
-    smooth_start: float = 1e-2       # l1 smoothing anneal
-    smooth_floor: float = 1e-8
-    smooth_decay: float = 0.1
-    barrier_start: float = 1.0       # barrier weight anneal
-    barrier_growth: float = 10.0
 
     def __post_init__(self):
-        for name in ("max_iterations", "max_grad_steps", "feasibility_steps", "min_step",
-                     "optimality_tol", "constraint_tol_db", "smooth_start", "smooth_floor",
-                     "smooth_decay", "barrier_start", "barrier_growth"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if not 0 <= self.zero_threshold < np.inf:
-            raise ValueError("zero_threshold must be non-negative and finite")
-
-    def with_overrides(self, **kwargs) -> "SolverConfig":
-        return replace(self, **kwargs)
+        tol = self.constraint_tol_db
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < np.inf:
+            raise ValueError(f"constraint_tol_db must be a positive finite number, got {tol!r}")
 
 
 def l1_norm(delta) -> float:
@@ -330,7 +327,7 @@ def _certificate(land: _Landscape) -> np.ndarray | None:
     return None
 
 
-def _feasibility_phase(land: _Landscape, z: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+def _feasibility_phase(land: _Landscape, z: np.ndarray) -> np.ndarray:
     if _certificate(land) is not None:
         raise InfeasibleError(
             "certified: a weighting of the region samples keeps the sidelobe power "
@@ -345,8 +342,7 @@ def _feasibility_phase(land: _Landscape, z: np.ndarray, cfg: SolverConfig) -> np
         return land.worst_ratio(x) <= strict
 
     z, value, _, status = _descend(
-        fun, z, cfg.feasibility_steps, cfg.min_step,
-        grad_tol=1e-14, success=success,
+        fun, z, _FEASIBILITY_STEPS, _MIN_STEP, grad_tol=1e-14, success=success,
     )
     if status != "met" and land.worst_ratio(z) > strict:
         raise InfeasibleError(
@@ -502,20 +498,19 @@ def _newton_stage(land: _Landscape, z: np.ndarray, t: float, mu: float,
     return z, f, f0
 
 
-def _shrink_phase(land: _Landscape, z: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    t = cfg.barrier_start
-    mu = cfg.smooth_start
-    stage_iters = max(8, cfg.max_grad_steps // 100)
-    for _ in range(cfg.max_iterations):
-        stage_tol = max(cfg.optimality_tol, 1e-4 / np.sqrt(t))
-        z = _newton_stage(land, z, t, mu, stage_iters, cfg.min_step, stage_tol)[0]
-        gap_ok = land.m / t <= cfg.optimality_tol * max(1.0, float(np.sum(np.abs(z))))
-        mu_ok = mu <= cfg.smooth_floor * (1.0 + 1e-12)
+def _shrink_phase(land: _Landscape, z: np.ndarray) -> np.ndarray:
+    t = _BARRIER_START
+    mu = _SMOOTH_START
+    for _ in range(_MAX_STAGES):
+        stage_tol = max(_OPTIMALITY_TOL, 1e-4 / np.sqrt(t))
+        z = _newton_stage(land, z, t, mu, _STAGE_STEPS, _MIN_STEP, stage_tol)[0]
+        gap_ok = land.m / t <= _OPTIMALITY_TOL * max(1.0, float(np.sum(np.abs(z))))
+        mu_ok = mu <= _SMOOTH_FLOOR * (1.0 + 1e-12)
         if gap_ok and mu_ok:
             break
         if not gap_ok:
-            t *= cfg.barrier_growth
-        mu = max(mu * cfg.smooth_decay, cfg.smooth_floor)
+            t *= _BARRIER_GROWTH
+        mu = max(mu * _SMOOTH_DECAY, _SMOOTH_FLOOR)
     return z
 
 
@@ -561,7 +556,7 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
 
     if land.worst_ratio(z) > 1.0 - 1e-7:
         try:
-            z = _feasibility_phase(land, z, cfg)
+            z = _feasibility_phase(land, z)
         except InfeasibleError:
             if start_l1 is not None:
                 # the warm start already met the toleranced bound; keep it
@@ -569,7 +564,7 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
                 delta[free] = as_weights(start, geometry.n)[free]
                 return delta
             raise
-    z = _shrink_phase(land, z, cfg)
+    z = _shrink_phase(land, z)
 
     if land.worst_ratio(z) > tol_ratio:
         raise NumericalFailureError("shrink phase left the constraint violated")

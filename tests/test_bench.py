@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -30,6 +31,14 @@ def toy_spec_dict(**overrides):
     }
     data.update(overrides)
     return data
+
+
+# Malformed scenario fields, with a word the error must name.
+MALFORMED = {
+    "unknown_solver_field": ({"solver": {"bogus": 1}}, "bogus"),
+    "non_numeric_tolerance": ({"solver": {"constraint_tol_db": "abc"}}, "constraint_tol_db"),
+    "taper_without_level": ({"taper": {"dolph_chebyshev": {}}}, "sll_db"),
+}
 
 
 class TestScenarioSpec:
@@ -83,6 +92,12 @@ class TestResolve:
         res = resolve_scenario(ScenarioSpec.from_dict(
             toy_spec_dict(solver={"constraint_tol_db": 0.05})))
         assert res.config.constraint_tol_db == 0.05
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_rejects_malformed_fields(self, case):
+        overrides, named = MALFORMED[case]
+        with pytest.raises(ValueError, match=named):
+            resolve_scenario(ScenarioSpec.from_dict(toy_spec_dict(**overrides)))
 
     def test_grid_override(self):
         spec = ScenarioSpec.from_dict({
@@ -160,6 +175,22 @@ class TestRunScenario:
         record = json.loads((tmp_path / "toy_hopeless_result.json").read_text())
         assert record["status"] == "infeasible"
 
+    def test_infeasible_error_is_freed_without_the_cycle_collector(self, tmp_path):
+        # a frame that kept the error alive would keep the solve's matrices alive too
+        data = toy_spec_dict(name="toy_hopeless")
+        data["metric"]["target_db"] = -100.0
+        spec = ScenarioSpec.from_dict(data)
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                run_scenario(spec, tmp_path)
+            except InfeasibleError:
+                pass
+            assert not any(isinstance(o, InfeasibleError) for o in gc.get_objects())
+        finally:
+            gc.enable()
+
 
 class TestRunOracle:
     def test_toy_oracle_record(self, tmp_path):
@@ -194,6 +225,15 @@ class TestSweep:
     def test_rejects_unsorted_targets(self, tmp_path):
         with pytest.raises(ValueError):
             tradeoff_sweep(load_spec("toy"), [-5.5, -5.0], tmp_path)
+
+    def test_rows_match_run_scenario(self, tmp_path):
+        spec = load_spec("toy")
+        metric = dict(spec.metric)
+        row = tradeoff_sweep(spec, [-5.0, spec.metric["target_db"]], tmp_path / "sweep")[1]
+        assert spec.metric == metric
+        record, _ = run_scenario(spec, tmp_path / "run")
+        assert (row["n_corrections"], row["achieved_sll_db"], row["l1"]) == (
+            record["n_corrections"], record["sll_corrected_db"], record["l1"])
 
     def test_infeasible_rows_recorded(self, tmp_path):
         rows = tradeoff_sweep(load_spec("toy"), [-5.5, -100.0], tmp_path)
@@ -270,6 +310,22 @@ class TestCli:
 
     def test_error_exit_code(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "missing.json")]) == 1
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_exit_code(self, tmp_path, capsys, case):
+        spec_path = tmp_path / f"{case}.json"
+        spec_path.write_text(json.dumps(toy_spec_dict(**MALFORMED[case][0])))
+        assert cli_main(["run", str(spec_path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and MALFORMED[case][1] in err
+
+    def test_constraint_tol_reaches_the_solve(self, tmp_path, capsys):
+        # the faulty toy sits at -2.45 dB, within 3.1 dB of its -5.5 dB target
+        toy = str(SCENARIO_DIR / "toy.json")
+        assert cli_main(["run", toy, "--out", str(tmp_path / "a")]) == 0
+        assert "corrections=1" in capsys.readouterr().out
+        assert cli_main(["run", toy, "--constraint-tol", "3.1", "--out", str(tmp_path / "b")]) == 0
+        assert "corrections=0" in capsys.readouterr().out
 
     def test_sweep_cli(self, tmp_path, capsys):
         # negative dB lists need the --targets=... form so argparse keeps them whole

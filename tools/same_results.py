@@ -15,8 +15,15 @@ removal trace, and the oracle's support and solve count. An item that raises
 is compared by the error's class, not its message, which may name how the
 error was found. It prints one line per item; under each item that differs,
 a second line gives parent -> change for the correction count, k_opt and the
-oracle's solve count, and the relative change of l1. It exits 1 on any
-difference.
+oracle's solve count, and the relative change of l1.
+
+Each tree then runs the runners and writes their files: `run_scenario` on
+toy and test_case_1, `run_oracle` on toy up to support 2, `tradeoff_sweep`
+on fail_rate_n50_row1 at -20, -22 and -40 dB, and `batch_run` over toy,
+test_case_1, the unreachable row and a malformed file. Every written file
+is compared, JSON records as values and CSV files line by line, with the
+`elapsed_s` field and column dropped. It prints one line per file and exits
+1 on any difference in an item or a file.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +41,9 @@ ROOT = Path(__file__).resolve().parent.parent
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ORACLE_PROBLEM = "test_case_1"
 ORACLE_MAX_SUPPORT = 3
+RUN_PROBLEMS = ("toy", "test_case_1")
+RUNNER_ORACLE = ("toy", 2)                            # problem, largest support
+SWEEP = ("fail_rate_n50_row1", (-20.0, -22.0, -40.0))  # problem, targets loosest first
 SHOWN = ("n_corrections", "k_opt", "support", "n_solves", "error")  # printed per item
 MOVED = ("n_corrections", "k_opt", "n_solves")  # printed parent -> change when an item differs
 
@@ -42,8 +53,43 @@ def _complex_list(a) -> list:
     return None if a is None else [[float(v.real), float(v.imag)] for v in a]
 
 
+def read_output(path: Path):
+    """A written file with its elapsed_s dropped: a JSON value, or a CSV file's lines."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        record = json.loads(text)
+        record.pop("elapsed_s", None)
+        return record
+    lines = text.splitlines()
+    if lines[0].endswith(",elapsed_s"):  # the last column; statuses may hold commas
+        lines = [line.rsplit(",", 1)[0] for line in lines]
+    return lines
+
+
+def runner_files(bw, unreachable: dict) -> dict:
+    """Every file the runners write in this interpreter, keyed by runner and file name."""
+    am = bw.am_bench
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for name in RUN_PROBLEMS:
+            am.run_scenario(bw.load_spec(ROOT, name), out / "run")
+        name, max_support = RUNNER_ORACLE
+        am.run_oracle(bw.load_spec(ROOT, name), out / "oracle", max_support=max_support)
+        name, targets = SWEEP
+        am.tradeoff_sweep(bw.load_spec(ROOT, name), targets, out / "sweep")
+        specs = out / "specs"
+        specs.mkdir()
+        for data in [bw.load_spec(ROOT, n).to_dict() for n in RUN_PROBLEMS] + [unreachable]:
+            (specs / f"{data['name']}.json").write_text(json.dumps(data), encoding="utf-8")
+        (specs / f"{bw.BATCH_MALFORMED}.json").write_text('{"name": "malformed", "n_elements": ',
+                                                          encoding="utf-8")
+        am.batch_run(specs, out / "batch")
+        return {str(p.relative_to(out)): read_output(p)
+                for p in sorted(out.glob("*/*")) if p.parent != specs}
+
+
 def collect() -> dict:
-    """Results of every item in this interpreter, as exact JSON values."""
+    """Results of every item and written file in this interpreter, as exact JSON values."""
     sys.path.insert(0, str(ROOT / "benchmark"))
     from dataclasses import asdict
 
@@ -74,7 +120,7 @@ def collect() -> dict:
                        max_support=ORACLE_MAX_SUPPORT)
     out[f"oracle:{ORACLE_PROBLEM}"] = {"delta": _complex_list(o.delta), "support": list(o.support),
                                        "n_solves": o.n_solves, "l1": o.l1}
-    return out
+    return {"items": out, "files": runner_files(bw, unreachable)}
 
 
 def run_tree(src: Path) -> subprocess.Popen:
@@ -117,7 +163,9 @@ def main(argv) -> int:
     if any(p.returncode for p in procs):
         print("error: a tree failed to run", file=sys.stderr)
         return 2
-    parent, change = (json.loads(o) for o in outs)
+    results = [json.loads(o) for o in outs]
+    parent, change = (r["items"] for r in results)
+    parent_files, change_files = (r["files"] for r in results)
     names = list(dict.fromkeys([*parent, *change]))
     bad = 0
     for name in names:
@@ -128,7 +176,14 @@ def main(argv) -> int:
         if diff:
             print(f"{'':28s} {moved(parent.get(name, {}), change.get(name, {}))}")
     print(f"{bad} of {len(names)} items differ")
-    return 1 if bad else 0
+    files = sorted(parent_files.keys() | change_files.keys())
+    bad_files = 0
+    for name in files:
+        same = parent_files.get(name) == change_files.get(name)
+        bad_files += not same
+        print(f"{name:44s} {'same' if same else 'DIFFERS'}")
+    print(f"{bad_files} of {len(files)} files differ")
+    return 1 if bad or bad_files else 0
 
 
 if __name__ == "__main__":
