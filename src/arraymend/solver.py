@@ -140,7 +140,10 @@ class _Landscape:
 
     def worst_ratio(self, z: np.ndarray) -> float:
         """max |F(u)|^2 / (ratio * |F(0)|^2); feasible iff <= 1."""
-        f, f0 = self.fields(z)
+        return self.ratio(*self.fields(z))
+
+    def ratio(self, f: np.ndarray, f0: complex) -> float:
+        """worst_ratio given the fields F(u), F(0)."""
         p0 = abs(f0) ** 2
         if p0 == 0.0:
             return np.inf
@@ -214,13 +217,14 @@ def _adjoint(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.conj(a.T @ np.conj(x))
 
 
-def _violation(land: _Landscape, z: np.ndarray, with_grad: bool, push: float = 1e-6):
+def _violation(land: _Landscape, f: np.ndarray, f0: complex, with_grad: bool,
+               push: float = 1e-6):
     """Squared hinge of the relative constraint violations and its gradient.
 
-    The bound is tightened by the relative push so that a zero residual
-    leaves the iterate strictly inside the true feasible region.
+    Takes the fields F(u), F(0) of the iterate. The bound is tightened by
+    the relative push so that a zero residual leaves the iterate strictly
+    inside the true feasible region.
     """
-    f, f0 = land.fields(z)
     p0 = abs(f0) ** 2
     if p0 <= 0.0:
         return np.inf, None
@@ -334,17 +338,25 @@ def _feasibility_phase(land: _Landscape, z: np.ndarray) -> np.ndarray:
             "above the bound for every correction", certified=True,
         )
     strict = 1.0 - 1e-7
+    last = [None, None]
+
+    def fields(x):
+        # The descent prices a candidate, then asks for the gradient and the
+        # ratio of the one it accepted: compute its fields once.
+        if last[0] is not x:
+            last[:] = x, land.fields(x)
+        return last[1]
 
     def fun(x, with_grad):
-        return _violation(land, x, with_grad)
+        return _violation(land, *fields(x), with_grad)
 
     def success(value, x):
-        return land.worst_ratio(x) <= strict
+        return land.ratio(*fields(x)) <= strict
 
     z, value, _, status = _descend(
         fun, z, _FEASIBILITY_STEPS, _MIN_STEP, grad_tol=1e-14, success=success,
     )
-    if status != "met" and land.worst_ratio(z) > strict:
+    if status != "met" and land.ratio(*fields(z)) > strict:
         raise InfeasibleError(
             f"no point satisfying the sidelobe bound found ({status}, residual {value:.3e})"
         )

@@ -266,7 +266,7 @@ T, MU = 10.0, 1e-2
 class TestKernels:
     def test_violation_gradient_matches_reference(self, name):
         land, z = _landscape(PROBLEMS[name](), -3.0)  # some samples violate
-        value, grad = _violation(land, z, True)
+        value, grad = _violation(land, *land.fields(z), True)
         assert value > 0
         np.testing.assert_allclose(grad, reference_violation_grad(land, z), rtol=1e-12)
 
