@@ -40,6 +40,14 @@ from .solver import SolverConfig
 from .taper import apply_failures, dolph_chebyshev
 
 
+def _converted(kind, value, name: str):
+    """kind(value), with a ValueError naming the field when the value does not convert."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"scenario field {name} must be a {kind.__name__}, got {value!r}") from None
+
+
 @dataclass
 class ScenarioSpec:
     """One correction problem: array, taper, failures, and metric target."""
@@ -64,12 +72,13 @@ class ScenarioSpec:
             raise ValueError(f"scenario is missing fields: {sorted(missing)}")
         return cls(
             name=str(data["name"]),
-            n_elements=int(data["n_elements"]),
-            faulty_indices=list(data["faulty_indices"]),
+            n_elements=_converted(int, data["n_elements"], "n_elements"),
+            faulty_indices=_converted(list, data["faulty_indices"], "faulty_indices"),
             taper=data["taper"],
-            metric=dict(data.get("metric", {})),
-            spacing_wavelengths=float(data.get("spacing_wavelengths", 0.5)),
-            solver=dict(data.get("solver", {})),
+            metric=_converted(dict, data.get("metric", {}), "metric"),
+            spacing_wavelengths=_converted(float, data.get("spacing_wavelengths", 0.5),
+                                           "spacing_wavelengths"),
+            solver=_converted(dict, data.get("solver", {}), "solver"),
         )
 
     @classmethod
@@ -107,7 +116,7 @@ def _resolve_taper(spec: ScenarioSpec) -> tuple[np.ndarray, float | None]:
     taper = spec.taper
     design = taper.get("dolph_chebyshev") if isinstance(taper, dict) else None
     if isinstance(design, dict) and "sll_db" in design:
-        sll = float(design["sll_db"])
+        sll = _converted(float, design["sll_db"], "sll_db")
         return dolph_chebyshev(spec.n_elements, sll), sll
     if isinstance(taper, dict) and "weights" in taper:
         taper = taper["weights"]

@@ -38,6 +38,11 @@ MALFORMED = {
     "unknown_solver_field": ({"solver": {"bogus": 1}}, "bogus"),
     "non_numeric_tolerance": ({"solver": {"constraint_tol_db": "abc"}}, "constraint_tol_db"),
     "taper_without_level": ({"taper": {"dolph_chebyshev": {}}}, "sll_db"),
+    "non_object_solver": ({"solver": 5}, "solver"),
+    "non_list_faulty_indices": ({"faulty_indices": 5}, "faulty_indices"),
+    "non_object_metric": ({"metric": 5}, "metric"),
+    "null_n_elements": ({"n_elements": None}, "n_elements"),
+    "null_taper_level": ({"taper": {"dolph_chebyshev": {"sll_db": None}}}, "sll_db"),
 }
 
 
