@@ -10,7 +10,9 @@ the removal cannot be repaired the guess is undone and the element is
 marked required; required marks are cleared after every successful
 removal, so an element is only final once no removable correction is left.
 Two bool vectors track the state: `non_required` for removals that held,
-`required` for removals that had to be restored.
+`required` for removals that had to be restored. An element whose
+correction an accepted solve left at zero counts as removed too, so a
+re-solve never brings it back and the support never grows.
 """
 
 from __future__ import annotations
@@ -112,6 +114,7 @@ def minimize_corrections(geometry: ArrayGeometry, original, scenario: FailureSce
 
     best = solve_constrained_l1(geometry, w_faulty, metric, mask=omega, config=cfg)
     best_phi = phi_of(best)
+    non_required[(best == 0) & ~omega] = True
     trace.append(TraceEntry(k=0, step=0, event="accepted",
                             l0=l0_norm(best, ZERO_THRESHOLD), l1=l1_norm(best), phi_db=best_phi))
 
@@ -119,6 +122,7 @@ def minimize_corrections(geometry: ArrayGeometry, original, scenario: FailureSce
         nonlocal best, best_phi
         best, best_phi = delta, phi
         required[:] = False
+        non_required[(delta == 0) & ~omega] = True
         trace.append(TraceEntry(k=k, step=2, event="accepted", n_least=n,
                                 l0=l0_norm(delta, ZERO_THRESHOLD), l1=l1_norm(delta), phi_db=phi))
 

@@ -21,6 +21,8 @@ DB_FLOOR = -300.0
 DEFAULT_GRID_DENSITY = 4001
 """Default number of uniform u samples over [-1, 1] for metric evaluation."""
 
+_PATTERN_BLOCK = 1024   # u samples per block when a pattern is evaluated over a grid
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -239,7 +241,12 @@ def pattern_db(geometry: ArrayGeometry, weights, u) -> np.ndarray:
     """Normalized power pattern 10*log10(|F(u)|^2 / |F(0)|^2) over the u samples."""
     w = as_weights(weights, geometry.n)
     p0 = _broadside_power(geometry, w)
-    f = steering_matrix(geometry, u) @ w
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if not u.flags.writeable and u.flags.owndata:    # a region's samples: the shared matrix
+        f = steering_matrix(geometry, u) @ w
+    else:   # blocks of samples: a grid's full matrix would be a short-lived multi-MB temporary
+        f = np.concatenate([steering_matrix(geometry, u[i:i + _PATTERN_BLOCK]) @ w
+                            for i in range(0, u.size, _PATTERN_BLOCK)])
     return _power_db(np.abs(f) ** 2 / p0)
 
 

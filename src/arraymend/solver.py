@@ -23,32 +23,46 @@ Two phases:
   gradients, including the broadside-growth term) runs until the bound
   holds strictly. Failure to reach the feasible region then raises an
   uncertified InfeasibleError: the descent stalled, which proves nothing.
-* shrink phase: log-barrier stages over the per-sample constraints
-  ratio*|F(0)|^2 - |F(u)|^2 > 0, each stage minimized by damped Newton
-  steps (analytic Hessian, ridge-escalated Cholesky). The l1 objective is
-  smoothed as sqrt(|dw|^2 + mu^2) with mu annealed toward zero while the
-  barrier weight grows geometrically; the barrier domain keeps every
-  iterate feasible. The Hessian's barrier curvature is one Hermitian Gram
-  A^H diag(w) A, a Toeplitz gather of a single matrix-vector product when
-  the elements sit on a lattice x_n = x_0 + n*d (a dense real product
-  otherwise), one symmetric rank-m product B^T B, and rank-one terms. Each
-  stage computes the fields F(u), F(0) exactly once at its start and then
-  carries them: a Newton step costs one product A @ step, and every
-  line-search candidate is priced in O(m).
+* cone phase: a primal-dual interior-point method (Nesterov-Todd scaling,
+  Mehrotra predictor-corrector; Vandenberghe, "The CVXOPT linear and
+  quadratic cone program solvers", 2010) for the cone program of Lebret &
+  Boyd (IEEE TSP 1997):
+
+      minimize    sum_n t_n
+      subject to  |dw_n| <= t_n,  |F(u)| <= sqrt(ratio) Re F(0),  Im F(0) = 0.
+
+  Fixing the phase of F(0) makes this a convex restriction of the problem
+  above. It starts from the feasibility phase's point, shifted into the cone
+  interior when needed, and stops when the relative duality gap and the
+  relative primal and dual residuals are all at most 1e-8. Each iteration
+  builds one normal matrix G^T W^-2 G: a Hermitian Gram A^H diag(alpha) A
+  (a Toeplitz gather of a single matrix-vector product when the elements
+  sit on a lattice x_n = x_0 + n*d, a dense real product otherwise), one
+  symmetric product B^T B accumulated over row blocks, rank-one terms, and
+  the l1 cones' 3x3 blocks with t eliminated. The KKT solve is refined once
+  against the operator form. The scaling is carried from step to step in the
+  scaled frame, where the iterates stay well inside the cones. Near the
+  optimum the normal matrix loses digits; a solve that stalls there ends on
+  its best iterate, and one that never gets below the feasible start's l1
+  returns that start. Entries at or below ZERO_THRESHOLD are returned as
+  exact zeros. Each solve is logged at DEBUG.
 
 SolverConfig holds the one setting callers change, constraint_tol_db. The
-rest are module constants: _FEASIBILITY_STEPS, _MIN_STEP, _MAX_STAGES,
-_STAGE_STEPS, _OPTIMALITY_TOL, _SMOOTH_*, _BARRIER_* and ZERO_THRESHOLD.
+rest are module constants: _FEASIBILITY_STEPS, _MIN_STEP, _IPM_* and
+ZERO_THRESHOLD.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleError, NumericalFailureError
 from .model import ArrayGeometry, MetricSpec, as_weights, steering_matrix
+
+_log = logging.getLogger(__name__)
 
 _ARMIJO = 1e-4
 _STEP_GROW = 2.0
@@ -59,17 +73,15 @@ _CERT_MARGIN = 1e-6     # a certificate bounds the sidelobe power this far above
 _CERT_ITERATIONS = 200  # weight updates before the certificate search gives up
 _CERT_TREND = 10        # updates over which the search's progress is extrapolated
 _CERT_BLOCK = 8192      # entries (samples x unknowns) per block of the weighted Gram matrix
+_SYRK_BLOCK = 32768     # entries (samples x unknowns) per block of the normal matrix's B^T B
 _LATTICE_ULPS = 16     # relative position error, in ulps, that a lattice Gram tolerates
 _FEASIBILITY_STEPS = 2000  # descent-step budget of the feasibility phase
 _MIN_STEP = 1e-10          # smallest accepted line-search step
-_MAX_STAGES = 500          # cap on barrier stages
-_STAGE_STEPS = 20          # Newton-step cap of one barrier stage
-_OPTIMALITY_TOL = 1e-6     # first-order stationarity target
-_SMOOTH_START = 1e-2       # l1 smoothing anneal
-_SMOOTH_FLOOR = 1e-8
-_SMOOTH_DECAY = 0.1
-_BARRIER_START = 1.0       # barrier weight anneal
-_BARRIER_GROWTH = 10.0
+_IPM_GAP = 1e-8            # relative duality gap at which the cone IPM stops
+_IPM_RESIDUAL = 1e-8       # relative primal and dual residuals it must reach too
+_IPM_ITERATIONS = 100      # iteration cap of the cone IPM
+_IPM_STEP = 0.99           # share of the way to the cone boundary a step may go
+_IPM_STALL = 3             # iterations without progress after which the cone IPM stops
 ZERO_THRESHOLD = 1e-12  # correction magnitudes at or below this do not count as changes
 
 
@@ -363,25 +375,6 @@ def _feasibility_phase(land: _Landscape, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _stage_fun(land: _Landscape, t: float, mu: float, scale: float):
-    """Barrier objective of one stage, given z and its fields f = F(u), f0 = F(0)."""
-    tau = land.tau
-
-    def fun(z, f, f0, with_grad):
-        b = tau * abs(f0) ** 2 - np.abs(f) ** 2
-        if np.any(b <= 0.0):
-            return np.inf, None
-        s = np.sqrt(np.abs(z) ** 2 + mu * mu)
-        value = float(np.sum(s)) + float(np.sum(-np.log(b / scale))) / t
-        if not with_grad:
-            return value, None
-        c = 1.0 / b
-        grad = z / s + (2.0 * _adjoint(land.A, c * f) - tau * float(np.sum(c)) * 2.0 * f0) / t
-        return value, grad
-
-    return fun
-
-
 def _gram(land: _Landscape, w: np.ndarray) -> np.ndarray:
     """A^H diag(w) A for real w > 0: a Toeplitz gather on a lattice, else a real syrk."""
     if land.lags is not None:
@@ -397,133 +390,313 @@ def _gram(land: _Landscape, w: np.ndarray) -> np.ndarray:
     return (re[:, :nfree] + im[:, nfree:]) + 1j * (re[:, nfree:] - im[:, :nfree])
 
 
-def _stage_hessian(land: _Landscape, z: np.ndarray, f: np.ndarray, f0: complex,
-                   t: float, mu: float) -> np.ndarray:
+# The cone program. With x = (t, z), t the f l1 bounds and z the correction,
+#
+#     minimize sum(t)  s.t.  s = h - G x in K,  Im F(0) = 0,
+#
+# K is f + m three-dimensional second-order cones {(s0, s1, s2): s0 >= |(s1, s2)|},
+# held as rows of (f + m, 3) arrays: the l1 cones (t_n, Re z_n, Im z_n) first,
+# then one cone (sqrt(tau) Re F(0), Re F(u), Im F(u)) per region sample. The map
+# -G x is _lin, and h is _lin's value at x = 0 plus the faulty fields.
+
+_J = np.array([1.0, -1.0, -1.0])
+
+
+def _jnorm(x: np.ndarray) -> np.ndarray:
+    """sqrt(x^T J x) of each cone row, for rows inside the cone."""
+    r = np.hypot(x[:, 1], x[:, 2])
+    return np.sqrt((x[:, 0] - r) * (x[:, 0] + r))
+
+
+def _jprod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Jordan product x o y = (x^T y, x0 y1 + y0 x1) of each cone row."""
+    out = x[:, :1] * y + y[:, :1] * x
+    out[:, 0] = np.sum(x * y, axis=1)
+    return out
+
+
+def _jdiv(lam: np.ndarray, lam_j: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The u with lam o u = x, for each cone row; lam_j is lam^T J lam."""
+    u = np.empty_like(x)
+    u[:, 0] = (lam[:, 0] * x[:, 0] - lam[:, 1] * x[:, 1] - lam[:, 2] * x[:, 2]) / lam_j
+    u[:, 1:] = (x[:, 1:] - u[:, :1] * lam[:, 1:]) / lam[:, :1]
+    return u
+
+
+def _max_step(lam: np.ndarray, lam_j: np.ndarray, d: np.ndarray) -> float:
+    """Largest a with every row of lam + a*d in the cone, for lam inside it (inf if none)."""
+    c = lam_j
+    b = 2.0 * np.sum(lam * d * _J, axis=1)
+    a = np.sum(d * d * _J, axis=1)
+    root = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+    # the first positive root of c + b a + a a^2, written to avoid cancellation
+    hit = (b * b >= 4.0 * a * c) & (root > b)
+    return float(np.min(2.0 * c[hit] / (root[hit] - b[hit]), initial=np.inf))
+
+
+def _unit_pair(s: np.ndarray, z: np.ndarray):
+    """s and z scaled to unit J-norm, their J-norms, and g = sqrt((1 + s'^T z') / 2)."""
+    sn, zn = _jnorm(s), _jnorm(z)
+    s1, z1 = s / sn[:, None], z / zn[:, None]
+    return s1, z1, sn, zn, np.sqrt(0.5 * (1.0 + np.sum(s1 * z1, axis=1)))
+
+
+class _Scaling:
     """
-    Hessian of the stage objective in stacked (Re z, Im z) coordinates.
+    Nesterov-Todd scaling of each cone row: W = beta (2 v v^T - J) with
+    W z = W^-1 s = lam.
 
-    The barrier part is (RB(P) + S(G)/2) / t with RB(P) = [[Re P, -Im P],
-    [Im P, Re P]] and S(G) = [[Re G, Im G], [Im G, -Re G]], where, with
-    c = 1/b, k = 2*tau*F0, r = A^H (c^2 F) and B = diag(c F) conj(A),
-        P = A^H diag(2c + 2c^2|F|^2) A - conj(k) r 1^T - k 1 r^H
-            + |k|^2 sum(c^2) / 2 - 2 tau sum(c)
-        G = 4 B^T B - 2k (r 1^T + 1 r^T) + k^2 sum(c^2).
-    They are the curvature of each |F(u)|^2, the outer products of the
-    constraint gradients 2 conj(A_u) F(u) - k (split into a Hermitian and a
-    symmetric part) and the broadside-power curvature, the nonconvex part.
+    With s' = s / sqrt(s^T J s) and z' = z / sqrt(z^T J z),
+    g = sqrt((1 + z'^T s') / 2), w = (s' + J z') / (2 g),
+    v = (w + e) / sqrt(2 (w0 + 1)) and beta = (s^T J s / z^T J z)^(1/4).
+    Near the optimum s and z approach the cone boundary together, so their
+    J-norms cancel to rounding; step() therefore moves W and lam from the
+    scaled step, where lam stays well inside the cone (Vandenberghe 2010).
     """
-    nfree = z.size
-    tau = land.tau
-    b = tau * abs(f0) ** 2 - np.abs(f) ** 2
 
-    s = np.sqrt(np.abs(z) ** 2 + mu * mu)
-    inv_s = 1.0 / s
-    a_re, a_im = z.real, z.imag
-    h = np.zeros((2 * nfree, 2 * nfree))
-    i = np.arange(nfree)
-    h[i, i] = inv_s - a_re * a_re * inv_s ** 3
-    h[nfree + i, nfree + i] = inv_s - a_im * a_im * inv_s ** 3
-    h[i, nfree + i] = h[nfree + i, i] = -a_re * a_im * inv_s ** 3
+    def __init__(self, s: np.ndarray, z: np.ndarray):
+        s1, z1, sn, zn, g = _unit_pair(s, z)
+        w = (s1 + z1 * _J) / (2.0 * g)[:, None]
+        self._set_v(w)
+        self.beta = np.sqrt(sn / zn)[:, None]
+        self.lam = self.apply(z)
+        self.lam_j = sn * zn    # lam^T J lam, exact where lam's own entries would cancel
 
-    c = 1.0 / b
-    cf = c * f
-    c2sum = float(np.sum(c * c))
-    k = 2.0 * tau * f0
-    r = _adjoint(land.A, c * cf)
-    p = _gram(land, 2.0 * c + 2.0 * np.abs(cf) ** 2)
-    p -= np.conj(k) * r[:, None] + k * np.conj(r)[None, :]
-    p += 0.5 * abs(k) ** 2 * c2sum - 2.0 * tau * float(np.sum(c))
-    bm = land.A * np.conj(cf)[:, None]   # conj(B), the one m x f temporary: it sets the peak memory
-    g = 4.0 * np.conj(bm.T @ bm)         # B^T B from one symmetric rank-m product (syrk)
-    del bm
-    g -= 2.0 * k * (r[:, None] + r[None, :])
-    g += k * k * c2sum
-    g *= 0.5
-    h[:nfree, :nfree] += (p.real + g.real) / t
-    h[:nfree, nfree:] += (g.imag - p.imag) / t
-    h[nfree:, :nfree] += (p.imag + g.imag) / t
-    h[nfree:, nfree:] += (p.real - g.real) / t
+    def _set_v(self, w: np.ndarray):
+        v = w.copy()
+        v[:, 0] += 1.0
+        self.v = v / np.sqrt(2.0 * (w[:, 0] + 1.0))[:, None]
+
+    def step(self, ds: np.ndarray, dz: np.ndarray, a: float):
+        """Rescale for s + a W ds and z + a W^-1 dz, given the scaled directions ds, dz."""
+        s, z, sn, zn, g = _unit_pair(self.lam + a * ds, self.lam + a * dz)
+        v = self.v
+        vs, vz = np.sum(v * s, axis=1), np.sum(v * z * _J, axis=1)
+        vq, vu = (vs + vz) / (2.0 * g), vs - vz
+        w0 = 2.0 * v[:, 0] * vq - (s[:, 0] + z[:, 0]) / (2.0 * g)
+        d = (v[:, 0] * vu - 0.5 * s[:, 0] + 0.5 * z[:, 0]) / (w0 + 1.0)
+        lam = np.empty_like(s)
+        lam[:, 0] = g
+        lam[:, 1:] = ((vu - 2.0 * d * vq)[:, None] * v[:, 1:] + (0.5 - 0.5 * d / g)[:, None] * s[:, 1:]
+                      + (0.5 + 0.5 * d / g)[:, None] * z[:, 1:])
+        self.lam = lam * np.sqrt(sn * zn)[:, None]
+        self.lam_j = sn * zn
+        w = np.empty_like(s)
+        w[:, 0] = w0
+        w[:, 1:] = 2.0 * vq[:, None] * v[:, 1:] + (s[:, 1:] - z[:, 1:]) / (2.0 * g)[:, None]
+        self._set_v(w)
+        self.beta = self.beta * np.sqrt(sn / zn)[:, None]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """W x."""
+        v = self.v
+        return self.beta * (2.0 * v * np.sum(v * x, axis=1)[:, None] - x * _J)
+
+    def apply_inverse(self, x: np.ndarray) -> np.ndarray:
+        """W^-1 x = (2 Jv (Jv)^T - J) x / beta."""
+        u = self.v * _J
+        return (2.0 * u * np.sum(u * x, axis=1)[:, None] - x * _J) / self.beta
+
+    def weights(self) -> np.ndarray:
+        """
+        W^-2 of each row as an (f + m, 3, 3) array.
+
+        With n = 4 v^T v: M_ij = ((n + 4) v_i v_j + d_ij) / beta^2 for i, j >= 1,
+        M_0j = -n v_0 v_j / beta^2 and M_00 = ((n - 4) v_0^2 + 1) / beta^2.
+        """
+        v = self.v
+        n = 4.0 * np.sum(v * v, axis=1)
+        mm = np.empty((v.shape[0], 3, 3))
+        np.multiply(((n + 4.0) * v[:, 1])[:, None], v[:, 1:], out=mm[:, 1, 1:])
+        np.multiply(((n + 4.0) * v[:, 2])[:, None], v[:, 1:], out=mm[:, 2, 1:])
+        np.multiply((-n * v[:, 0])[:, None], v[:, 1:], out=mm[:, 0, 1:])
+        mm[:, 1:, 0] = mm[:, 0, 1:]
+        mm[:, 0, 0] = (n - 4.0) * v[:, 0] ** 2
+        mm[:, [0, 1, 2], [0, 1, 2]] += 1.0
+        mm /= (self.beta ** 2)[:, :, None]
+        return mm
+
+
+def _lin(land: _Landscape, t: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """-G x for x = (t, z): the cone rows that x alone contributes."""
+    f = t.size
+    az = land.A @ z
+    out = np.empty((f + az.size, 3))
+    out[:f, 0], out[:f, 1], out[:f, 2] = t, z.real, z.imag
+    out[f:, 0] = np.sqrt(land.tau) * np.sum(z).real
+    out[f:, 1], out[f:, 2] = az.real, az.imag
+    return out
+
+
+def _lin_adjoint(land: _Landscape, y: np.ndarray):
+    """(-G)^T y as (t part, z part packed as d/dRe + i d/dIm)."""
+    f = land.A.shape[1]
+    yl, yu = y[:f], y[f:]
+    zpart = yl[:, 1] + 1j * yl[:, 2] + np.sqrt(land.tau) * np.sum(yu[:, 0])
+    return yl[:, 0], zpart + _adjoint(land.A, yu[:, 1] + 1j * yu[:, 2])
+
+
+def _apply_weights(mm: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("kij,kj->ki", mm, y)
+
+
+def _normal_matrix(land: _Landscape, mm: np.ndarray) -> np.ndarray:
+    """
+    G^T W^-2 G over (Re z, Im z), t eliminated: the IPM's normal matrix.
+
+    mm holds W^-2 of each cone row. A sample's cone contributes, with
+    alpha = (M11 + M22)/2, kappa = (M11 - M22)/2 - i M12 and
+    q = A^T (M01 - i M02), the Hermitian Gram P = A^H diag(alpha) A and the
+    symmetric S = A^T diag(kappa) A as [[Re P + Re S, -Im P - Im S],
+    [Im P - Im S, Re P - Re S]], plus sqrt(tau) (a0 b^T + b a0^T) with
+    a0 = (1, 0), b = (Re q, -Im q), plus tau sum(M00) a0 a0^T. P is a Toeplitz
+    gather on a lattice (_gram), and S is one symmetric rank-m product B^T B,
+    B = diag(sqrt(kappa)) A. The l1 cones add a 3x3 block on each
+    (t_n, Re z_n, Im z_n); eliminating t_n leaves their Schur complements.
+    """
+    f = land.A.shape[1]
+    ml, mu = mm[:f], mm[f:]
+    p = _gram(land, 0.5 * (mu[:, 1, 1] + mu[:, 2, 2]))
+    root = np.sqrt(0.5 * (mu[:, 1, 1] - mu[:, 2, 2]) - 1j * mu[:, 1, 2])
+    sym = np.zeros((f, f), dtype=complex)
+    step = max(1, _SYRK_BLOCK // f)
+    for r in range(0, land.m, step):     # row blocks keep the temporary small
+        b = land.A[r:r + step] * root[r:r + step, None]
+        sym += b.T @ b                   # a symmetric product (syrk)
+    q = land.A.T @ (mu[:, 0, 1] - 1j * mu[:, 0, 2])
+    h = np.empty((2 * f, 2 * f))
+    h[:f, :f] = p.real + sym.real
+    h[:f, f:] = -p.imag - sym.imag
+    h[f:, :f] = p.imag - sym.imag
+    h[f:, f:] = p.real - sym.real
+    bq = np.sqrt(land.tau) * np.concatenate([q.real, -q.imag])
+    h[:f] += bq
+    h[:, :f] += bq[:, None]
+    h[:f, :f] += land.tau * np.sum(mu[:, 0, 0])
+    i = np.arange(f)
+    schur = ml[:, 1:, 1:] - ml[:, 1:, :1] * ml[:, :1, 1:] / ml[:, :1, :1]
+    h[i, i] += schur[:, 0, 0]
+    h[i, f + i] += schur[:, 0, 1]
+    h[f + i, i] += schur[:, 1, 0]
+    h[f + i, f + i] += schur[:, 1, 1]
     return h
 
 
-def _newton_stage(land: _Landscape, z: np.ndarray, t: float, mu: float,
-                  max_iters: int, min_step: float, tol: float):
+def _cone_ipm(land: _Landscape, z: np.ndarray):
     """
-    Damped Newton minimization of one barrier stage; returns (z, F(u), F(0)).
+    Primal-dual interior-point solve of the cone program from the correction z.
 
-    The fields are computed exactly at the start and then carried: a step
-    costs one product A @ step, and each line-search candidate F + alpha*dF
-    is priced in O(m).
+    Returns (z, info); info holds the iterations, the final relative gap,
+    the relative primal and dual residuals, whether the start had to be
+    shifted into the cone, and whether all three targets were met.
     """
-    nfree = z.size
-    f, f0 = land.fields(z)
-    scale = land.tau * abs(f0) ** 2
-    fun = _stage_fun(land, t, mu, scale)
+    f = z.size
+    rt = np.sqrt(land.tau)
+    h = np.zeros((f + land.m, 3))
+    h[f:, 0] = rt * land.F0_base.real
+    h[f:, 1], h[f:, 2] = land.F_base.real, land.F_base.imag
+    h_norm = max(1.0, float(np.linalg.norm(h)), abs(land.F0_base.imag))
 
-    value, grad = fun(z, f, f0, True)
-    if not np.isfinite(value):
-        raise NumericalFailureError("barrier stage started outside the domain")
-    for _ in range(max_iters):
-        g_real = np.concatenate([grad.real, grad.imag])
-        gnorm = float(np.linalg.norm(g_real))
-        if gnorm <= tol:
+    # Start: Im F(0) = 0 spread over the entries, t above |z|, s = h - G x
+    # shifted into the cone interior when it is not inside, dual point e.
+    z = z - 1j * (land.F0_base + np.sum(z)).imag / f
+    t = np.abs(z) + np.max(np.abs(z), initial=0.0) + 1e-8
+    s = h + _lin(land, t, z)
+    outside = float(np.max(np.hypot(s[:, 1], s[:, 2]) - s[:, 0]))
+    shifted = outside >= 0.0
+    if shifted:
+        s[:, 0] += 1.0 + outside
+    dual = np.zeros_like(s)
+    dual[:, 0] = 1.0
+    y = 0.0
+    degree = f + land.m
+    a_eq = np.concatenate([np.zeros(f), np.ones(f)])    # Im F(0) = Im F0_base + sum(Im z)
+
+    w = _Scaling(s, dual)
+    best, best_score, best_it, settled = None, np.inf, 0, False
+    for it in range(_IPM_ITERATIONS + 1):
+        rz = s - h - _lin(land, t, z)
+        ry = float((land.F0_base + np.sum(z)).imag)
+        adj_t, adj_z = _lin_adjoint(land, dual)
+        rx_t, rx_z = 1.0 - adj_t, 1j * y - adj_z
+        lam, lam_j = w.lam, w.lam_j
+        gap = float(np.sum(lam * lam))      # s^T z
+        now = {"gap": gap / max(float(np.sum(t)), 1e-300),
+               "primal": float(np.hypot(np.linalg.norm(rz), ry)) / h_norm,
+               "dual": float(np.sqrt(np.sum(rx_t ** 2) + np.sum(np.abs(rx_z) ** 2))) / np.sqrt(f)}
+        # Progress is the worst of the three against its target. Near the optimum the
+        # normal matrix loses digits and the iterates can stall or get worse again: once
+        # both residuals have met their targets, a few iterations without a tenth less
+        # score end the solve on the best iterate.
+        score = max(now["gap"] / _IPM_GAP, now["primal"] / _IPM_RESIDUAL, now["dual"] / _IPM_RESIDUAL)
+        if not np.isfinite(score):
             break
-        h = _stage_hessian(land, z, f, f0, t, mu)
-        diag = np.arange(2 * nfree)
-        base = max(1.0, float(np.trace(h)) / (2 * nfree))
-        step_real = None
-        ridge = 1e-12 * base
-        for _ in range(25):
-            try:
-                hc = h.copy()
-                hc[diag, diag] += ridge
-                np.linalg.cholesky(hc)  # positive-definiteness check
-                step_real = np.linalg.solve(hc, -g_real)
-                break
-            except np.linalg.LinAlgError:
-                ridge *= 100.0
-        if step_real is None:
-            step_real = -g_real
-        step = step_real[:nfree] + 1j * step_real[nfree:]
-        slope = float(g_real @ step_real)
-        if slope >= 0:  # not a descent direction; fall back to steepest descent
-            step = -grad
-            slope = -gnorm ** 2
-        d_f = land.A @ step
-        d_f0 = np.sum(step)
-
-        alpha = 1.0
-        accepted = False
-        while alpha >= min_step:
-            cand, f_cand, f0_cand = z + alpha * step, f + alpha * d_f, f0 + alpha * d_f0
-            v_cand, _ = fun(cand, f_cand, f0_cand, False)
-            if v_cand <= value + _ARMIJO * alpha * slope:
-                z, f, f0, value = cand, f_cand, f0_cand, v_cand
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
+        if score < 0.9 * best_score or score <= 1.0:
+            best, best_score, best_it = (z, now), score, it
+        settled = settled or (now["primal"] <= _IPM_RESIDUAL and now["dual"] <= _IPM_RESIDUAL)
+        if score <= 1.0 or it == _IPM_ITERATIONS or (settled and it - best_it >= _IPM_STALL):
             break
-        _, grad = fun(z, f, f0, True)
-        if not np.all(np.isfinite(grad)):
-            raise NumericalFailureError("non-finite gradient in barrier stage")
-    return z, f, f0
-
-
-def _shrink_phase(land: _Landscape, z: np.ndarray) -> np.ndarray:
-    t = _BARRIER_START
-    mu = _SMOOTH_START
-    for _ in range(_MAX_STAGES):
-        stage_tol = max(_OPTIMALITY_TOL, 1e-4 / np.sqrt(t))
-        z = _newton_stage(land, z, t, mu, _STAGE_STEPS, _MIN_STEP, stage_tol)[0]
-        gap_ok = land.m / t <= _OPTIMALITY_TOL * max(1.0, float(np.sum(np.abs(z))))
-        mu_ok = mu <= _SMOOTH_FLOOR * (1.0 + 1e-12)
-        if gap_ok and mu_ok:
+        mm = w.weights()
+        try:
+            hm = _normal_matrix(land, mm)
+            unit = 1.0 / np.sqrt(np.diag(hm))     # equilibrated: the diagonal spans many decades
+            kinv = np.linalg.inv(hm * np.outer(unit, unit)) * np.outer(unit, unit)
+        except np.linalg.LinAlgError:
             break
-        if not gap_ok:
-            t *= _BARRIER_GROWTH
-        mu = max(mu * _SMOOTH_DECAY, _SMOOTH_FLOOR)
-    return z
+        ml = mm[:f]
+        kw = kinv @ a_eq
+        kwa = float(a_eq @ kw)
+
+        def solve(bt, bz, by):
+            # [H a; a^T 0] (dx, dy) = (b, by) with t eliminated row by row
+            r = np.concatenate([bz.real - ml[:, 0, 1] / ml[:, 0, 0] * bt,
+                                bz.imag - ml[:, 0, 2] / ml[:, 0, 0] * bt])
+            u = kinv @ r
+            dy = (float(a_eq @ u) - by) / kwa
+            d = u - kw * dy
+            dt = (bt - ml[:, 0, 1] * d[:f] - ml[:, 0, 2] * d[f:]) / ml[:, 0, 0]
+            return dt, d[:f] + 1j * d[f:], dy
+
+        def direction(wl):
+            # Newton direction whose scaled complementarity is lam o (W dz + W^-1 ds) = xi,
+            # given wl = W^-1 (lam \ xi); one refinement against the operator form of H.
+            g = _apply_weights(mm, rz) + wl
+            gt, gz = _lin_adjoint(land, g)
+            bt, bz = -rx_t + gt, -rx_z + gz
+            dt, dz, dy = solve(bt, bz, -ry)
+            ht, hz = _lin_adjoint(land, _apply_weights(mm, _lin(land, dt, dz)))
+            et, ez, ey = solve(bt - ht, bz - hz - 1j * dy, -ry - float(np.sum(dz.imag)))
+            dt, dz, dy = dt + et, dz + ez, dy + ey
+            lin = _lin(land, dt, dz)
+            return dt, dz, dy, lin - rz, g - _apply_weights(mm, lin)
+
+        # affine predictor, xi = -lam o lam, seen in the scaled frame
+        ds, dd = direction(-dual)[3:]
+        ds, dd = w.apply_inverse(ds), w.apply(dd)
+        step = min(1.0, _max_step(lam, lam_j, ds), _max_step(lam, lam_j, dd))
+        sigma = min(1.0, max(0.0, 1.0 - step + float(np.sum(ds * dd)) / gap * step ** 2)) ** 3
+        centre = -_jprod(ds, dd)
+        centre[:, 0] += sigma * gap / degree
+        del ds, dd
+        # combined direction: centring plus the predictor's second-order term
+        dt, dz, dy, ds, dd = direction(w.apply_inverse(_jdiv(lam, lam_j, centre)) - dual)
+        del centre
+        ds_s, dd_s = w.apply_inverse(ds), w.apply(dd)
+        step = min(1.0, _IPM_STEP * _max_step(lam, lam_j, ds_s), _IPM_STEP * _max_step(lam, lam_j, dd_s))
+        t, z, y = t + step * dt, z + step * dz, y + step * dy
+        s += step * ds
+        dual += step * dd
+        del ds, dd
+        w.step(ds_s, dd_s, step)
+        del ds_s, dd_s
+
+    z, now = best
+    info = {"iterations": it, **now, "shifted": shifted, "converged": best_score <= 1.0}
+
+    _log.debug("cone IPM: %d iterations, relative gap %.2e, primal residual %.2e, "
+               "dual residual %.2e, start shifted %s, converged %s", info["iterations"],
+               info["gap"], info["primal"], info["dual"], info["shifted"], info["converged"])
+    return z, info
 
 
 def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
@@ -576,10 +749,14 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
                 delta[free] = as_weights(start, geometry.n)[free]
                 return delta
             raise
-    z = _shrink_phase(land, z)
-
+    feasible = z
+    z, info = _cone_ipm(land, z)
+    if not info["converged"] and (land.worst_ratio(z) > tol_ratio
+                                  or np.sum(np.abs(z)) >= np.sum(np.abs(feasible))):
+        z = feasible    # an unfinished solve falls back on the feasible point it started from
+    z = np.where(np.abs(z) <= ZERO_THRESHOLD, 0.0, z)   # the IPM leaves its zeros near 1e-13
     if land.worst_ratio(z) > tol_ratio:
-        raise NumericalFailureError("shrink phase left the constraint violated")
+        raise NumericalFailureError("the cone IPM left the constraint violated")
     if start_l1 is not None and float(np.sum(np.abs(z))) > start_l1:
         z = as_weights(start, geometry.n)[free].copy()
 

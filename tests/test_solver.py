@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -22,17 +23,16 @@ from arraymend import (
 )
 from arraymend.bench import ScenarioSpec, default_bw_target, resolve_scenario
 from arraymend.solver import (
-    _BARRIER_START,
-    _MIN_STEP,
-    _SMOOTH_START,
-    _STAGE_STEPS,
+    _IPM_GAP,
+    _IPM_RESIDUAL,
+    _J,
     ZERO_THRESHOLD,
     _certificate,
+    _cone_ipm,
     _feasibility_phase,
     _Landscape,
-    _newton_stage,
-    _stage_fun,
-    _stage_hessian,
+    _normal_matrix,
+    _Scaling,
     _violation,
 )
 from conftest import load_spec
@@ -157,9 +157,8 @@ class TestSolverConfig:
                 SolverConfig(constraint_tol_db=bad)
 
 
-# The gradient and Hessian formulas as first written, with explicit conjugate
-# copies of the steering matrix and an explicit broadside block; the solver's
-# kernels must agree with them.
+# The violation gradient as first written, with an explicit conjugate copy of
+# the steering matrix; the descent's kernel must agree with it.
 
 def reference_violation_grad(land, z, push=1e-6):
     f, f0 = land.fields(z)
@@ -171,46 +170,6 @@ def reference_violation_grad(land, z, push=1e-6):
     c = 2.0 * hinge / (tau * p0)
     gamma = float(np.sum(c * q)) / p0
     return 2.0 * (land.A.conj().T @ (c * f)) - 2.0 * gamma * f0
-
-
-def reference_stage_grad(land, z, t, mu):
-    tau = land.tau
-    f0 = land.F0_base + np.sum(z)
-    f = land.F_base + land.A @ z
-    b = tau * abs(f0) ** 2 - np.abs(f) ** 2
-    s = np.sqrt(np.abs(z) ** 2 + mu * mu)
-    c = 1.0 / b
-    return z / s + (2.0 * (land.A.conj().T @ (c * f)) - tau * float(np.sum(c)) * 2.0 * f0) / t
-
-
-def reference_stage_hessian(land, z, t, mu):
-    nfree = z.size
-    tau = land.tau
-    f0 = land.F0_base + np.sum(z)
-    f = land.F_base + land.A @ z
-    q = np.abs(f) ** 2
-    b = tau * abs(f0) ** 2 - q
-    s = np.sqrt(np.abs(z) ** 2 + mu * mu)
-    inv_s = 1.0 / s
-    a_re, a_im = z.real, z.imag
-    h = np.zeros((2 * nfree, 2 * nfree))
-    i = np.arange(nfree)
-    h[i, i] = inv_s - a_re * a_re * inv_s ** 3
-    h[nfree + i, nfree + i] = inv_s - a_im * a_im * inv_s ** 3
-    h[i, nfree + i] = h[nfree + i, i] = -a_re * a_im * inv_s ** 3
-    c = 1.0 / b
-    csum = float(np.sum(c))
-    p = land.A.conj().T @ (land.A * c[:, None])
-    h += 2.0 * np.block([[p.real, -p.imag], [p.imag, p.real]]) / t
-    gb = 2.0 * f[:, None] * np.conj(land.A) - 2.0 * tau * f0
-    v = np.concatenate([gb.real, gb.imag], axis=1)
-    h += (v * (c ** 2)[:, None]).T @ v / t
-    ones = np.ones(nfree)
-    jblock = np.zeros((2 * nfree, 2 * nfree))
-    jblock[:nfree, :nfree] = np.outer(ones, ones)
-    jblock[nfree:, nfree:] = np.outer(ones, ones)
-    h -= 2.0 * tau * csum * jblock / t
-    return h
 
 
 def _toy_problem():
@@ -259,7 +218,41 @@ PROBLEMS = {
 }
 ON_LATTICE = {"toy": True, "seeded_n20": True, "seeded_n20_spacing045": True,
               "seeded_n20_jittered": False}
-T, MU = 10.0, 1e-2
+
+
+def _ipm_landscape(problem):
+    """Landscape whose target sits 2 dB below the faulty array's worst level, and a feasible start."""
+    geometry, w_faulty, region, free, _ = problem
+    probe = _Landscape(geometry, w_faulty, MetricSpec(region=region, target_db=0.0), free)
+    zero = np.zeros(int(free.sum()), dtype=complex)
+    worst_db = 10.0 * np.log10(probe.worst_ratio(zero))
+    land = _Landscape(geometry, w_faulty, MetricSpec(region=region, target_db=worst_db - 2.0), free)
+    return land, _feasibility_phase(land, zero)
+
+
+def _cone_points(k, seed):
+    """k random points strictly inside the three-dimensional second-order cone."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((k, 3))
+    x[:, 0] = np.hypot(x[:, 1], x[:, 2]) + rng.uniform(0.05, 2.0, k)
+    return x
+
+
+def _dense_normal_matrix(land, mm):
+    """G^T blockdiag(mm) G from an explicit G over x = (t, Re z, Im z), with t eliminated."""
+    f, m = land.A.shape[1], land.m
+    g = np.zeros((3 * (f + m), 3 * f))
+    for n in range(f):                              # l1 cones (t_n, Re z_n, Im z_n)
+        g[3 * n, n] = g[3 * n + 1, f + n] = g[3 * n + 2, 2 * f + n] = -1.0
+    rows = 3 * f + 3 * np.arange(m)                 # sample cones (sqrt(tau) Re F(0), Re F, Im F)
+    g[rows, f:2 * f] = -np.sqrt(land.tau)
+    g[rows + 1, f:2 * f], g[rows + 1, 2 * f:] = -land.A.real, land.A.imag
+    g[rows + 2, f:2 * f], g[rows + 2, 2 * f:] = -land.A.imag, -land.A.real
+    blocks = np.zeros((3 * (f + m), 3 * (f + m)))
+    for k in range(f + m):
+        blocks[3 * k:3 * k + 3, 3 * k:3 * k + 3] = mm[k]
+    h = g.T @ blocks @ g
+    return h[f:, f:] - h[f:, :f] @ np.linalg.solve(h[:f, :f], h[:f, f:])
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
@@ -270,69 +263,146 @@ class TestKernels:
         assert value > 0
         np.testing.assert_allclose(grad, reference_violation_grad(land, z), rtol=1e-12)
 
-    def test_stage_gradient_matches_reference(self, name):
-        land, z = _landscape(PROBLEMS[name](), 3.0)   # strictly inside the barrier domain
-        value, grad = _stage_fun(land, T, MU, 1.0)(z, *land.fields(z), True)
-        assert np.isfinite(value)
-        np.testing.assert_allclose(grad, reference_stage_grad(land, z, T, MU), rtol=1e-12)
-
-    def test_stage_hessian_matches_reference(self, name):
-        land, z = _landscape(PROBLEMS[name](), 3.0)
+    def test_normal_matrix_matches_dense(self, name):
+        land, _ = _landscape(PROBLEMS[name](), 3.0)
         assert (land.lags is not None) == ON_LATTICE[name]    # Toeplitz gather or dense syrk
-        h = _stage_hessian(land, z, *land.fields(z), T, MU)
-        ref = reference_stage_hessian(land, z, T, MU)
-        # The Grams sum in another order than the reference, so entries that
-        # cancel differ at rounding level: compare against the largest entry.
+        k = land.A.shape[1] + land.m
+        mm = _Scaling(_cone_points(k, 1), _cone_points(k, 2)).weights()
+        h = _normal_matrix(land, mm)
+        ref = _dense_normal_matrix(land, mm)
         assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_stage_hessian_matches_gradient_differences(self, name):
-        land, z = _landscape(PROBLEMS[name](), 3.0)
-        fun = _stage_fun(land, T, MU, 1.0)
-        n = z.size
-        step = 1e-6
+    def test_solve_meets_gap_and_residual_targets(self, name):
+        land, start = _ipm_landscape(PROBLEMS[name]())
+        z, info = _cone_ipm(land, start)
+        assert info["converged"], info
+        assert info["gap"] <= _IPM_GAP
+        assert info["primal"] <= _IPM_RESIDUAL and info["dual"] <= _IPM_RESIDUAL
+        assert land.worst_ratio(z) <= 1.0 + 1e-9
+        assert abs((land.F0_base + np.sum(z)).imag) <= 1e-9 * abs(land.F0_base + np.sum(z))
+        assert np.sum(np.abs(z)) < np.sum(np.abs(start))
 
-        def real_grad(x):
-            zx = x[:n] + 1j * x[n:]
-            g = fun(zx, *land.fields(zx), True)[1]
-            return np.concatenate([g.real, g.imag])
-
-        x = np.concatenate([z.real, z.imag])
-        fd = np.empty((2 * n, 2 * n))
-        for k in range(2 * n):
-            e = np.zeros(2 * n)
-            e[k] = step
-            fd[:, k] = (real_grad(x + e) - real_grad(x - e)) / (2 * step)
-        h = _stage_hessian(land, z, *land.fields(z), T, MU)
-        np.testing.assert_allclose(fd, h, rtol=1e-5, atol=1e-5 * np.abs(h).max())
+    def test_zero_and_feasible_starts_agree(self, name):
+        land, start = _ipm_landscape(PROBLEMS[name]())
+        from_zero, _ = _cone_ipm(land, np.zeros_like(start))
+        from_start, _ = _cone_ipm(land, start)
+        l1_zero, l1_start = np.sum(np.abs(from_zero)), np.sum(np.abs(from_start))
+        assert abs(l1_zero - l1_start) <= 1e-6 * l1_start
 
 
-def _assert_carried_fields_exact(land, z, f, f0):
-    exact, exact0 = land.fields(z)
-    tol = 1e-12 * np.max(np.abs(exact))
-    assert np.max(np.abs(f - exact)) <= tol
-    assert abs(f0 - exact0) <= tol
+class TestScaling:
+    """The Nesterov-Todd scaling of each cone row, and its update along a step."""
+
+    @staticmethod
+    def _dense(w):
+        return [b * (2.0 * np.outer(v, v) - np.diag(_J)) for b, v in zip(w.beta[:, 0], w.v)]
+
+    def test_maps_z_and_s_to_the_same_point(self):
+        s, z = _cone_points(200, 3), _cone_points(200, 4)
+        w = _Scaling(s, z)
+        for k, wk in enumerate(self._dense(w)):
+            np.testing.assert_allclose(wk @ z[k], w.lam[k], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(np.linalg.solve(wk, s[k]), w.lam[k], rtol=1e-12, atol=1e-12)
+            inv = np.linalg.inv(wk)
+            np.testing.assert_allclose(w.weights()[k], inv @ inv, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(w.lam_j, np.sum(w.lam * w.lam * _J, axis=1), rtol=1e-10)
+
+    def test_step_matches_a_fresh_scaling(self):
+        s, z = _cone_points(200, 5), _cone_points(200, 6)
+        w = _Scaling(s, z)
+        rng = np.random.default_rng(7)
+        ds, dz = rng.standard_normal((2, 200, 3)) * 0.1 * np.abs(w.lam[:, :1])
+        a = 0.5
+        s_new, z_new = s + a * w.apply(ds), z + a * w.apply_inverse(dz)
+        w.step(ds, dz, a)
+        fresh = _Scaling(s_new, z_new)
+        for name in ("v", "beta", "lam", "lam_j"):
+            np.testing.assert_allclose(getattr(w, name), getattr(fresh, name), rtol=1e-10, atol=1e-12)
 
 
-class TestCarriedFields:
-    """A Newton stage carries F and F(0) along its steps; they must stay exact."""
+def _polygon_lp_l1(optimize, land, sides, inner):
+    """
+    Least sum(t) of the cone program with each disc |w| <= r replaced by a polygon.
 
-    def test_seeded_landscape_through_the_stages(self):
-        land, z = _landscape(_seeded_problem(), 3.0)
-        for t, mu in ((1.0, 1e-2), (10.0, 1e-3), (100.0, 1e-4), (1e3, 1e-5), (1e4, 1e-6)):
-            z_next, f, f0 = _newton_stage(land, z, t, mu, 20, 1e-10, 1e-12)
-            assert not np.array_equal(z_next, z)
-            z = z_next
-            _assert_carried_fields_exact(land, z, f, f0)
+    The polygon Re(exp(-j theta_k) w) <= r for theta_k = 2 pi k / sides contains
+    the disc, so the LP is a relaxation (outer); scaling r by cos(pi / sides)
+    puts the polygon inside the disc, so the LP is a restriction (inner). Both
+    fix Im F(0) = 0 as the cone program does. Sample constraints are added in
+    rounds, most violated first, until the LP point meets them on every sample.
+    """
+    f = land.A.shape[1]
+    theta = 2.0 * np.pi * np.arange(sides) / sides
+    rot = np.exp(-1j * theta)
+    shrink = np.cos(np.pi / sides) if inner else 1.0
+    rt = shrink * np.sqrt(land.tau)
+    l1_rows = np.zeros((sides * f, 3 * f))         # variables (Re z, Im z, t)
+    for n in range(f):
+        rows = slice(n * sides, (n + 1) * sides)
+        l1_rows[rows, n], l1_rows[rows, f + n], l1_rows[rows, 2 * f + n] = np.cos(theta), np.sin(theta), -shrink
+    a_eq = np.concatenate([np.zeros(f), np.ones(f), np.zeros(f)])[None]
+    cost = np.concatenate([np.zeros(2 * f), np.ones(f)])
+    active = np.argsort(-np.abs(land.F_base))[:20]
+    for _ in range(30):
+        ra = rot[:, None, None] * land.A[active][None]             # (sides, samples, f)
+        rows = np.concatenate([ra.real - rt, -ra.imag, np.zeros(ra.shape)], axis=2).reshape(-1, 3 * f)
+        rhs = (rt * land.F0_base.real - (rot[:, None] * land.F_base[active][None]).real).reshape(-1)
+        res = optimize.linprog(cost, A_ub=np.vstack([l1_rows, rows]),
+                               b_ub=np.concatenate([np.zeros(sides * f), rhs]),
+                               A_eq=a_eq, b_eq=[-land.F0_base.imag], bounds=(None, None), method="highs")
+        assert res.status == 0, res.message
+        z = res.x[:f] + 1j * res.x[f:2 * f]
+        field, f0 = land.fields(z)
+        excess = np.max((rot[:, None] * field[None]).real, axis=0) - rt * f0.real
+        worst = np.argsort(-excess)
+        new = [u for u in worst[:200] if excess[u] > 1e-9 * abs(f0) and u not in set(active)]
+        if not new:
+            return float(res.fun)
+        active = np.concatenate([active, new])
+    raise AssertionError("polygon LP did not settle")
+
+
+class TestConeIpm:
+    @pytest.mark.parametrize("problem", ["toy", "test_case_1", "seeded_n20"])
+    def test_polygon_lps_bracket_the_optimum(self, problem, toy, tc1_parts):
+        optimize = pytest.importorskip("scipy.optimize")
+        if problem == "toy":
+            geometry, w_faulty, metric, mask = toy
+            land = _Landscape(geometry, w_faulty, metric, ~mask)
+            start = _feasibility_phase(land, np.zeros(3, dtype=complex))
+        elif problem == "test_case_1":
+            geometry, weights, scenario, metric, _ = tc1_parts
+            land = _Landscape(geometry, apply_failures(weights, scenario), metric, scenario.admissible)
+            start = _feasibility_phase(land, np.zeros(land.A.shape[1], dtype=complex))
+        else:
+            land, start = _ipm_landscape(PROBLEMS[problem]())
+        z, info = _cone_ipm(land, start)
+        assert info["converged"], info
+        l1 = float(np.sum(np.abs(z)))
+        outer = _polygon_lp_l1(optimize, land, 64, inner=False)
+        inner = _polygon_lp_l1(optimize, land, 64, inner=True)
+        assert outer <= l1 * (1.0 + 1e-6)
+        assert l1 <= inner * (1.0 + 1e-6)
+        assert inner - outer <= 0.05 * l1        # the bracket is tight enough to mean something
 
     def test_first_solve_of_size_scan_n100_row3(self):
         res = resolve_scenario(load_spec("size_scan_n100_row3"))
         w_faulty = apply_failures(res.weights, res.scenario)
         land = _Landscape(res.geometry, w_faulty, res.metric, res.scenario.admissible)
-        z = _feasibility_phase(land, np.zeros(land.A.shape[1], dtype=complex))
-        z_next, f, f0 = _newton_stage(land, z, _BARRIER_START, _SMOOTH_START, _STAGE_STEPS,
-                                      _MIN_STEP, 1e-4)   # the shrink phase's first stage
-        assert not np.array_equal(z_next, z)
-        _assert_carried_fields_exact(land, z_next, f, f0)
+        start = _feasibility_phase(land, np.zeros(land.A.shape[1], dtype=complex))
+        z, info = _cone_ipm(land, start)
+        assert info["converged"], info
+        assert land.worst_ratio(z) <= 1.0 + 1e-9
+        # 1.110 is this problem's l1 optimum; the smoothed-barrier solve stopped at 1.835
+        assert np.sum(np.abs(z)) == pytest.approx(1.1097, abs=1e-3)
+
+    def test_solve_is_logged(self, toy, caplog):
+        geometry, w_faulty, metric, mask = toy
+        with caplog.at_level(logging.DEBUG, logger="arraymend.solver"):
+            solve_constrained_l1(geometry, w_faulty, metric, mask)
+        (message,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("cone IPM")]
+        for field in ("iterations", "relative gap", "primal residual", "dual residual",
+                      "start shifted", "converged True"):
+            assert field in message
 
     def test_non_lattice_solve_meets_target_on_full_grid(self):
         geometry = _jittered_positions(16)
