@@ -242,9 +242,9 @@ def pattern_db(geometry: ArrayGeometry, weights, u) -> np.ndarray:
     w = as_weights(weights, geometry.n)
     p0 = _broadside_power(geometry, w)
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if not u.flags.writeable and u.flags.owndata:    # a region's samples: the shared matrix
-        f = steering_matrix(geometry, u) @ w
-    else:   # blocks of samples: a grid's full matrix would be a short-lived multi-MB temporary
+    if u.size <= _PATTERN_BLOCK or (not u.flags.writeable and u.flags.owndata):
+        f = steering_matrix(geometry, u) @ w    # small, or a region's shared matrix
+    else:   # a grid in blocks: its whole matrix would be a short-lived multi-MB temporary
         f = np.concatenate([steering_matrix(geometry, u[i:i + _PATTERN_BLOCK]) @ w
                             for i in range(0, u.size, _PATTERN_BLOCK)])
     return _power_db(np.abs(f) ** 2 / p0)
