@@ -338,7 +338,8 @@ def _polygon_lp_l1(optimize, land, sides, inner):
     l1_rows = np.zeros((sides * f, 3 * f))         # variables (Re z, Im z, t)
     for n in range(f):
         rows = slice(n * sides, (n + 1) * sides)
-        l1_rows[rows, n], l1_rows[rows, f + n], l1_rows[rows, 2 * f + n] = np.cos(theta), np.sin(theta), -shrink
+        l1_rows[rows, n], l1_rows[rows, f + n] = np.cos(theta), np.sin(theta)
+        l1_rows[rows, 2 * f + n] = -shrink
     a_eq = np.concatenate([np.zeros(f), np.ones(f), np.zeros(f)])[None]
     cost = np.concatenate([np.zeros(2 * f), np.ones(f)])
     active = np.argsort(-np.abs(land.F_base))[:20]
@@ -392,7 +393,7 @@ class TestConeIpm:
         z, info = _cone_ipm(land, start)
         assert info["converged"], info
         assert land.worst_ratio(z) <= 1.0 + 1e-9
-        # 1.110 is this problem's l1 optimum; the smoothed-barrier solve stopped at 1.835
+        # this problem's l1 optimum
         assert np.sum(np.abs(z)) == pytest.approx(1.1097, abs=1e-3)
 
     def test_solve_is_logged(self, toy, caplog):
