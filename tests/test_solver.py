@@ -21,16 +21,20 @@ from arraymend import (
     solve_constrained_l1,
     uniform_positions,
 )
+from arraymend import solver
 from arraymend.bench import ScenarioSpec, default_bw_target, resolve_scenario
 from arraymend.solver import (
     _IPM_GAP,
     _IPM_RESIDUAL,
     _J,
     ZERO_THRESHOLD,
+    _apply_weights,
     _certificate,
     _cone_ipm,
     _feasibility_phase,
     _Landscape,
+    _lin,
+    _lin_adjoint,
     _normal_matrix,
     _Scaling,
     _violation,
@@ -220,14 +224,18 @@ ON_LATTICE = {"toy": True, "seeded_n20": True, "seeded_n20_spacing045": True,
               "seeded_n20_jittered": False}
 
 
-def _ipm_landscape(problem):
-    """Landscape whose target sits 2 dB below the faulty array's worst level, and a feasible start."""
+def _below_faulty(problem):
+    """Landscape whose target sits 2 dB below the faulty array's worst level."""
     geometry, w_faulty, region, free, _ = problem
     probe = _Landscape(geometry, w_faulty, MetricSpec(region=region, target_db=0.0), free)
-    zero = np.zeros(int(free.sum()), dtype=complex)
-    worst_db = 10.0 * np.log10(probe.worst_ratio(zero))
-    land = _Landscape(geometry, w_faulty, MetricSpec(region=region, target_db=worst_db - 2.0), free)
-    return land, _feasibility_phase(land, zero)
+    worst_db = 10.0 * np.log10(probe.worst_ratio(np.zeros(int(free.sum()), dtype=complex)))
+    return _Landscape(geometry, w_faulty, MetricSpec(region=region, target_db=worst_db - 2.0), free)
+
+
+def _ipm_landscape(problem):
+    """_below_faulty's landscape and a feasible start."""
+    land = _below_faulty(problem)
+    return land, _feasibility_phase(land, np.zeros(land.A.shape[1], dtype=complex))
 
 
 def _cone_points(k, seed):
@@ -238,8 +246,14 @@ def _cone_points(k, seed):
     return x
 
 
-def _dense_normal_matrix(land, mm):
-    """G^T blockdiag(mm) G from an explicit G over x = (t, Re z, Im z), with t eliminated."""
+def _random_weights(land):
+    """W^-2 of each cone row for a scaling between random points inside the cones."""
+    k = land.A.shape[1] + land.m
+    return _Scaling(_cone_points(k, 1), _cone_points(k, 2)).weights()
+
+
+def _dense_system(land, mm):
+    """An explicit G over x = (t, Re z, Im z), with -G x = _lin, and blockdiag(mm)."""
     f, m = land.A.shape[1], land.m
     g = np.zeros((3 * (f + m), 3 * f))
     for n in range(f):                              # l1 cones (t_n, Re z_n, Im z_n)
@@ -251,6 +265,13 @@ def _dense_normal_matrix(land, mm):
     blocks = np.zeros((3 * (f + m), 3 * (f + m)))
     for k in range(f + m):
         blocks[3 * k:3 * k + 3, 3 * k:3 * k + 3] = mm[k]
+    return g, blocks
+
+
+def _dense_normal_matrix(land, mm):
+    """G^T blockdiag(mm) G from _dense_system, with t eliminated."""
+    f = land.A.shape[1]
+    g, blocks = _dense_system(land, mm)
     h = g.T @ blocks @ g
     return h[f:, f:] - h[f:, :f] @ np.linalg.solve(h[:f, :f], h[:f, f:])
 
@@ -263,14 +284,51 @@ class TestKernels:
         assert value > 0
         np.testing.assert_allclose(grad, reference_violation_grad(land, z), rtol=1e-12)
 
-    def test_normal_matrix_matches_dense(self, name):
+    # Each IPM step solves a Newton system with the Hessian G^T W^-2 G of the
+    # quadratic x^T G^T W^-2 G x / 2 (the normal matrix, t eliminated). Its
+    # gradient in operator form, _lin_adjoint(W^-2 _lin(x)), is what the step
+    # refines against; the two must agree with an explicit G and with each other.
+
+    def test_stage_gradient_matches_reference(self, name):
+        land, z = _landscape(PROBLEMS[name](), 3.0)
+        mm = _random_weights(land)
+        t = np.abs(z) + 0.1
+        grad_t, grad_z = _lin_adjoint(land, _apply_weights(mm, _lin(land, t, z)))
+        g, blocks = _dense_system(land, mm)
+        ref = g.T @ blocks @ g @ np.concatenate([t, z.real, z.imag])
+        got = np.concatenate([grad_t, grad_z.real, grad_z.imag])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_stage_hessian_matches_reference(self, name):
         land, _ = _landscape(PROBLEMS[name](), 3.0)
         assert (land.lags is not None) == ON_LATTICE[name]    # Toeplitz gather or dense syrk
-        k = land.A.shape[1] + land.m
-        mm = _Scaling(_cone_points(k, 1), _cone_points(k, 2)).weights()
+        mm = _random_weights(land)
         h = _normal_matrix(land, mm)
         ref = _dense_normal_matrix(land, mm)
         assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_stage_hessian_matches_gradient_differences(self, name):
+        land, z = _landscape(PROBLEMS[name](), 3.0)
+        mm = _random_weights(land)
+        ml = mm[:z.size]
+        n = z.size
+        step = 1e-3
+
+        def real_grad(x):
+            # t at the minimum of the quadratic for this z, as the IPM eliminates it
+            zx = x[:n] + 1j * x[n:]
+            t = -(ml[:, 0, 1] * zx.real + ml[:, 0, 2] * zx.imag) / ml[:, 0, 0]
+            g = _lin_adjoint(land, _apply_weights(mm, _lin(land, t, zx)))[1]
+            return np.concatenate([g.real, g.imag])
+
+        x = np.concatenate([z.real, z.imag])
+        fd = np.empty((2 * n, 2 * n))
+        for k in range(2 * n):
+            e = np.zeros(2 * n)
+            e[k] = step
+            fd[:, k] = (real_grad(x + e) - real_grad(x - e)) / (2 * step)
+        h = _normal_matrix(land, mm)
+        assert np.max(np.abs(fd - h)) <= 1e-11 * np.max(np.abs(h))
 
     def test_solve_meets_gap_and_residual_targets(self, name):
         land, start = _ipm_landscape(PROBLEMS[name]())
@@ -385,17 +443,6 @@ class TestConeIpm:
         assert l1 <= inner * (1.0 + 1e-6)
         assert inner - outer <= 0.05 * l1        # the bracket is tight enough to mean something
 
-    def test_first_solve_of_size_scan_n100_row3(self):
-        res = resolve_scenario(load_spec("size_scan_n100_row3"))
-        w_faulty = apply_failures(res.weights, res.scenario)
-        land = _Landscape(res.geometry, w_faulty, res.metric, res.scenario.admissible)
-        start = _feasibility_phase(land, np.zeros(land.A.shape[1], dtype=complex))
-        z, info = _cone_ipm(land, start)
-        assert info["converged"], info
-        assert land.worst_ratio(z) <= 1.0 + 1e-9
-        # this problem's l1 optimum
-        assert np.sum(np.abs(z)) == pytest.approx(1.1097, abs=1e-3)
-
     def test_solve_is_logged(self, toy, caplog):
         geometry, w_faulty, metric, mask = toy
         with caplog.at_level(logging.DEBUG, logger="arraymend.solver"):
@@ -404,6 +451,87 @@ class TestConeIpm:
         for field in ("iterations", "relative gap", "primal residual", "dual residual",
                       "start shifted", "converged True"):
             assert field in message
+
+
+def _check_reused_fields(monkeypatch, land):
+    """
+    Make the feasibility phase check every F, F(0) it prices against the fields
+    of the point its descent handed over, computed afresh; returns the checks made.
+    """
+    point, checks = [None], []
+    violation, ratio, descend = solver._violation, land.ratio, solver._descend
+
+    def exact(f, f0):
+        if point[0] is None:
+            return
+        fresh, fresh0 = land.fields(point[0].copy())
+        tol = 1e-12 * np.max(np.abs(fresh))
+        assert np.max(np.abs(f - fresh)) <= tol
+        assert abs(f0 - fresh0) <= tol
+        checks.append(point[0])
+
+    def checked_violation(land_, f, f0, with_grad):
+        exact(f, f0)
+        return violation(land_, f, f0, with_grad)
+
+    def checked_ratio(f, f0):
+        exact(f, f0)
+        return ratio(f, f0)
+
+    def checked_descend(fun, z, *args, success=None, **kwargs):
+        def fun_at(x, with_grad):
+            point[0] = x
+            return fun(x, with_grad)
+
+        def success_at(value, x):
+            point[0] = x
+            return success(value, x)
+
+        try:
+            return descend(fun_at, z, *args, success=success_at, **kwargs)
+        finally:
+            point[0] = None
+
+    monkeypatch.setattr(solver, "_violation", checked_violation)
+    monkeypatch.setattr(solver, "_descend", checked_descend)
+    monkeypatch.setattr(land, "ratio", checked_ratio)
+    return checks
+
+
+class TestCarriedFields:
+    """
+    The feasibility phase prices each descent candidate once and reuses its
+    fields F, F(0) for the gradient and the ratio; the cone IPM carries its cone
+    rows s, whose sample rows are (sqrt(tau) Re F(0), Re F, Im F), along its
+    steps, and its primal residual is their distance from rows computed afresh.
+    Both must stay exact.
+    """
+
+    @staticmethod
+    def _through_the_stages(monkeypatch, land):
+        checks = _check_reused_fields(monkeypatch, land)
+        start = _feasibility_phase(land, np.zeros(land.A.shape[1], dtype=complex))
+        monkeypatch.undo()
+        assert len({id(x) for x in checks}) > 2     # the descent took steps
+        assert land.worst_ratio(start) <= 1.0
+        z, info = _cone_ipm(land, start)
+        assert info["converged"], info
+        assert info["primal"] <= _IPM_RESIDUAL
+        assert land.worst_ratio(z) <= 1.0 + 1e-9
+        return z
+
+    def test_seeded_landscape_through_the_stages(self, monkeypatch):
+        land = _below_faulty(_seeded_problem())
+        z = self._through_the_stages(monkeypatch, land)
+        assert np.sum(np.abs(z)) < np.sum(np.abs(_feasibility_phase(land, np.zeros_like(z))))
+
+    def test_first_solve_of_size_scan_n100_row3(self, monkeypatch):
+        res = resolve_scenario(load_spec("size_scan_n100_row3"))
+        w_faulty = apply_failures(res.weights, res.scenario)
+        land = _Landscape(res.geometry, w_faulty, res.metric, res.scenario.admissible)
+        z = self._through_the_stages(monkeypatch, land)
+        # this problem's l1 optimum
+        assert np.sum(np.abs(z)) == pytest.approx(1.1097, abs=1e-3)
 
     def test_non_lattice_solve_meets_target_on_full_grid(self):
         geometry = _jittered_positions(16)
