@@ -162,18 +162,21 @@ class _Landscape:
         return float(np.max(np.abs(f) ** 2) / (self.tau * p0))
 
 
-def _descend(fun, z, max_steps: int, min_step: float, grad_tol: float, success=None):
+def _descend(fun, line, z, max_steps: int, min_step: float, grad_tol: float, success=None):
     """
     Gradient descent with BB step seeding and backtracking.
 
-    fun(z, with_grad) returns the objective value (np.inf outside the
-    domain) and, when asked, the gradient packed as a complex vector
-    (d/dRe + i*d/dIm). The sufficient-decrease test is nonmonotone
-    (against the worst of the last few accepted values) so the BB step
-    length is rarely truncated. Returns (z, value, steps_used, status)
-    with status one of "met", "converged", "stalled", "tiny", "budget".
+    fun(z) returns the objective value (np.inf outside the domain) and its
+    gradient packed as a complex vector (d/dRe + i*d/dIm). line(z, grad)
+    returns price(t), which gives the candidate z - t*grad and its objective
+    value; the caller can carry what it needs along the step, so that a
+    candidate costs less than a fresh evaluation. The sufficient-decrease
+    test is nonmonotone (against the worst of the last few accepted values)
+    so the BB step length is rarely truncated. Returns (z, value,
+    steps_used, status) with status one of "met", "converged", "stalled",
+    "tiny", "budget".
     """
-    value, grad = fun(z, True)
+    value, grad = fun(z)
     if not np.isfinite(value):
         raise NumericalFailureError("descent started outside the domain")
     alpha = 1.0 / max(1.0, np.sqrt(_real_dot(grad, grad)))
@@ -197,11 +200,11 @@ def _descend(fun, z, max_steps: int, min_step: float, grad_tol: float, success=N
             alpha = _real_dot(s, s) / sy if sy > 0 else alpha * _STEP_GROW
         alpha = float(np.clip(alpha, 1e-18, _STEP_MAX))
         bound = max(recent)
+        price = line(z, grad)
         t = alpha
         z_new = v_new = None
         while t >= min_step:
-            cand = z - t * grad
-            v_cand, _ = fun(cand, False)
+            cand, v_cand = price(t)
             if v_cand <= bound - _ARMIJO * t * gnorm2:
                 z_new, v_new = cand, v_cand
                 break
@@ -210,7 +213,7 @@ def _descend(fun, z, max_steps: int, min_step: float, grad_tol: float, success=N
             return (best_z, best_value, steps, "tiny") if best_value < value else (z, value, steps, "tiny")
         prev_z, prev_grad = z, grad
         z, value = z_new, v_new
-        _, grad = fun(z, True)
+        _, grad = fun(z)
         if not (np.isfinite(value) and np.all(np.isfinite(grad))):
             raise NumericalFailureError("non-finite objective or gradient")
         recent.append(value)
@@ -353,20 +356,31 @@ def _feasibility_phase(land: _Landscape, z: np.ndarray) -> np.ndarray:
     last = [None, None]
 
     def fields(x):
-        # The descent prices a candidate, then asks for the gradient and the
-        # ratio of the one it accepted: compute its fields once.
+        # The fields of the last point priced: the descent asks for the gradient
+        # and the ratio of the candidate it accepted.
         if last[0] is not x:
             last[:] = x, land.fields(x)
         return last[1]
 
-    def fun(x, with_grad):
-        return _violation(land, *fields(x), with_grad)
+    def fun(x):
+        return _violation(land, *fields(x), True)
+
+    def line(x, g):
+        # F and F(0) are affine in z: carry them along the step, one A g per step.
+        f, f0 = fields(x)
+        ag, g0 = land.A @ g, complex(np.sum(g))
+
+        def price(t):
+            cand = x - t * g
+            last[:] = cand, (f - t * ag, f0 - t * g0)
+            return cand, _violation(land, *last[1], False)[0]
+        return price
 
     def success(value, x):
         return land.ratio(*fields(x)) <= strict
 
     z, value, _, status = _descend(
-        fun, z, _FEASIBILITY_STEPS, _MIN_STEP, grad_tol=1e-14, success=success,
+        fun, line, z, _FEASIBILITY_STEPS, _MIN_STEP, grad_tol=1e-14, success=success,
     )
     if status != "met" and land.ratio(*fields(z)) > strict:
         raise InfeasibleError(

@@ -478,17 +478,25 @@ def _check_reused_fields(monkeypatch, land):
         exact(f, f0)
         return ratio(f, f0)
 
-    def checked_descend(fun, z, *args, success=None, **kwargs):
-        def fun_at(x, with_grad):
+    def checked_descend(fun, line, z, *args, success=None, **kwargs):
+        def fun_at(x):
             point[0] = x
-            return fun(x, with_grad)
+            return fun(x)
+
+        def line_at(x, g):
+            price = line(x, g)
+
+            def price_at(t):
+                point[0] = x - t * g
+                return price(t)
+            return price_at
 
         def success_at(value, x):
             point[0] = x
             return success(value, x)
 
         try:
-            return descend(fun_at, z, *args, success=success_at, **kwargs)
+            return descend(fun_at, line_at, z, *args, success=success_at, **kwargs)
         finally:
             point[0] = None
 
