@@ -39,7 +39,7 @@ Two phases:
   (a Toeplitz gather of a single matrix-vector product when the elements
   sit on a lattice x_n = x_0 + n*d, a dense real product otherwise), one
   symmetric product B^T B accumulated over row blocks, rank-one terms, and
-  the l1 cones' 3x3 blocks with t eliminated. The KKT solve is refined once
+  the l1 cones' 3x3 blocks with t eliminated. The KKT solve is refined twice
   against the operator form. The scaling is carried from step to step in the
   scaled frame, where the iterates stay well inside the cones. Near the
   optimum the normal matrix loses digits; a solve that stalls there ends on
@@ -82,6 +82,7 @@ _IPM_RESIDUAL = 1e-8       # relative primal and dual residuals it must reach to
 _IPM_ITERATIONS = 100      # iteration cap of the cone IPM
 _IPM_STEP = 0.99           # share of the way to the cone boundary a step may go
 _IPM_STALL = 3             # iterations without progress after which the cone IPM stops
+_IPM_REFINEMENTS = 2       # refinements of each KKT solve against the operator form
 ZERO_THRESHOLD = 1e-12  # correction magnitudes at or below this do not count as changes
 
 
@@ -673,14 +674,15 @@ def _cone_ipm(land: _Landscape, z: np.ndarray):
 
         def direction(wl):
             # Newton direction whose scaled complementarity is lam o (W dz + W^-1 ds) = xi,
-            # given wl = W^-1 (lam \ xi); one refinement against the operator form of H.
+            # given wl = W^-1 (lam \ xi); refined against the operator form of H.
             g = _apply_weights(mm, rz) + wl
             gt, gz = _lin_adjoint(land, g)
             bt, bz = -rx_t + gt, -rx_z + gz
             dt, dz, dy = solve(bt, bz, -ry)
-            ht, hz = _lin_adjoint(land, _apply_weights(mm, _lin(land, dt, dz)))
-            et, ez, ey = solve(bt - ht, bz - hz - 1j * dy, -ry - float(np.sum(dz.imag)))
-            dt, dz, dy = dt + et, dz + ez, dy + ey
+            for _ in range(_IPM_REFINEMENTS):
+                ht, hz = _lin_adjoint(land, _apply_weights(mm, _lin(land, dt, dz)))
+                et, ez, ey = solve(bt - ht, bz - hz - 1j * dy, -ry - float(np.sum(dz.imag)))
+                dt, dz, dy = dt + et, dz + ez, dy + ey
             lin = _lin(land, dt, dz)
             return dt, dz, dy, lin - rz, g - _apply_weights(mm, lin)
 
