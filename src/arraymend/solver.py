@@ -45,15 +45,32 @@ Two phases:
   optimum the normal matrix loses digits; a solve that stalls there ends on
   its best iterate, and one that never gets below the feasible start's l1
   returns that start. Entries at or below ZERO_THRESHOLD are returned as
-  exact zeros. Each solve is logged at DEBUG.
+  exact zeros.
+
+  The IPM runs inside an exchange loop (Hettich & Kortanek, "Semi-infinite
+  programming", SIAM Review 1993): an optimum meets the bound at a few dozen
+  peaks among thousands of region samples. The working set starts with
+  about four samples per sidelobe width 1/(x_max - x_min) in u, plus a
+  window of two samples on each side of every local maximum of the start's
+  ratio |F|^2 / (ratio |F(0)|^2) that reaches half its maximum. Each round
+  solves on the working set from the feasibility phase's point, then checks
+  every region sample with one product. The working set's program is a
+  relaxation, so an answer that exceeds the bound by at most 1e-7 (relative)
+  on every sample outside the set ends the loop as the full optimum;
+  otherwise windows around every local maximum of the answer's ratio at or
+  above 0.5 join the set. An unconverged round, a round that adds no
+  sample and the eighth round widen the set to the whole region, whose
+  solve is the last. Each solve is logged at DEBUG, with its rounds and
+  the final working set's size.
 
 SolverConfig holds the one setting callers change, constraint_tol_db. The
-rest are module constants: _FEASIBILITY_STEPS, _MIN_STEP, _IPM_* and
-ZERO_THRESHOLD.
+rest are module constants: _FEASIBILITY_STEPS, _MIN_STEP, _IPM_*,
+_EXCHANGE_* and ZERO_THRESHOLD.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass
 
@@ -83,6 +100,11 @@ _IPM_ITERATIONS = 100      # iteration cap of the cone IPM
 _IPM_STEP = 0.99           # share of the way to the cone boundary a step may go
 _IPM_STALL = 3             # iterations without progress after which the cone IPM stops
 _IPM_REFINEMENTS = 2       # refinements of each KKT solve against the operator form
+_EXCHANGE_PER_LOBE = 4     # start samples per sidelobe width 1/(x_max - x_min) in u
+_EXCHANGE_WINDOW = 2       # samples added on each side of a ratio peak
+_EXCHANGE_PEAK = 0.5       # a peak gets a window from this share of the start's top ratio, then of 1
+_EXCHANGE_SLACK = 1e-7     # ratio above 1 that marks a sample outside the working set violated
+_EXCHANGE_ROUNDS = 8       # rounds after which the working set becomes the whole region
 ZERO_THRESHOLD = 1e-12  # correction magnitudes at or below this do not count as changes
 
 
@@ -147,6 +169,13 @@ class _Landscape:
         # The faulty excitations sit on free elements only, so the pattern is
         # linear in x = z + w_free and x = 0 (an all-zero array) is reachable.
         self.homogeneous = not np.any(w_faulty[~free])
+
+    def restricted(self, rows: np.ndarray) -> _Landscape:
+        """The same solve on the region samples in rows only."""
+        sub = copy.copy(self)
+        sub.A, sub.F_base, sub.m = self.A[rows], self.F_base[rows], int(rows.size)
+        sub.full = self.full[rows] if self.lags is not None else None   # read by the lattice Gram only
+        return sub
 
     def fields(self, z: np.ndarray):
         return self.F_base + self.A @ z, self.F0_base + np.sum(z)
@@ -707,12 +736,70 @@ def _cone_ipm(land: _Landscape, z: np.ndarray):
         del ds_s, dd_s
 
     z, now = best
-    info = {"iterations": it, **now, "shifted": shifted, "converged": best_score <= 1.0}
+    return z, {"iterations": it, **now, "shifted": shifted, "converged": best_score <= 1.0}
 
-    _log.debug("cone IPM: %d iterations, relative gap %.2e, primal residual %.2e, "
-               "dual residual %.2e, start shifted %s, converged %s", info["iterations"],
-               info["gap"], info["primal"], info["dual"], info["shifted"], info["converged"])
-    return z, info
+
+def _lobe_stride(geometry: ArrayGeometry, u: np.ndarray) -> int:
+    """Region-sample stride that puts about _EXCHANGE_PER_LOBE samples on each sidelobe."""
+    aperture = float(np.ptp(geometry.positions))
+    if u.size < 2 or aperture == 0.0:
+        return 1
+    spacing = float(np.median(np.diff(u)))
+    return max(1, int(1.0 / (aperture * spacing * _EXCHANGE_PER_LOBE)))
+
+
+def _ratios(land: _Landscape, z: np.ndarray) -> np.ndarray:
+    """|F(u)|^2 / (tau |F(0)|^2) on every region sample."""
+    f, f0 = land.fields(z)
+    return np.abs(f) ** 2 / (land.tau * abs(f0) ** 2)
+
+
+def _peak_windows(ratio: np.ndarray, level: float) -> np.ndarray:
+    """The samples within _EXCHANGE_WINDOW of a local maximum of ratio at or above level."""
+    padded = np.concatenate([[-np.inf], ratio, [-np.inf]])
+    peaks = np.flatnonzero((ratio >= padded[:-2]) & (ratio >= padded[2:]) & (ratio >= level))
+    near = np.zeros(ratio.size, dtype=bool)
+    for k in range(-_EXCHANGE_WINDOW, _EXCHANGE_WINDOW + 1):
+        near[np.clip(peaks + k, 0, ratio.size - 1)] = True
+    return near
+
+
+def _exchange(land: _Landscape, z: np.ndarray, stride: int):
+    """
+    The cone program on a working set of region samples, grown until its
+    answer meets the bound on every sample (the module docstring has the rules).
+
+    z is the feasibility phase's point and stride the start's sample stride.
+    Returns (z, info) as _cone_ipm does, with the iterations summed over the
+    rounds, plus the rounds and the final working set's size.
+    """
+    start = _ratios(land, z)
+    rows = _peak_windows(start, _EXCHANGE_PEAK * np.max(start))
+    rows[::stride] = True
+    rounds = iterations = 0
+    while True:
+        rounds += 1
+        sub = land if rows.all() else land.restricted(np.flatnonzero(rows))
+        answer, info = _cone_ipm(sub, z)
+        del sub                     # free this round's rows before the next round gathers its own
+        iterations += info["iterations"]
+        if rows.all():
+            break
+        if not info["converged"]:
+            rows[:] = True
+            continue
+        ratio = _ratios(land, answer)
+        if not np.any(ratio[~rows] > 1.0 + _EXCHANGE_SLACK):
+            break
+        grown = rows | _peak_windows(ratio, _EXCHANGE_PEAK)
+        rows = grown if rounds < _EXCHANGE_ROUNDS and grown.sum() > rows.sum() else np.ones_like(rows)
+    info = {**info, "iterations": iterations, "rounds": rounds, "samples": int(rows.sum())}
+
+    _log.debug("cone IPM: %d rounds on %d of %d region samples, %d iterations, relative gap %.2e, "
+               "primal residual %.2e, dual residual %.2e, start shifted %s, converged %s",
+               rounds, info["samples"], land.m, iterations, info["gap"], info["primal"],
+               info["dual"], info["shifted"], info["converged"])
+    return answer, info
 
 
 def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
@@ -766,7 +853,7 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
                 return delta
             raise
     feasible = z
-    z, info = _cone_ipm(land, z)
+    z, info = _exchange(land, z, _lobe_stride(geometry, metric.region.samples))
     if not info["converged"] and (land.worst_ratio(z) > tol_ratio
                                   or np.sum(np.abs(z)) >= np.sum(np.abs(feasible))):
         z = feasible    # an unfinished solve falls back on the feasible point it started from

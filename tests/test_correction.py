@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import arraymend
 from arraymend import (
     AngularRegion,
     FailureScenario,
@@ -11,7 +18,7 @@ from arraymend import (
     uniform_positions,
 )
 from arraymend.correction import least_important, make_trial
-from conftest import check_trace_invariants
+from conftest import SCENARIO_DIR, check_trace_invariants
 
 INITIAL_SOLVE_REF = np.array([-0.438, 0.0, 0.593, -9.72e-6])
 
@@ -118,3 +125,32 @@ class TestTc1Loop:
         assert result.l1 == pytest.approx(1.31, abs=0.1)
         w_faulty = apply_failures(weights, scenario)
         check_trace_invariants(result, metric, geometry, scenario, w_faulty)
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SUPPORT_SCRIPT = """
+import json, sys
+from arraymend import minimize_corrections
+from arraymend.bench import ScenarioSpec, resolve_scenario
+supports = {}
+for path in sys.argv[1:]:
+    res = resolve_scenario(ScenarioSpec.from_file(path))
+    r = minimize_corrections(res.geometry, res.weights, res.scenario, res.metric, res.config)
+    supports[path] = r.corrected_elements
+print(json.dumps(supports))
+"""
+
+
+def test_corrected_support_does_not_depend_on_blas_threads():
+    # The BLAS thread count is read when numpy loads, so each setting needs its own interpreter.
+    src = str(Path(arraymend.__file__).resolve().parent.parent)
+    files = [str(SCENARIO_DIR / f"{name}.json") for name in ("test_case_1", "test_case_2_sll22")]
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   **{var: threads for var in BLAS_THREAD_VARS})
+        runs.append(subprocess.Popen([sys.executable, "-c", SUPPORT_SCRIPT, *files], env=env,
+                                     stdout=subprocess.PIPE, text=True))
+    one, two = [json.loads(run.communicate(timeout=600)[0]) for run in runs]
+    assert one == two
+    assert sorted(one) == sorted(files) and all(one.values())

@@ -31,11 +31,14 @@ from arraymend.solver import (
     _apply_weights,
     _certificate,
     _cone_ipm,
+    _exchange,
     _feasibility_phase,
     _Landscape,
     _lin,
     _lin_adjoint,
+    _lobe_stride,
     _normal_matrix,
+    _ratios,
     _Scaling,
     _violation,
 )
@@ -448,9 +451,58 @@ class TestConeIpm:
         with caplog.at_level(logging.DEBUG, logger="arraymend.solver"):
             solve_constrained_l1(geometry, w_faulty, metric, mask)
         (message,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("cone IPM")]
-        for field in ("iterations", "relative gap", "primal residual", "dual residual",
-                      "start shifted", "converged True"):
+        for field in ("1 rounds on 4 of 4 region samples", "iterations", "relative gap",
+                      "primal residual", "dual residual", "start shifted", "converged True"):
             assert field in message
+
+
+def _exchange_case(name):
+    """A solve's landscape, its feasible start and the exchange's start stride."""
+    if name == "size_scan_n100_row3":        # its first solve
+        res = resolve_scenario(load_spec(name))
+        land = _Landscape(res.geometry, apply_failures(res.weights, res.scenario), res.metric,
+                          res.scenario.admissible)
+        start = _feasibility_phase(land, np.zeros(land.A.shape[1], dtype=complex))
+        return land, start, _lobe_stride(res.geometry, res.metric.region.samples)
+    problem = PROBLEMS[name]()
+    land, start = _ipm_landscape(problem)
+    return land, start, _lobe_stride(problem[0], problem[2].samples)
+
+
+class TestExchange:
+    """The cone program on a working set of region samples, grown until met everywhere."""
+
+    @pytest.mark.parametrize("name", [*PROBLEMS, "size_scan_n100_row3"])
+    def test_matches_the_full_region_solve(self, name):
+        land, start, stride = _exchange_case(name)
+        z, info = _exchange(land, start, stride)
+        full, full_info = _cone_ipm(land, start)
+        assert info["converged"] and full_info["converged"]
+        l1, l1_full = np.sum(np.abs(z)), np.sum(np.abs(full))
+        assert abs(l1 - l1_full) <= 1e-6 * l1_full
+        assert np.max(_ratios(land, z)) <= 1.0 + 1e-7      # every region sample, not the set
+        assert info["rounds"] <= 2
+
+    def test_working_set_is_a_small_share_of_the_region(self):
+        land, start, stride = _exchange_case("size_scan_n100_row3")
+        assert stride > 1
+        _, info = _exchange(land, start, stride)
+        assert info["samples"] < land.m / 2
+
+    def test_unconverged_round_widens_to_the_full_region(self, monkeypatch):
+        land, start, stride = _exchange_case("seeded_n20")
+        sizes = []
+
+        def first_round_fails(sub, z):
+            answer, info = _cone_ipm(sub, z)
+            sizes.append(sub.m)
+            return answer, {**info, "converged": info["converged"] and len(sizes) > 1}
+
+        monkeypatch.setattr(solver, "_cone_ipm", first_round_fails)
+        z, info = _exchange(land, start, stride)
+        assert sizes[0] < land.m and sizes[1:] == [land.m]
+        assert info["rounds"] == 2 and info["samples"] == land.m and info["converged"]
+        assert land.worst_ratio(z) <= 1.0 + 1e-9
 
 
 def _check_reused_fields(monkeypatch, land):
