@@ -17,7 +17,16 @@ Two phases:
   power exceeds the bound for every correction (Elfving's c-optimal-design
   duality over the convex cone form of Lebret & Boyd). A certificate raises
   InfeasibleError(certified=True) at once; it exists only when the descent
-  below could never succeed, so it changes no verdict. Otherwise
+  below could never succeed, so it changes no verdict. The search runs on a
+  working set of region samples, started as the cone phase's exchange below
+  starts its own, from the solve's start point: weights that are zero off
+  the set still weight the region, so a proof found there holds for the
+  whole region. When the search on the set ends without a proof (its point
+  meets the bound on the set, or its progress stalls), one product checks
+  that point on every sample, and windows around the peaks that break the
+  bound outside the set join it. Its weighted Gram matrix is the cone
+  phase's Toeplitz gather on a lattice. Each search is logged at DEBUG, with
+  its outcome, updates, growth rounds and final working set. Otherwise
   Barzilai-Borwein gradient descent with a nonmonotone backtracking line
   search on the squared hinge of the per-sample relative violations (exact
   gradients, including the broadside-growth term) runs until the bound
@@ -89,7 +98,6 @@ _STALL_WINDOW = 120
 _CERT_MARGIN = 1e-6     # a certificate bounds the sidelobe power this far above the target
 _CERT_ITERATIONS = 200  # weight updates before the certificate search gives up
 _CERT_TREND = 10        # updates over which the search's progress is extrapolated
-_CERT_BLOCK = 8192      # entries (samples x unknowns) per block of the weighted Gram matrix
 _SYRK_BLOCK = 32768     # entries (samples x unknowns) per block of the normal matrix's B^T B
 _LATTICE_ULPS = 16     # relative position error, in ulps, that a lattice Gram tolerates
 _FEASIBILITY_STEPS = 2000  # descent-step budget of the feasibility phase
@@ -171,7 +179,9 @@ class _Landscape:
         self.homogeneous = not np.any(w_faulty[~free])
 
     def restricted(self, rows: np.ndarray) -> _Landscape:
-        """The same solve on the region samples in rows only."""
+        """The same solve on the region samples in rows only (itself when rows are all of them)."""
+        if rows.size == self.m:
+            return self
         sub = copy.copy(self)
         sub.A, sub.F_base, sub.m = self.A[rows], self.F_base[rows], int(rows.size)
         sub.full = self.full[rows] if self.lags is not None else None   # read by the lattice Gram only
@@ -286,24 +296,35 @@ def _violation(land: _Landscape, f: np.ndarray, f0: complex, with_grad: bool,
     return value, grad
 
 
+def _gram(land: _Landscape, w: np.ndarray) -> np.ndarray:
+    """A^H diag(w) A for real w >= 0: a Toeplitz gather on a lattice, else a real syrk."""
+    if land.lags is not None:
+        lag = (w * np.conj(land.full[:, 0])) @ land.full    # lags 0 .. N-1
+        return np.concatenate([np.conj(lag[:0:-1]), lag])[land.lags]
+    m, nfree = land.A.shape
+    v = np.empty((m, 2 * nfree))
+    root = np.sqrt(w)[:, None]
+    np.multiply(land.A.real, root, out=v[:, :nfree])
+    np.multiply(land.A.imag, root, out=v[:, nfree:])
+    vv = v.T @ v
+    re, im = vv[:nfree], vv[nfree:]
+    return (re[:, :nfree] + im[:, nfree:]) + 1j * (re[:, nfree:] - im[:, :nfree])
+
+
 def _weighted_gram(land: _Landscape, lam: np.ndarray) -> np.ndarray:
-    """P = sum_u lam_u conj(g_u) g_u^T over g_u = (A_u, F_base_u), or A_u when homogeneous."""
+    """
+    P = sum_u lam_u conj(g_u) g_u^T over g_u = (A_u, F_base_u), or A_u when
+    homogeneous: the A block from _gram, the F_base column from one adjoint
+    product and the corner from one sum.
+    """
+    if land.homogeneous:
+        return _gram(land, lam)
     f = land.A.shape[1]
-    d = f if land.homogeneous else f + 1
-    p = np.zeros((d, d), dtype=complex)
-    rows = np.flatnonzero(lam)
-    step = max(1, _CERT_BLOCK // d)
-    # blocks of samples keep every temporary small next to the m x f steering columns
-    for r in range(0, rows.size, step):
-        i = rows[r:r + step]
-        a, w = land.A[i], lam[i]
-        p[:f, :f] += _adjoint(a, a * w[:, None])
-        if not land.homogeneous:
-            fb = land.F_base[i]
-            p[:f, f] += _adjoint(a, w * fb)
-            p[f, f] += np.sum(w * np.abs(fb) ** 2)
-    if not land.homogeneous:
-        p[f, :f] = np.conj(p[:f, f])
+    p = np.empty((f + 1, f + 1), dtype=complex)
+    p[:f, :f] = _gram(land, lam)
+    p[:f, f] = _adjoint(land.A, lam * land.F_base)
+    p[f, :f] = np.conj(p[:f, f])
+    p[f, f] = np.sum(lam * np.abs(land.F_base) ** 2)
     return p
 
 
@@ -315,7 +336,7 @@ def _positive_definite(s: np.ndarray) -> bool:
     return True
 
 
-def _certificate(land: _Landscape) -> np.ndarray | None:
+def _certificate(land: _Landscape, rows: np.ndarray) -> np.ndarray | None:
     """
     Region-sample weights proving that no correction meets the bound, or None.
 
@@ -328,20 +349,31 @@ def _certificate(land: _Landscape) -> np.ndarray | None:
     there x = 0 is an exact null vector of the (z, 1) form, and the all-zero
     array it stands for has F(0) = 0, which no correction can use.
 
-    The weights follow the multiplicative c-optimal-design update
-    lam_u <- lam_u * |g_u^T v| with v = P^-1 conj(h) (Elfving's duality);
-    weights below 1e-12 of the largest are set to zero so that they cost no
-    Gram rows. The search gives up
+    The search runs on a working set of region samples, starting from the
+    boolean mask rows, with lam zero off the set: a weighting of some samples
+    is a weighting of the region, so a proof on the set holds for the whole
+    region. The weights follow the multiplicative c-optimal-design update
+    lam_u <- lam_u * |g_u^T v| over the set, with v = P^-1 conj(h) (Elfving's
+    duality); weights below 1e-12 of the largest are set to zero. The set's
+    search ends
     - when P is singular;
-    - when v meets the bound itself, since then no weighting can exclude it;
+    - when v meets the bound on the set, since then no weighting of the set
+      can exclude it;
     - when 1/(h^T v), the least sum_u lam_u |F(u)|^2 / |F(0)|^2 these
       weights allow, would still be below the target at the update cap if
       it kept the pace of its last few updates (the pace slows as the
       weights converge, so this extrapolation is optimistic);
     - at the update cap.
+    In the second and third case one product checks v on every region
+    sample. Where v breaks the bound outside the set, windows of
+    _EXCHANGE_WINDOW samples around each local maximum of its ratio there at
+    or above 1 join the set with the largest current weight, the weights are
+    renormalized, the pace restarts and the search goes on; such a growth
+    counts as an update. Otherwise the search gives up.
     Positive definiteness is tested on the matrix scaled by P's diagonal,
-    less 4*d*m*eps: each entry of the scaled P carries at most about m*eps of
-    rounding, so the test cannot pass on rounding alone.
+    less 4*d*m*eps with m the whole region's sample count: each entry of the
+    scaled P carries at most about m*eps of rounding, so the test cannot
+    pass on rounding alone. Each search is logged at DEBUG.
     """
     f = land.A.shape[1]
     d = f if land.homogeneous else f + 1
@@ -351,33 +383,63 @@ def _certificate(land: _Landscape) -> np.ndarray | None:
     tau = land.tau * (1.0 + _CERT_MARGIN)
     bound = tau * np.outer(np.conj(h), h)
     guard = 4.0 * d * land.m * np.finfo(float).eps * np.eye(d)
-    lam = np.full(land.m, 1.0 / land.m)
+
+    def products(sub, v):
+        # |g_u^T v| on the landscape's samples
+        return np.abs(sub.A @ v[:f] + (0.0 if land.homogeneous else sub.F_base * v[f]))
+
+    idx = np.flatnonzero(rows)
+    sub = land.restricted(idx)
+    lam = np.full(idx.size, 1.0 / idx.size)
     lows = []
-    for it in range(_CERT_ITERATIONS):
-        p = _weighted_gram(land, lam)
+    proof, outcome, it, growths = None, "update cap", 0, 0
+    while it < _CERT_ITERATIONS:
+        p = _weighted_gram(sub, lam)
         inv = 1.0 / np.sqrt(np.diag(p).real)
         unit = np.outer(inv, inv)
         if _positive_definite((p - bound) * unit - guard):
-            return lam
+            proof, outcome = np.zeros(land.m), "proof"
+            proof[idx] = lam
+            break
         if not _positive_definite(p * unit - guard):
-            return None
+            outcome = "singular P"
+            break
         v = np.linalg.solve(p, np.conj(h))
-        gv = np.abs(land.A @ v[:f] + (0.0 if land.homogeneous else land.F_base * v[f]))
-        if land.tau * abs(h @ v) ** 2 >= np.max(gv) ** 2:
-            return None
-        lows.append(1.0 / (h @ v).real)
-        if it >= _CERT_TREND:
-            rate = (lows[-1] - lows[-1 - _CERT_TREND]) / _CERT_TREND
-            if lows[-1] + (_CERT_ITERATIONS - it) * rate < tau:
-                return None
+        level = land.tau * abs(h @ v) ** 2
+        gv = products(sub, v)
+        stop = "bound met on the region" if level >= np.max(gv) ** 2 else None
+        if stop is None:
+            lows.append(1.0 / (h @ v).real)
+            if len(lows) > _CERT_TREND:
+                rate = (lows[-1] - lows[-1 - _CERT_TREND]) / _CERT_TREND
+                if lows[-1] + (_CERT_ITERATIONS - it) * rate < tau:
+                    stop = "trend"
+        if stop is not None:
+            # The set's search has ended; v decides whether the region's can go on.
+            ratio = products(land, v) ** 2 / level
+            new = _peak_windows(ratio, 1.0, among=~rows) & ~rows
+            if not new.any():
+                outcome = stop
+                break
+            grown = np.zeros(land.m)
+            grown[idx], grown[new] = lam, np.max(lam)
+            rows = rows | new
+            idx = np.flatnonzero(rows)
+            sub = land.restricted(idx)
+            lam = grown[idx] / np.sum(grown)
+            lows, growths, it = [], growths + 1, it + 1
+            continue
         lam = lam * gv
         lam[lam < 1e-12 * np.max(lam)] = 0.0
         lam /= np.sum(lam)
-    return None
+        it += 1
+    _log.debug("certificate: %s after %d updates, %d growth rounds, on %d of %d region samples",
+               outcome, it, growths, idx.size, land.m)
+    return proof
 
 
-def _feasibility_phase(land: _Landscape, z: np.ndarray) -> np.ndarray:
-    if _certificate(land) is not None:
+def _feasibility_phase(land: _Landscape, z: np.ndarray, stride: int) -> np.ndarray:
+    if _certificate(land, _start_rows(land, z, stride)) is not None:
         raise InfeasibleError(
             "certified: a weighting of the region samples keeps the sidelobe power "
             "above the bound for every correction", certified=True,
@@ -417,21 +479,6 @@ def _feasibility_phase(land: _Landscape, z: np.ndarray) -> np.ndarray:
             f"no point satisfying the sidelobe bound found ({status}, residual {value:.3e})"
         )
     return z
-
-
-def _gram(land: _Landscape, w: np.ndarray) -> np.ndarray:
-    """A^H diag(w) A for real w > 0: a Toeplitz gather on a lattice, else a real syrk."""
-    if land.lags is not None:
-        lag = (w * np.conj(land.full[:, 0])) @ land.full    # lags 0 .. N-1
-        return np.concatenate([np.conj(lag[:0:-1]), lag])[land.lags]
-    m, nfree = land.A.shape
-    v = np.empty((m, 2 * nfree))
-    root = np.sqrt(w)[:, None]
-    np.multiply(land.A.real, root, out=v[:, :nfree])
-    np.multiply(land.A.imag, root, out=v[:, nfree:])
-    vv = v.T @ v
-    re, im = vv[:nfree], vv[nfree:]
-    return (re[:, :nfree] + im[:, nfree:]) + 1j * (re[:, nfree:] - im[:, :nfree])
 
 
 # The cone program. With x = (t, z), t the f l1 bounds and z the correction,
@@ -754,14 +801,35 @@ def _ratios(land: _Landscape, z: np.ndarray) -> np.ndarray:
     return np.abs(f) ** 2 / (land.tau * abs(f0) ** 2)
 
 
-def _peak_windows(ratio: np.ndarray, level: float) -> np.ndarray:
-    """The samples within _EXCHANGE_WINDOW of a local maximum of ratio at or above level."""
+def _peak_windows(ratio: np.ndarray, level: float, among: np.ndarray | None = None) -> np.ndarray:
+    """
+    The samples within _EXCHANGE_WINDOW of a local maximum of ratio at or above
+    level, counting only the maxima in the mask among when it is given.
+    """
     padded = np.concatenate([[-np.inf], ratio, [-np.inf]])
-    peaks = np.flatnonzero((ratio >= padded[:-2]) & (ratio >= padded[2:]) & (ratio >= level))
+    peak = (ratio >= padded[:-2]) & (ratio >= padded[2:]) & (ratio >= level)
+    peaks = np.flatnonzero(peak if among is None else peak & among)
     near = np.zeros(ratio.size, dtype=bool)
     for k in range(-_EXCHANGE_WINDOW, _EXCHANGE_WINDOW + 1):
         near[np.clip(peaks + k, 0, ratio.size - 1)] = True
     return near
+
+
+def _start_rows(land: _Landscape, z: np.ndarray, stride: int) -> np.ndarray:
+    """
+    A working set's start at the correction z: every stride-th region sample,
+    plus the samples within _EXCHANGE_WINDOW of each local maximum of z's
+    ratio at or above _EXCHANGE_PEAK of its largest. Where F(0) = 0 the ratio
+    is undefined, and the stride alone is the start.
+    """
+    f, f0 = land.fields(z)
+    if f0 == 0:
+        rows = np.zeros(land.m, dtype=bool)
+    else:
+        ratio = np.abs(f) ** 2 / (land.tau * abs(f0) ** 2)
+        rows = _peak_windows(ratio, _EXCHANGE_PEAK * np.max(ratio))
+    rows[::stride] = True
+    return rows
 
 
 def _exchange(land: _Landscape, z: np.ndarray, stride: int):
@@ -773,13 +841,11 @@ def _exchange(land: _Landscape, z: np.ndarray, stride: int):
     Returns (z, info) as _cone_ipm does, with the iterations summed over the
     rounds, plus the rounds and the final working set's size.
     """
-    start = _ratios(land, z)
-    rows = _peak_windows(start, _EXCHANGE_PEAK * np.max(start))
-    rows[::stride] = True
+    rows = _start_rows(land, z, stride)
     rounds = iterations = 0
     while True:
         rounds += 1
-        sub = land if rows.all() else land.restricted(np.flatnonzero(rows))
+        sub = land.restricted(np.flatnonzero(rows))
         answer, info = _cone_ipm(sub, z)
         del sub                     # free this round's rows before the next round gathers its own
         iterations += info["iterations"]
@@ -842,9 +908,10 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
         z = s[free].copy()
         start_l1 = float(np.sum(np.abs(z))) if land.worst_ratio(z) <= tol_ratio else None
 
+    stride = _lobe_stride(geometry, metric.region.samples)
     if land.worst_ratio(z) > 1.0 - 1e-7:
         try:
-            z = _feasibility_phase(land, z)
+            z = _feasibility_phase(land, z, stride)
         except InfeasibleError:
             if start_l1 is not None:
                 # the warm start already met the toleranced bound; keep it
@@ -853,7 +920,7 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
                 return delta
             raise
     feasible = z
-    z, info = _exchange(land, z, _lobe_stride(geometry, metric.region.samples))
+    z, info = _exchange(land, z, stride)
     if not info["converged"] and (land.worst_ratio(z) > tol_ratio
                                   or np.sum(np.abs(z)) >= np.sum(np.abs(feasible))):
         z = feasible    # an unfinished solve falls back on the feasible point it started from

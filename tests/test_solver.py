@@ -1,6 +1,9 @@
+import copy
 import dataclasses
 import itertools
 import logging
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -40,7 +43,9 @@ from arraymend.solver import (
     _normal_matrix,
     _ratios,
     _Scaling,
+    _start_rows,
     _violation,
+    _weighted_gram,
 )
 from conftest import load_spec
 
@@ -238,7 +243,8 @@ def _below_faulty(problem):
 def _ipm_landscape(problem):
     """_below_faulty's landscape and a feasible start."""
     land = _below_faulty(problem)
-    return land, _feasibility_phase(land, np.zeros(land.A.shape[1], dtype=complex))
+    stride = _lobe_stride(problem[0], problem[2].samples)
+    return land, _feasibility_phase(land, np.zeros(land.A.shape[1], dtype=complex), stride)
 
 
 def _cone_points(k, seed):
@@ -286,6 +292,22 @@ class TestKernels:
         value, grad = _violation(land, *land.fields(z), True)
         assert value > 0
         np.testing.assert_allclose(grad, reference_violation_grad(land, z), rtol=1e-12)
+
+    def test_weighted_gram_matches_reference(self, name):
+        # The certificate's P(lam), on the region and on a working set of it,
+        # against the sum over samples of lam_u conj(g_u) g_u^T.
+        land, _ = _landscape(PROBLEMS[name](), 0.0)
+        rows = np.arange(0, land.m, 3)
+        for sub in (land, land.restricted(rows)):
+            lam = np.random.default_rng(3).uniform(0.0, 1.0, sub.m)
+            lam[::4] = 0.0                  # the search zeroes small weights
+            lam /= lam.sum()
+            for homogeneous in (True, False):
+                form = copy.copy(sub)
+                form.homogeneous = homogeneous
+                g = sub.A if homogeneous else np.column_stack([sub.A, sub.F_base])
+                ref = (g.conj().T * lam) @ g
+                assert np.max(np.abs(_weighted_gram(form, lam) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     # Each IPM step solves a Newton system with the Hessian G^T W^-2 G of the
     # quadratic x^T G^T W^-2 G x / 2 (the normal matrix, t eliminated). Its
@@ -430,11 +452,13 @@ class TestConeIpm:
         if problem == "toy":
             geometry, w_faulty, metric, mask = toy
             land = _Landscape(geometry, w_faulty, metric, ~mask)
-            start = _feasibility_phase(land, np.zeros(3, dtype=complex))
+            start = _feasibility_phase(land, np.zeros(3, dtype=complex),
+                                       _lobe_stride(geometry, metric.region.samples))
         elif problem == "test_case_1":
             geometry, weights, scenario, metric, _ = tc1_parts
             land = _Landscape(geometry, apply_failures(weights, scenario), metric, scenario.admissible)
-            start = _feasibility_phase(land, np.zeros(land.A.shape[1], dtype=complex))
+            start = _feasibility_phase(land, np.zeros(land.A.shape[1], dtype=complex),
+                                       _lobe_stride(geometry, metric.region.samples))
         else:
             land, start = _ipm_landscape(PROBLEMS[problem]())
         z, info = _cone_ipm(land, start)
@@ -455,6 +479,20 @@ class TestConeIpm:
                       "primal residual", "dual residual", "start shifted", "converged True"):
             assert field in message
 
+    def test_certificate_is_logged(self, toy, caplog):
+        geometry, w_faulty, metric, mask = toy
+        hopeless = MetricSpec(region=metric.region, target_db=-40.0)
+        with caplog.at_level(logging.DEBUG, logger="arraymend.solver"):
+            solve_constrained_l1(geometry, w_faulty, metric, mask)
+            with pytest.raises(InfeasibleError):
+                solve_constrained_l1(geometry, w_faulty, hopeless, mask)
+        messages = [r.getMessage() for r in caplog.records if r.getMessage().startswith("certificate")]
+        assert len(messages) == 2                       # one record per search
+        for message in messages:
+            assert re.search(r"after \d+ updates, \d+ growth rounds, on 4 of 4 region samples", message)
+        assert messages[0].startswith(("certificate: bound met on the region", "certificate: trend"))
+        assert messages[1].startswith("certificate: proof")
+
 
 def _exchange_case(name):
     """A solve's landscape, its feasible start and the exchange's start stride."""
@@ -462,8 +500,8 @@ def _exchange_case(name):
         res = resolve_scenario(load_spec(name))
         land = _Landscape(res.geometry, apply_failures(res.weights, res.scenario), res.metric,
                           res.scenario.admissible)
-        start = _feasibility_phase(land, np.zeros(land.A.shape[1], dtype=complex))
-        return land, start, _lobe_stride(res.geometry, res.metric.region.samples)
+        stride = _lobe_stride(res.geometry, res.metric.region.samples)
+        return land, _feasibility_phase(land, np.zeros(land.A.shape[1], dtype=complex), stride), stride
     problem = PROBLEMS[name]()
     land, start = _ipm_landscape(problem)
     return land, start, _lobe_stride(problem[0], problem[2].samples)
@@ -568,9 +606,9 @@ class TestCarriedFields:
     """
 
     @staticmethod
-    def _through_the_stages(monkeypatch, land):
+    def _through_the_stages(monkeypatch, land, stride):
         checks = _check_reused_fields(monkeypatch, land)
-        start = _feasibility_phase(land, np.zeros(land.A.shape[1], dtype=complex))
+        start = _feasibility_phase(land, np.zeros(land.A.shape[1], dtype=complex), stride)
         monkeypatch.undo()
         assert len({id(x) for x in checks}) > 2     # the descent took steps
         assert land.worst_ratio(start) <= 1.0
@@ -581,15 +619,16 @@ class TestCarriedFields:
         return z
 
     def test_seeded_landscape_through_the_stages(self, monkeypatch):
-        land = _below_faulty(_seeded_problem())
-        z = self._through_the_stages(monkeypatch, land)
-        assert np.sum(np.abs(z)) < np.sum(np.abs(_feasibility_phase(land, np.zeros_like(z))))
+        problem = _seeded_problem()
+        land, stride = _below_faulty(problem), _lobe_stride(problem[0], problem[2].samples)
+        z = self._through_the_stages(monkeypatch, land, stride)
+        assert np.sum(np.abs(z)) < np.sum(np.abs(_feasibility_phase(land, np.zeros_like(z), stride)))
 
     def test_first_solve_of_size_scan_n100_row3(self, monkeypatch):
         res = resolve_scenario(load_spec("size_scan_n100_row3"))
         w_faulty = apply_failures(res.weights, res.scenario)
         land = _Landscape(res.geometry, w_faulty, res.metric, res.scenario.admissible)
-        z = self._through_the_stages(monkeypatch, land)
+        z = self._through_the_stages(monkeypatch, land, _lobe_stride(res.geometry, res.metric.region.samples))
         # this problem's l1 optimum
         assert np.sum(np.abs(z)) == pytest.approx(1.1097, abs=1e-3)
 
@@ -641,36 +680,91 @@ def _unreachable():
     return res.geometry, w_faulty, res.metric, support
 
 
+def _certify(geometry, metric, land):
+    """_certificate as the feasibility phase runs it from the zero correction."""
+    start = _start_rows(land, np.zeros(land.A.shape[1], dtype=complex),
+                        _lobe_stride(geometry, metric.region.samples))
+    return _certificate(land, start)
+
+
+def _logged_certificate(caplog, land, rows):
+    """_certificate's weights and the growth rounds its DEBUG record reports."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="arraymend.solver"):
+        lam = _certificate(land, rows)
+    (message,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("certificate")]
+    return lam, int(re.search(r"(\d+) growth rounds", message).group(1))
+
+
 class TestCertificate:
     def test_every_small_support_of_test_case_1_is_certified(self, tc1_parts):
         geometry, weights, scenario, metric, _ = tc1_parts
         w_faulty = apply_failures(weights, scenario)
         working = np.flatnonzero(scenario.admissible)
+        zero_shares = []
         for size in (1, 2):
             for support in itertools.combinations(working, size):
                 land = _support_landscape(geometry, w_faulty, metric, support)
-                lam = _certificate(land)
+                lam = _certify(geometry, metric, land)
                 assert lam is not None, support
                 assert np.all(lam >= 0) and np.isclose(lam.sum(), 1.0)
                 assert _certified_min_eig(geometry, w_faulty, metric, support, lam) > 0, support
+                zero_shares.append(np.mean(lam == 0))
+        assert max(zero_shares) > 0.5          # proofs found on a working set hold for the region
 
     def test_feasible_problems_are_not_certified(self, toy, tc1_parts):
         geometry, w_faulty, metric, mask = toy
-        assert _certificate(_Landscape(geometry, w_faulty, metric, ~mask)) is None
+        assert _certify(geometry, metric, _Landscape(geometry, w_faulty, metric, ~mask)) is None
         geometry, weights, scenario, metric, _ = tc1_parts
         w_faulty = apply_failures(weights, scenario)
         first_solve = _Landscape(geometry, w_faulty, metric, scenario.admissible)
         assert first_solve.homogeneous
-        assert _certificate(first_solve) is None
+        assert _certify(geometry, metric, first_solve) is None
         winner = _support_landscape(geometry, w_faulty, metric, (0, 3, 15))   # elements 1, 4, 16
-        assert _certificate(winner) is None
+        assert _certify(geometry, metric, winner) is None
+
+    @pytest.mark.parametrize("below_db, proved", [(0.0, False), (0.1, True)])
+    def test_stride_only_start_grows_to_the_whole_region_verdict(self, tc1_parts, caplog,
+                                                                 below_db, proved):
+        # The minimum's support at the target (feasible) and 0.1 dB below it
+        # (infeasible, but only just: the proof needs the binding peaks).
+        geometry, weights, scenario, metric, _ = tc1_parts
+        w_faulty = apply_failures(weights, scenario)
+        metric = MetricSpec(region=metric.region, target_db=metric.target_db - below_db)
+        land = _support_landscape(geometry, w_faulty, metric, (0, 3, 15))
+        rows = np.zeros(land.m, dtype=bool)
+        rows[::_lobe_stride(geometry, metric.region.samples)] = True
+        whole, _ = _logged_certificate(caplog, land, np.ones(land.m, dtype=bool))
+        lam, growths = _logged_certificate(caplog, land, rows)
+        assert (whole is not None) == (lam is not None) == proved
+        assert growths >= 1
+        if proved:
+            assert np.any(lam[~rows] > 0)
+            assert _certified_min_eig(geometry, w_faulty, metric, (0, 3, 15), lam) > 0
 
     def test_unreachable_target_is_certified_on_the_homogeneous_form(self):
         geometry, w_faulty, metric, support = _unreachable()
         land = _support_landscape(geometry, w_faulty, metric, support)
         assert land.homogeneous       # the faulty excitations all sit on free elements
-        lam = _certificate(land)
+        lam = _certify(geometry, metric, land)
         assert lam is not None
+        assert _certified_min_eig(geometry, w_faulty, metric, support, lam, homogeneous=True) > 0
+
+    def test_start_with_no_broadside_field_uses_the_stride(self):
+        # At z = -w_free the array is all zero: F(0) = 0 leaves the start's ratio undefined.
+        geometry, w_faulty, metric, support = _unreachable()
+        land = _support_landscape(geometry, w_faulty, metric, support)
+        z = -w_faulty[support]
+        assert land.fields(z)[1] == 0
+        stride = _lobe_stride(geometry, metric.region.samples)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = _start_rows(land, z, stride)
+            lam = _certificate(land, rows)
+            with pytest.raises(InfeasibleError) as err:
+                _feasibility_phase(land, z, stride)
+        assert np.array_equal(np.flatnonzero(rows), np.arange(0, land.m, stride))
+        assert lam is not None and err.value.certified
         assert _certified_min_eig(geometry, w_faulty, metric, support, lam, homogeneous=True) > 0
 
     def test_singular_form_is_never_certified(self, toy):
@@ -685,7 +779,7 @@ class TestCertificate:
         for land in lands:
             assert land.homogeneous
             land.homogeneous = False
-            assert _certificate(land) is None
+            assert _certificate(land, np.ones(land.m, dtype=bool)) is None
 
     def test_margin_keeps_barely_feasible_problem_uncertified(self):
         # One free element carries the whole array, so every correction gives
@@ -696,7 +790,7 @@ class TestCertificate:
         metric = MetricSpec(region=region, target_db=-10.0 * np.log10(1.0 - 5e-7))
         land = _Landscape(geometry, np.array([0.0, 1.0]), metric, np.array([False, True]))
         assert land.worst_ratio(np.array([0.3 + 0.1j])) == pytest.approx(1.0 - 5e-7, abs=1e-12)
-        assert _certificate(land) is None
+        assert _certify(geometry, metric, land) is None
 
     def test_never_certifies_where_an_inscribed_polygon_lp_is_feasible(self):
         optimize = pytest.importorskip("scipy.optimize")
@@ -718,7 +812,7 @@ class TestCertificate:
             for support in supports:
                 land = _support_landscape(geometry, w_faulty, metric, support)
                 z = _polygon_lp_point(optimize, land, sides)
-                lam = _certificate(land)
+                lam = _certify(geometry, metric, land)
                 if z is not None and land.worst_ratio(z) <= 1.0:
                     counts["lp_feasible"] += 1
                     assert lam is None, (n, faults, support)

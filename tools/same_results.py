@@ -11,11 +11,11 @@ results. Both run the benchmark's eight correction scenarios (`CATALOG` and
 the batch's unreachable row (`BATCH_UNREACHABLE`: test_case_2_sll22 at
 -30 dB) and the test_case_1 oracle up to support 3. The script compares each
 correction vector exactly, plus the correction count, l1, k_opt and the
-removal trace, and the oracle's support and solve count. An item that raises
-is compared by the error's class, not its message, which may name how the
-error was found. It prints one line per item; under each item that differs,
+removal trace, and the oracle's support, solve count and count of proven
+rejections (n_certified). An item that raises is compared by the error's
+class, not its message, which may name how the error was found. It prints one line per item; under each item that differs,
 a second line gives parent -> change for the correction count, k_opt and the
-oracle's solve count, and the relative change of l1.
+oracle's solve and proven-rejection counts, and the relative change of l1.
 
 Each tree then runs the runners and writes their files: `run_scenario` on
 toy and test_case_1, `run_oracle` on toy up to support 2, `tradeoff_sweep`
@@ -44,8 +44,8 @@ ORACLE_MAX_SUPPORT = 3
 RUN_PROBLEMS = ("toy", "test_case_1")
 RUNNER_ORACLE = ("toy", 2)                            # problem, largest support
 SWEEP = ("fail_rate_n50_row1", (-20.0, -22.0, -40.0))  # problem, targets loosest first
-SHOWN = ("n_corrections", "k_opt", "support", "n_solves", "error")  # printed per item
-MOVED = ("n_corrections", "k_opt", "n_solves")  # printed parent -> change when an item differs
+SHOWN = ("n_corrections", "k_opt", "support", "n_solves", "n_certified", "error")  # printed per item
+MOVED = ("n_corrections", "k_opt", "n_solves", "n_certified")  # parent -> change when an item differs
 
 
 def _complex_list(a) -> list:
@@ -119,7 +119,7 @@ def collect() -> dict:
     o = exhaustive_min(res.geometry, res.weights, res.scenario, res.metric, res.config,
                        max_support=ORACLE_MAX_SUPPORT)
     out[f"oracle:{ORACLE_PROBLEM}"] = {"delta": _complex_list(o.delta), "support": list(o.support),
-                                       "n_solves": o.n_solves, "l1": o.l1}
+                                       "n_solves": o.n_solves, "n_certified": o.n_certified, "l1": o.l1}
     return {"items": out, "files": runner_files(bw, unreachable)}
 
 
