@@ -10,71 +10,87 @@ Solves, over the unmasked entries of a correction vector dw,
 with ratio = 10^(target_db / 10). The unknowns are the real and imaginary
 parts of the free entries; everything is deterministic.
 
-Two phases:
+Every infeasibility verdict rests on one of two dual objects: the
+certificate's weights or the cone IPM's Farkas ray. A solve takes four steps:
 
-* feasibility phase: first a search for a dual certificate of
-  infeasibility, a weighting of the region samples whose weighted sidelobe
-  power exceeds the bound for every correction (Elfving's c-optimal-design
-  duality over the convex cone form of Lebret & Boyd). A certificate raises
-  InfeasibleError(certified=True) at once; it exists only when the descent
-  below could never succeed, so it changes no verdict. The search runs on a
-  working set of region samples, started as the cone phase's exchange below
-  starts its own, from the solve's start point: weights that are zero off
-  the set still weight the region, so a proof found there holds for the
-  whole region. When the search on the set ends without a proof (its point
-  meets the bound on the set, or its progress stalls), one product checks
-  that point on every sample, and windows around the peaks that break the
-  bound outside the set join it. Its weighted Gram matrix is the cone
-  phase's Toeplitz gather on a lattice. Each search is logged at DEBUG, with
-  its outcome, updates, growth rounds and final working set. Otherwise
-  Barzilai-Borwein gradient descent with a nonmonotone backtracking line
-  search on the squared hinge of the per-sample relative violations (exact
-  gradients, including the broadside-growth term) runs until the bound
-  holds strictly. Failure to reach the feasible region then raises an
-  uncertified InfeasibleError: the descent stalled, which proves nothing.
-* cone phase: a primal-dual interior-point method (Nesterov-Todd scaling,
-  Mehrotra predictor-corrector; Vandenberghe, "The CVXOPT linear and
-  quadratic cone program solvers", 2010) for the cone program of Lebret &
-  Boyd (IEEE TSP 1997):
+* the zero correction is returned when it meets the toleranced target; with
+  no free element left, a miss is certified infeasible.
+* certificate: a search for a dual certificate of infeasibility, a
+  weighting of the region samples whose weighted sidelobe power exceeds the
+  bound for every correction (Elfving's c-optimal-design duality over the
+  convex cone form of Lebret & Boyd). A certificate raises
+  InfeasibleError(certified=True) at once. It covers the free-phase problem
+  above, which the cone program below only restricts. The search runs on a
+  working set of region samples, started as the exchange below starts its
+  own, from the solve's start correction: weights that are zero off the set
+  still weight the region, so a proof found there holds for the whole
+  region. When the search on the set ends without a proof (its point meets
+  the bound on the set, or its progress stalls), one product checks that
+  point on every sample, and windows around the peaks that break the bound
+  outside the set join it. Its weighted Gram matrix is the cone phase's
+  Toeplitz gather on a lattice. Each search is logged at DEBUG, with its
+  outcome, updates, growth rounds and final working set.
+* cone phase: a primal-dual interior-point method in the homogeneous
+  self-dual model (Ye, Todd & Mizuno, Math. Oper. Res. 1994; for second-order
+  cones as in ECOS, Domahidi, Chu & Boyd, ECC 2013), with Nesterov-Todd
+  scaling and Mehrotra's predictor-corrector (Vandenberghe, "The CVXOPT
+  linear and quadratic cone program solvers", 2010), for the cone program of
+  Lebret & Boyd (IEEE TSP 1997):
 
       minimize    sum_n t_n
       subject to  |dw_n| <= t_n,  |F(u)| <= sqrt(ratio) Re F(0),  Im F(0) = 0.
 
   Fixing the phase of F(0) makes this a convex restriction of the problem
-  above. It starts from the feasibility phase's point, shifted into the cone
-  interior when needed, and stops when the relative duality gap and the
-  relative primal and dual residuals are all at most 1e-8. Each iteration
-  builds one normal matrix G^T W^-2 G: a Hermitian Gram A^H diag(alpha) A
-  (a Toeplitz gather of a single matrix-vector product when the elements
-  sit on a lattice x_n = x_0 + n*d, a dense real product otherwise), one
-  symmetric product B^T B accumulated over row blocks, rank-one terms, and
-  the l1 cones' 3x3 blocks with t eliminated. The KKT solve is refined twice
-  against the operator form. The scaling is carried from step to step in the
-  scaled frame, where the iterates stay well inside the cones. Near the
-  optimum the normal matrix loses digits; a solve that stalls there ends on
-  its best iterate, and one that never gets below the feasible start's l1
-  returns that start. Entries at or below ZERO_THRESHOLD are returned as
-  exact zeros.
+  above. The embedding adds the scalars tau and kappa: it starts from the
+  central point (x = 0, s = z = e, tau = kappa = 1), needs no feasible point,
+  and ends with one of three verdicts.
+  - optimal: the duality gap relative to max(1, |primal objective|,
+    |dual objective|) and the relative primal and dual residuals are all at
+    most 1e-8; the answer is x / tau.
+  - ray: the dual iterate is a Farkas ray showing that no x of norm below
+    1e4 meets the fixed-phase program's constraints. This raises an
+    uncertified InfeasibleError: it proves the restriction infeasible, not
+    the problem above.
+  - undecided: the solve stalled or reached its iteration cap. Its best
+    iterate is the answer when it meets the toleranced target on the whole
+    region; otherwise an uncertified InfeasibleError says that it stalled.
+  Each iteration builds one normal matrix G^T W^-2 G: a Hermitian Gram
+  A^H diag(alpha) A (a Toeplitz gather of a single matrix-vector product when
+  the elements sit on a lattice x_n = x_0 + n*d, a dense real product
+  otherwise), one symmetric product B^T B accumulated over row blocks,
+  rank-one terms, and the l1 cones' 3x3 blocks with t eliminated. Its
+  inverse serves three KKT solves per iteration, each refined twice against
+  the operator form: the tau column, the predictor and the corrector. The
+  scaling is carried from step to step in the scaled frame, where the
+  iterates stay well inside the cones. Entries at or below ZERO_THRESHOLD
+  are returned as exact zeros.
 
   The IPM runs inside an exchange loop (Hettich & Kortanek, "Semi-infinite
   programming", SIAM Review 1993): an optimum meets the bound at a few dozen
   peaks among thousands of region samples. The working set starts with
   about four samples per sidelobe width 1/(x_max - x_min) in u, plus a
-  window of two samples on each side of every local maximum of the start's
-  ratio |F|^2 / (ratio |F(0)|^2) that reaches half its maximum. Each round
-  solves on the working set from the feasibility phase's point, then checks
-  every region sample with one product. The working set's program is a
-  relaxation, so an answer that exceeds the bound by at most 1e-7 (relative)
-  on every sample outside the set ends the loop as the full optimum;
-  otherwise windows around every local maximum of the answer's ratio at or
-  above 0.5 join the set. An unconverged round, a round that adds no
-  sample and the eighth round widen the set to the whole region, whose
-  solve is the last. Each solve is logged at DEBUG, with its rounds and
-  the final working set's size.
+  window of two samples on each side of every local maximum of the start
+  correction's ratio |F|^2 / (ratio |F(0)|^2) that reaches half its maximum.
+  Each round solves on the working set, then checks every region sample
+  with one product. The working set's program is a relaxation, so an answer
+  that exceeds the bound by at most 1e-7 (relative) on every sample outside
+  the set ends the loop as the full optimum, and a ray found on the set
+  holds for the whole region. Otherwise the samples that break the bound
+  and windows around every local maximum of the answer's ratio at or above
+  0.5 join the set. An undecided round
+  whose point meets the bound on every sample ends the loop too: that point
+  is within its gap of the set's optimum, which the region's cannot undercut.
+  An undecided round whose point breaks the bound, a round that adds no
+  sample and the eighth round widen the set to the whole region, whose solve
+  is the last. Each solve is logged at DEBUG, with its
+  verdict, rounds, final working set, iterations, gap, residuals, tau and
+  kappa.
+* final check: the answer must meet the toleranced target on every region
+  sample, or the solve raises NumericalFailureError.
 
 SolverConfig holds the one setting callers change, constraint_tol_db. The
-rest are module constants: _FEASIBILITY_STEPS, _MIN_STEP, _IPM_*,
-_EXCHANGE_* and ZERO_THRESHOLD.
+rest are module constants: _CERT_*, _IPM_*, _EXCHANGE_*, _SYRK_BLOCK,
+_LATTICE_ULPS and ZERO_THRESHOLD.
 """
 
 from __future__ import annotations
@@ -90,24 +106,18 @@ from .model import ArrayGeometry, MetricSpec, as_weights, steering_matrix
 
 _log = logging.getLogger(__name__)
 
-_ARMIJO = 1e-4
-_STEP_GROW = 2.0
-_STEP_MAX = 1e12
-_NONMONOTONE_WINDOW = 10
-_STALL_WINDOW = 120
 _CERT_MARGIN = 1e-6     # a certificate bounds the sidelobe power this far above the target
 _CERT_ITERATIONS = 200  # weight updates before the certificate search gives up
 _CERT_TREND = 10        # updates over which the search's progress is extrapolated
 _SYRK_BLOCK = 32768     # entries (samples x unknowns) per block of the normal matrix's B^T B
 _LATTICE_ULPS = 16     # relative position error, in ulps, that a lattice Gram tolerates
-_FEASIBILITY_STEPS = 2000  # descent-step budget of the feasibility phase
-_MIN_STEP = 1e-10          # smallest accepted line-search step
 _IPM_GAP = 1e-8            # relative duality gap at which the cone IPM stops
 _IPM_RESIDUAL = 1e-8       # relative primal and dual residuals it must reach too
 _IPM_ITERATIONS = 100      # iteration cap of the cone IPM
 _IPM_STEP = 0.99           # share of the way to the cone boundary a step may go
-_IPM_STALL = 3             # iterations without progress after which the cone IPM stops
+_IPM_STALL = 5             # iterations without progress after which the cone IPM stops
 _IPM_REFINEMENTS = 2       # refinements of each KKT solve against the operator form
+_IPM_RAY = 1e-4            # a Farkas ray must rule out every x = (t, z) of norm below 1/_IPM_RAY
 _EXCHANGE_PER_LOBE = 4     # start samples per sidelobe width 1/(x_max - x_min) in u
 _EXCHANGE_WINDOW = 2       # samples added on each side of a ratio peak
 _EXCHANGE_PEAK = 0.5       # a peak gets a window from this share of the start's top ratio, then of 1
@@ -138,11 +148,6 @@ def l0_norm(delta, zero_threshold: float) -> int:
     if zero_threshold < 0:
         raise ValueError("zero_threshold must be non-negative")
     return int(np.count_nonzero(np.abs(as_weights(delta)) > zero_threshold))
-
-
-def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
-    # Euclidean inner product of the underlying real parameter vectors.
-    return float(np.real(np.vdot(a, b)))
 
 
 def _lattice_lags(positions: np.ndarray, free: np.ndarray) -> np.ndarray | None:
@@ -202,98 +207,9 @@ class _Landscape:
         return float(np.max(np.abs(f) ** 2) / (self.tau * p0))
 
 
-def _descend(fun, line, z, max_steps: int, min_step: float, grad_tol: float, success=None):
-    """
-    Gradient descent with BB step seeding and backtracking.
-
-    fun(z) returns the objective value (np.inf outside the domain) and its
-    gradient packed as a complex vector (d/dRe + i*d/dIm). line(z, grad)
-    returns price(t), which gives the candidate z - t*grad and its objective
-    value; the caller can carry what it needs along the step, so that a
-    candidate costs less than a fresh evaluation. The sufficient-decrease
-    test is nonmonotone (against the worst of the last few accepted values)
-    so the BB step length is rarely truncated. Returns (z, value,
-    steps_used, status) with status one of "met", "converged", "stalled",
-    "tiny", "budget".
-    """
-    value, grad = fun(z)
-    if not np.isfinite(value):
-        raise NumericalFailureError("descent started outside the domain")
-    alpha = 1.0 / max(1.0, np.sqrt(_real_dot(grad, grad)))
-    prev_z = prev_grad = None
-    recent = [value]
-    best_z, best_value = z, value
-    best_step = 0
-    steps = 0
-    while steps < max_steps:
-        if success is not None and success(value, z):
-            return z, value, steps, "met"
-        if steps - best_step > _STALL_WINDOW:
-            return best_z, best_value, steps, "stalled"
-        gnorm2 = _real_dot(grad, grad)
-        if np.sqrt(gnorm2) <= grad_tol:
-            return z, value, steps, "converged"
-        if prev_z is not None:
-            s = z - prev_z
-            y = grad - prev_grad
-            sy = _real_dot(s, y)
-            alpha = _real_dot(s, s) / sy if sy > 0 else alpha * _STEP_GROW
-        alpha = float(np.clip(alpha, 1e-18, _STEP_MAX))
-        bound = max(recent)
-        price = line(z, grad)
-        t = alpha
-        z_new = v_new = None
-        while t >= min_step:
-            cand, v_cand = price(t)
-            if v_cand <= bound - _ARMIJO * t * gnorm2:
-                z_new, v_new = cand, v_cand
-                break
-            t *= 0.5
-        if z_new is None:
-            return (best_z, best_value, steps, "tiny") if best_value < value else (z, value, steps, "tiny")
-        prev_z, prev_grad = z, grad
-        z, value = z_new, v_new
-        _, grad = fun(z)
-        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-            raise NumericalFailureError("non-finite objective or gradient")
-        recent.append(value)
-        if len(recent) > _NONMONOTONE_WINDOW:
-            recent.pop(0)
-        if best_value - value > 1e-12 * max(1.0, abs(best_value)):
-            best_z, best_value, best_step = z, value, steps
-        steps += 1
-    if best_value < value:
-        return best_z, best_value, steps, "budget"
-    return z, value, steps, "budget"
-
-
 def _adjoint(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     # a^H x without materializing a conjugate copy of a.
     return np.conj(a.T @ np.conj(x))
-
-
-def _violation(land: _Landscape, f: np.ndarray, f0: complex, with_grad: bool,
-               push: float = 1e-6):
-    """Squared hinge of the relative constraint violations and its gradient.
-
-    Takes the fields F(u), F(0) of the iterate. The bound is tightened by
-    the relative push so that a zero residual leaves the iterate strictly
-    inside the true feasible region.
-    """
-    p0 = abs(f0) ** 2
-    if p0 <= 0.0:
-        return np.inf, None
-    tau = land.tau * (1.0 - push)
-    q = np.abs(f) ** 2
-    r = q / (tau * p0) - 1.0
-    hinge = np.maximum(r, 0.0)
-    value = float(np.sum(hinge ** 2))
-    if not with_grad:
-        return value, None
-    c = 2.0 * hinge / (tau * p0)
-    gamma = float(np.sum(c * q)) / p0
-    grad = 2.0 * _adjoint(land.A, c * f) - 2.0 * gamma * f0
-    return value, grad
 
 
 def _gram(land: _Landscape, w: np.ndarray) -> np.ndarray:
@@ -438,53 +354,12 @@ def _certificate(land: _Landscape, rows: np.ndarray) -> np.ndarray | None:
     return proof
 
 
-def _feasibility_phase(land: _Landscape, z: np.ndarray, stride: int) -> np.ndarray:
-    if _certificate(land, _start_rows(land, z, stride)) is not None:
-        raise InfeasibleError(
-            "certified: a weighting of the region samples keeps the sidelobe power "
-            "above the bound for every correction", certified=True,
-        )
-    strict = 1.0 - 1e-7
-    last = [None, None]
-
-    def fields(x):
-        # The fields of the last point priced: the descent asks for the gradient
-        # and the ratio of the candidate it accepted.
-        if last[0] is not x:
-            last[:] = x, land.fields(x)
-        return last[1]
-
-    def fun(x):
-        return _violation(land, *fields(x), True)
-
-    def line(x, g):
-        # F and F(0) are affine in z: carry them along the step, one A g per step.
-        f, f0 = fields(x)
-        ag, g0 = land.A @ g, complex(np.sum(g))
-
-        def price(t):
-            cand = x - t * g
-            last[:] = cand, (f - t * ag, f0 - t * g0)
-            return cand, _violation(land, *last[1], False)[0]
-        return price
-
-    def success(value, x):
-        return land.ratio(*fields(x)) <= strict
-
-    z, value, _, status = _descend(
-        fun, line, z, _FEASIBILITY_STEPS, _MIN_STEP, grad_tol=1e-14, success=success,
-    )
-    if status != "met" and land.ratio(*fields(z)) > strict:
-        raise InfeasibleError(
-            f"no point satisfying the sidelobe bound found ({status}, residual {value:.3e})"
-        )
-    return z
-
-
 # The cone program. With x = (t, z), t the f l1 bounds and z the correction,
 #
-#     minimize sum(t)  s.t.  s = h - G x in K,  Im F(0) = 0,
+#     minimize c^T x = sum(t)  s.t.  s = h - G x in K,  A x = sum(Im z) = b,
 #
+# with b = -Im F0_base, so that Im F(0) = 0; its dual is to maximize
+# -(h^T z + b^T y) subject to G^T z + A^T y + c = 0 and z in K.
 # K is f + m three-dimensional second-order cones {(s0, s1, s2): s0 >= |(s1, s2)|},
 # held as rows of (f + m, 3) arrays: the l1 cones (t_n, Re z_n, Im z_n) first,
 # then one cone (sqrt(tau) Re F(0), Re F(u), Im F(u)) per region sample. The map
@@ -673,59 +548,77 @@ def _normal_matrix(land: _Landscape, mm: np.ndarray) -> np.ndarray:
     return h
 
 
-def _cone_ipm(land: _Landscape, z: np.ndarray):
+def _cone_ipm(land: _Landscape):
     """
-    Primal-dual interior-point solve of the cone program from the correction z.
+    The cone program in the homogeneous self-dual model, from the central point.
 
-    Returns (z, info); info holds the iterations, the final relative gap,
-    the relative primal and dual residuals, whether the start had to be
-    shifted into the cone, and whether all three targets were met.
+    The iterates (x, y, s, z, tau, kappa) need not be feasible: the residuals
+    of G x + s = h tau, A x = b tau, G^T z + A^T y + c tau = 0 and
+    kappa = -(c^T x + b^T y + h^T z) shrink at the pace of the complementarity
+    (s^T z + tau kappa) / (f + m + 1). Returns (z, info) with z the correction
+    x / tau; info holds the iterations, the relative gap, the relative primal
+    and dual residuals, the final tau and kappa, and the verdict:
+    - "optimal": gap and residuals all met their targets;
+    - "ray": z in K and ||G^T z + A^T y|| <= _IPM_RAY * -(h^T z + b^T y), a
+      Farkas ray: every feasible x has (G^T z + A^T y)^T x <= h^T z + b^T y,
+      so none has a norm below 1 / _IPM_RAY;
+    - "undecided": the solve stalled or hit its iteration cap, and z and info
+      are its best iterate's.
     """
-    f = z.size
-    rt = np.sqrt(land.tau)
+    f = land.A.shape[1]
     h = np.zeros((f + land.m, 3))
-    h[f:, 0] = rt * land.F0_base.real
+    h[f:, 0] = np.sqrt(land.tau) * land.F0_base.real
     h[f:, 1], h[f:, 2] = land.F_base.real, land.F_base.imag
-    h_norm = max(1.0, float(np.linalg.norm(h)), abs(land.F0_base.imag))
+    b = -land.F0_base.imag                              # A x = sum(Im z) = b: Im F(0) = 0
+    h_norm = max(1.0, float(np.linalg.norm(h)), abs(b))
+    a_eq = np.concatenate([np.zeros(f), np.ones(f)])
 
-    # Start: Im F(0) = 0 spread over the entries, t above |z|, s = h - G x
-    # shifted into the cone interior when it is not inside, dual point e.
-    z = z - 1j * (land.F0_base + np.sum(z)).imag / f
-    t = np.abs(z) + np.max(np.abs(z), initial=0.0) + 1e-8
-    s = h + _lin(land, t, z)
-    outside = float(np.max(np.hypot(s[:, 1], s[:, 2]) - s[:, 0]))
-    shifted = outside >= 0.0
-    if shifted:
-        s[:, 0] += 1.0 + outside
-    dual = np.zeros_like(s)
-    dual[:, 0] = 1.0
-    y = 0.0
-    degree = f + land.m
-    a_eq = np.concatenate([np.zeros(f), np.ones(f)])    # Im F(0) = Im F0_base + sum(Im z)
-
+    t, z, y, tau, kappa = np.zeros(f), np.zeros(f, dtype=complex), 0.0, 1.0, 1.0
+    s = np.zeros_like(h)
+    s[:, 0] = 1.0
+    dual = s.copy()
     w = _Scaling(s, dual)
-    best, best_score, best_it, settled = None, np.inf, 0, False
+    degree = f + land.m + 1
+    best, best_score, best_progress, best_it, verdict = None, np.inf, np.inf, 0, "undecided"
     for it in range(_IPM_ITERATIONS + 1):
-        rz = s - h - _lin(land, t, z)
-        ry = float((land.F0_base + np.sum(z)).imag)
+        rz = s - tau * h - _lin(land, t, z)              # G x + s - h tau
+        ry = float(np.sum(z.imag)) - tau * b              # A x - b tau
         adj_t, adj_z = _lin_adjoint(land, dual)
-        rx_t, rx_z = 1.0 - adj_t, 1j * y - adj_z
+        ray_t, ray_z = -adj_t, 1j * y - adj_z             # G^T z + A^T y
+        rx_t, rx_z = ray_t + tau, ray_z                   # G^T z + A^T y + c tau
+        hz = float(np.sum(h * dual)) + b * y              # h^T z + b^T y
+        pobj = float(np.sum(t))                           # c^T x
+        rt = kappa + pobj + hz
         lam, lam_j = w.lam, w.lam_j
-        gap = float(np.sum(lam * lam))      # s^T z
-        now = {"gap": gap / max(float(np.sum(t)), 1e-300),
-               "primal": float(np.hypot(np.linalg.norm(rz), ry)) / h_norm,
-               "dual": float(np.sqrt(np.sum(rx_t ** 2) + np.sum(np.abs(rx_z) ** 2))) / np.sqrt(f)}
-        # Progress is the worst of the three against its target. Near the optimum the
-        # normal matrix loses digits and the iterates can stall or get worse again: once
-        # both residuals have met their targets, a few iterations without a tenth less
-        # score end the solve on the best iterate.
-        score = max(now["gap"] / _IPM_GAP, now["primal"] / _IPM_RESIDUAL, now["dual"] / _IPM_RESIDUAL)
+        gap = float(np.sum(lam * lam))                    # s^T z
+        ray_norm = float(np.sqrt(np.sum(ray_t ** 2) + np.sum(np.abs(ray_z) ** 2)))
+        now = {"gap": gap / (tau * max(tau, abs(pobj), abs(hz))),
+               "primal": float(np.hypot(np.linalg.norm(rz), ry)) / (tau * h_norm),
+               "dual": float(np.sqrt(np.sum(rx_t ** 2) + np.sum(np.abs(rx_z) ** 2))) / (tau * np.sqrt(f)),
+               "tau": tau, "kappa": kappa}
+        residual = max(now["primal"], now["dual"]) / _IPM_RESIDUAL
+        score = max(now["gap"] / _IPM_GAP, residual)
+        inside = bool(np.all(dual[:, 0] > np.hypot(dual[:, 1], dual[:, 2])))
+        ray = ray_norm / (-hz * _IPM_RAY) if hz < 0.0 and inside else np.inf
         if not np.isfinite(score):
             break
-        if score < 0.9 * best_score or score <= 1.0:
-            best, best_score, best_it = (z, now), score, it
-        settled = settled or (now["primal"] <= _IPM_RESIDUAL and now["dual"] <= _IPM_RESIDUAL)
-        if score <= 1.0 or it == _IPM_ITERATIONS or (settled and it - best_it >= _IPM_STALL):
+        if score < best_score:
+            best, best_score = (z / tau, now), score
+        # Progress: the embedding shrinks the complementarity mu and the residuals
+        # (not divided by tau, which falls to 0 on an infeasible program) at one
+        # pace. Near the end the normal matrix loses digits and one of them stalls:
+        # a few iterations without a tenth less end the solve undecided, on its
+        # best iterate.
+        progress = max((gap + tau * kappa) / degree, tau * now["primal"], tau * now["dual"])
+        if progress < 0.9 * best_progress:
+            best_progress, best_it = progress, it
+        if score <= 1.0:
+            verdict = "optimal"
+            break
+        if ray <= 1.0:
+            best, verdict = (z / tau, now), "ray"
+            break
+        if it == _IPM_ITERATIONS or it - best_it >= _IPM_STALL:
             break
         mm = w.weights()
         try:
@@ -748,34 +641,58 @@ def _cone_ipm(land: _Landscape, z: np.ndarray):
             dt = (bt - ml[:, 0, 1] * d[:f] - ml[:, 0, 2] * d[f:]) / ml[:, 0, 0]
             return dt, d[:f] + 1j * d[f:], dy
 
-        def direction(wl):
-            # Newton direction whose scaled complementarity is lam o (W dz + W^-1 ds) = xi,
-            # given wl = W^-1 (lam \ xi); refined against the operator form of H.
-            g = _apply_weights(mm, rz) + wl
-            gt, gz = _lin_adjoint(land, g)
-            bt, bz = -rx_t + gt, -rx_z + gz
-            dt, dz, dy = solve(bt, bz, -ry)
+        def kkt(bt, bz, by, gc):
+            # G^T dz + A^T dy = (bt, bz), A dx = by, G dx - W^2 dz = W^2 gc, through
+            # H dx + A^T dy = (bt, bz) - (-G)^T gc; refined against the operator form of H.
+            gt, gz = _lin_adjoint(land, gc)
+            bt, bz = bt - gt, bz - gz
+            dt, dz, dy = solve(bt, bz, by)
             for _ in range(_IPM_REFINEMENTS):
-                ht, hz = _lin_adjoint(land, _apply_weights(mm, _lin(land, dt, dz)))
-                et, ez, ey = solve(bt - ht, bz - hz - 1j * dy, -ry - float(np.sum(dz.imag)))
+                ot, oz = _lin_adjoint(land, _apply_weights(mm, _lin(land, dt, dz)))
+                et, ez, ey = solve(bt - ot, bz - oz - 1j * dy, by - float(np.sum(dz.imag)))
                 dt, dz, dy = dt + et, dz + ez, dy + ey
-            lin = _lin(land, dt, dz)
-            return dt, dz, dy, lin - rz, g - _apply_weights(mm, lin)
+            return dt, dz, dy, -_apply_weights(mm, _lin(land, dt, dz)) - gc
+
+        # the tau column: (dx, dy, dz) per unit of dtau
+        col = kkt(-np.ones(f), np.zeros(f, dtype=complex), b, _apply_weights(mm, h))
+        col_c = float(np.sum(col[0])) + b * col[2] + float(np.sum(h * col[3]))   # c^T dx + b^T dy + h^T dz
+
+        def direction(eta, wl, xi):
+            # Newton direction with residuals scaled by eta, scaled complementarity
+            # lam o (W dz + W^-1 ds) = xi given as wl = W^-1 (lam \ xi), and
+            # kappa dtau + tau dkappa = xi.
+            dt, dz, dy, dd = kkt(-eta * rx_t, -eta * rx_z, -eta * ry,
+                                 -eta * _apply_weights(mm, rz) - wl)
+            c1 = float(np.sum(dt)) + b * dy + float(np.sum(h * dd))
+            dtau = (-eta * rt - xi / tau - c1) / (col_c - kappa / tau)
+            dt, dz, dy, dd = dt + dtau * col[0], dz + dtau * col[1], dy + dtau * col[2], dd + dtau * col[3]
+            ds = _lin(land, dt, dz) + dtau * h - eta * rz
+            return dt, dz, dy, dtau, (xi - kappa * dtau) / tau, ds, dd
+
+        def max_step(ds_s, dd_s, dtau, dkappa):
+            # the longest step keeping the scaled cone rows, tau and kappa inside their cones
+            pair = [-tau / dtau if dtau < 0 else np.inf, -kappa / dkappa if dkappa < 0 else np.inf]
+            return min(_max_step(lam, lam_j, ds_s), _max_step(lam, lam_j, dd_s), *pair)
 
         # affine predictor, xi = -lam o lam, seen in the scaled frame
-        ds, dd = direction(-dual)[3:]
+        _, _, _, dtau, dkappa, ds, dd = direction(1.0, -dual, -tau * kappa)
         ds, dd = w.apply_inverse(ds), w.apply(dd)
-        step = min(1.0, _max_step(lam, lam_j, ds), _max_step(lam, lam_j, dd))
-        sigma = min(1.0, max(0.0, 1.0 - step + float(np.sum(ds * dd)) / gap * step ** 2)) ** 3
+        step = min(1.0, max_step(ds, dd, dtau, dkappa))
+        mu = (gap + tau * kappa) / degree
+        sigma = min(1.0, max(0.0, 1.0 - step + (float(np.sum(ds * dd)) + dtau * dkappa)
+                             / (mu * degree) * step ** 2)) ** 3
         centre = -_jprod(ds, dd)
-        centre[:, 0] += sigma * gap / degree
+        centre[:, 0] += sigma * mu
         del ds, dd
         # combined direction: centring plus the predictor's second-order term
-        dt, dz, dy, ds, dd = direction(w.apply_inverse(_jdiv(lam, lam_j, centre)) - dual)
+        dt, dz, dy, dtau, dkappa, ds, dd = direction(
+            1.0 - sigma, w.apply_inverse(_jdiv(lam, lam_j, centre)) - dual,
+            -tau * kappa - dtau * dkappa + sigma * mu)
         del centre
         ds_s, dd_s = w.apply_inverse(ds), w.apply(dd)
-        step = min(1.0, _IPM_STEP * _max_step(lam, lam_j, ds_s), _IPM_STEP * _max_step(lam, lam_j, dd_s))
+        step = min(1.0, _IPM_STEP * max_step(ds_s, dd_s, dtau, dkappa))
         t, z, y = t + step * dt, z + step * dz, y + step * dy
+        tau, kappa = tau + step * dtau, kappa + step * dkappa
         s += step * ds
         dual += step * dd
         del ds, dd
@@ -783,7 +700,7 @@ def _cone_ipm(land: _Landscape, z: np.ndarray):
         del ds_s, dd_s
 
     z, now = best
-    return z, {"iterations": it, **now, "shifted": shifted, "converged": best_score <= 1.0}
+    return z, {"iterations": it, **now, "verdict": verdict}
 
 
 def _lobe_stride(geometry: ArrayGeometry, u: np.ndarray) -> int:
@@ -832,39 +749,41 @@ def _start_rows(land: _Landscape, z: np.ndarray, stride: int) -> np.ndarray:
     return rows
 
 
-def _exchange(land: _Landscape, z: np.ndarray, stride: int):
+def _exchange(land: _Landscape, rows: np.ndarray):
     """
-    The cone program on a working set of region samples, grown until its
-    answer meets the bound on every sample (the module docstring has the rules).
+    The cone program on a working set of region samples, started from the
+    boolean mask rows and grown until its answer meets the bound on every
+    sample (the module docstring has the rules).
 
-    z is the feasibility phase's point and stride the start's sample stride.
     Returns (z, info) as _cone_ipm does, with the iterations summed over the
     rounds, plus the rounds and the final working set's size.
     """
-    rows = _start_rows(land, z, stride)
     rounds = iterations = 0
     while True:
         rounds += 1
         sub = land.restricted(np.flatnonzero(rows))
-        answer, info = _cone_ipm(sub, z)
+        answer, info = _cone_ipm(sub)
         del sub                     # free this round's rows before the next round gathers its own
         iterations += info["iterations"]
-        if rows.all():
+        if rows.all() or info["verdict"] == "ray":    # a ray on a relaxation holds for the region
             break
-        if not info["converged"]:
-            rows[:] = True
-            continue
         ratio = _ratios(land, answer)
-        if not np.any(ratio[~rows] > 1.0 + _EXCHANGE_SLACK):
+        violated = ratio > 1.0 + _EXCHANGE_SLACK
+        if info["verdict"] == "undecided":
+            if not violated.any():      # a stall near the set's optimum that meets every sample
+                break
+            rows = np.ones_like(rows)
+            continue
+        if not np.any(violated & ~rows):
             break
-        grown = rows | _peak_windows(ratio, _EXCHANGE_PEAK)
+        grown = rows | violated | _peak_windows(ratio, _EXCHANGE_PEAK)
         rows = grown if rounds < _EXCHANGE_ROUNDS and grown.sum() > rows.sum() else np.ones_like(rows)
     info = {**info, "iterations": iterations, "rounds": rounds, "samples": int(rows.sum())}
 
-    _log.debug("cone IPM: %d rounds on %d of %d region samples, %d iterations, relative gap %.2e, "
-               "primal residual %.2e, dual residual %.2e, start shifted %s, converged %s",
-               rounds, info["samples"], land.m, iterations, info["gap"], info["primal"],
-               info["dual"], info["shifted"], info["converged"])
+    _log.debug("cone IPM: %s after %d rounds on %d of %d region samples, %d iterations, "
+               "relative gap %.2e, primal residual %.2e, dual residual %.2e, tau %.2e, kappa %.2e",
+               info["verdict"], rounds, info["samples"], land.m, iterations, info["gap"],
+               info["primal"], info["dual"], info["tau"], info["kappa"])
     return answer, info
 
 
@@ -875,9 +794,12 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
 
     mask marks elements whose correction entry is pinned to zero (failed
     elements plus any entries the caller has frozen). The returned vector is
-    exactly zero there. Raises InfeasibleError when no correction within the
-    mask can meet the target (its certified flag tells a proof from a stalled
-    search), NumericalFailureError on non-finite values.
+    exactly zero there. start, a correction that is zero on the mask, only
+    seeds the working sets with the peaks of its pattern. Raises
+    InfeasibleError when no correction within the mask can meet the target
+    (its certified flag tells a proof from a Farkas ray of the fixed-phase
+    restriction or a stalled solve), NumericalFailureError on non-finite
+    values.
     """
     cfg = config if config is not None else SolverConfig()
     w = as_weights(w_faulty, geometry.n)
@@ -889,46 +811,36 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
     land = _Landscape(geometry, w, metric, free)
 
     tol_ratio = 10.0 ** (cfg.constraint_tol_db / 10.0)
-    zero_free = np.zeros(nfree, dtype=complex)
+    z = np.zeros(nfree, dtype=complex)
 
     # The zero correction is l1-optimal whenever it is admissible.
-    if land.worst_ratio(zero_free) <= tol_ratio:
+    if land.worst_ratio(z) <= tol_ratio:
         return np.zeros(geometry.n, dtype=complex)
     if nfree == 0:
         raise InfeasibleError("no free elements and the zero correction misses the target",
                               certified=True)
-
-    if start is None:
-        z = zero_free
-        start_l1 = None
-    else:
+    if start is not None:
         s = as_weights(start, geometry.n)
         if np.any(s[mask] != 0):
             raise ValueError("start vector must be zero on masked elements")
-        z = s[free].copy()
-        start_l1 = float(np.sum(np.abs(z))) if land.worst_ratio(z) <= tol_ratio else None
+        z = s[free]
 
-    stride = _lobe_stride(geometry, metric.region.samples)
-    if land.worst_ratio(z) > 1.0 - 1e-7:
-        try:
-            z = _feasibility_phase(land, z, stride)
-        except InfeasibleError:
-            if start_l1 is not None:
-                # the warm start already met the toleranced bound; keep it
-                delta = np.zeros(geometry.n, dtype=complex)
-                delta[free] = as_weights(start, geometry.n)[free]
-                return delta
-            raise
-    feasible = z
-    z, info = _exchange(land, z, stride)
-    if not info["converged"] and (land.worst_ratio(z) > tol_ratio
-                                  or np.sum(np.abs(z)) >= np.sum(np.abs(feasible))):
-        z = feasible    # an unfinished solve falls back on the feasible point it started from
+    rows = _start_rows(land, z, _lobe_stride(geometry, metric.region.samples))
+    if _certificate(land, rows) is not None:
+        raise InfeasibleError(
+            "certified: a weighting of the region samples keeps the sidelobe power "
+            "above the bound for every correction", certified=True,
+        )
+    z, info = _exchange(land, rows)
+    if info["verdict"] == "ray":
+        raise InfeasibleError("a Farkas ray shows the fixed-phase restriction (Im F(0) = 0) "
+                              "infeasible")
+    if info["verdict"] == "undecided" and not land.worst_ratio(z) <= tol_ratio:
+        raise InfeasibleError(f"the cone IPM stalled at relative gap {info['gap']:.2e}, "
+                              f"primal residual {info['primal']:.2e}, dual residual {info['dual']:.2e}")
     z = np.where(np.abs(z) <= ZERO_THRESHOLD, 0.0, z)   # the IPM leaves its zeros near 1e-13
-    if land.worst_ratio(z) > tol_ratio:
+    if not land.worst_ratio(z) <= tol_ratio:
         raise NumericalFailureError("the cone IPM left the constraint violated")
-    if start_l1 is not None and float(np.sum(np.abs(z))) > start_l1:
-        z = as_weights(start, geometry.n)[free].copy()
 
     delta = np.zeros(geometry.n, dtype=complex)
     delta[free] = z

@@ -20,6 +20,7 @@ from arraymend import (
     evaluate_metric,
     l0_norm,
     l1_norm,
+    minimize_corrections,
     sidelobe_region,
     solve_constrained_l1,
     uniform_positions,
@@ -35,7 +36,6 @@ from arraymend.solver import (
     _certificate,
     _cone_ipm,
     _exchange,
-    _feasibility_phase,
     _Landscape,
     _lin,
     _lin_adjoint,
@@ -44,7 +44,6 @@ from arraymend.solver import (
     _ratios,
     _Scaling,
     _start_rows,
-    _violation,
     _weighted_gram,
 )
 from conftest import load_spec
@@ -130,7 +129,8 @@ class TestSolveToy:
 
     def test_feasible_start_never_worsens(self, toy):
         geometry, w_faulty, metric, mask = toy
-        start = np.array([-0.438, 0.0, 0.593, 0.0], dtype=complex)  # already feasible
+        start = np.array([-0.44, 0.0, 0.595, 0.0], dtype=complex)   # meets the bound exactly
+        assert evaluate_metric(metric, geometry, w_faulty + start) <= -5.5
         delta = solve_constrained_l1(geometry, w_faulty, metric, mask, start=start)
         assert l1_norm(delta) <= l1_norm(start) + 1e-9
 
@@ -167,21 +167,6 @@ class TestSolverConfig:
         for bad in (0.0, -0.5, np.nan, np.inf, -np.inf, "abc", None, True):
             with pytest.raises(ValueError, match="constraint_tol_db"):
                 SolverConfig(constraint_tol_db=bad)
-
-
-# The violation gradient as first written, with an explicit conjugate copy of
-# the steering matrix; the descent's kernel must agree with it.
-
-def reference_violation_grad(land, z, push=1e-6):
-    f, f0 = land.fields(z)
-    p0 = abs(f0) ** 2
-    tau = land.tau * (1.0 - push)
-    q = np.abs(f) ** 2
-    r = q / (tau * p0) - 1.0
-    hinge = np.maximum(r, 0.0)
-    c = 2.0 * hinge / (tau * p0)
-    gamma = float(np.sum(c * q)) / p0
-    return 2.0 * (land.A.conj().T @ (c * f)) - 2.0 * gamma * f0
 
 
 def _toy_problem():
@@ -240,11 +225,10 @@ def _below_faulty(problem):
     return _Landscape(geometry, w_faulty, MetricSpec(region=region, target_db=worst_db - 2.0), free)
 
 
-def _ipm_landscape(problem):
-    """_below_faulty's landscape and a feasible start."""
-    land = _below_faulty(problem)
-    stride = _lobe_stride(problem[0], problem[2].samples)
-    return land, _feasibility_phase(land, np.zeros(land.A.shape[1], dtype=complex), stride)
+def _start(problem, land, z=None):
+    """The working-set start that solve_constrained_l1 takes from the correction z (zero by default)."""
+    z = np.zeros(land.A.shape[1], dtype=complex) if z is None else z
+    return _start_rows(land, z, _lobe_stride(problem[0], problem[2].samples))
 
 
 def _cone_points(k, seed):
@@ -287,12 +271,6 @@ def _dense_normal_matrix(land, mm):
 
 @pytest.mark.parametrize("name", PROBLEMS)
 class TestKernels:
-    def test_violation_gradient_matches_reference(self, name):
-        land, z = _landscape(PROBLEMS[name](), -3.0)  # some samples violate
-        value, grad = _violation(land, *land.fields(z), True)
-        assert value > 0
-        np.testing.assert_allclose(grad, reference_violation_grad(land, z), rtol=1e-12)
-
     def test_weighted_gram_matches_reference(self, name):
         # The certificate's P(lam), on the region and on a working set of it,
         # against the sum over samples of lam_u conj(g_u) g_u^T.
@@ -356,19 +334,23 @@ class TestKernels:
         assert np.max(np.abs(fd - h)) <= 1e-11 * np.max(np.abs(h))
 
     def test_solve_meets_gap_and_residual_targets(self, name):
-        land, start = _ipm_landscape(PROBLEMS[name]())
-        z, info = _cone_ipm(land, start)
-        assert info["converged"], info
+        land = _below_faulty(PROBLEMS[name]())
+        z, info = _cone_ipm(land)
+        assert info["verdict"] == "optimal", info
         assert info["gap"] <= _IPM_GAP
         assert info["primal"] <= _IPM_RESIDUAL and info["dual"] <= _IPM_RESIDUAL
+        assert info["kappa"] <= _IPM_GAP * info["tau"]       # the embedding's optimal end: kappa -> 0
         assert land.worst_ratio(z) <= 1.0 + 1e-9
         assert abs((land.F0_base + np.sum(z)).imag) <= 1e-9 * abs(land.F0_base + np.sum(z))
-        assert np.sum(np.abs(z)) < np.sum(np.abs(start))
 
     def test_zero_and_feasible_starts_agree(self, name):
-        land, start = _ipm_landscape(PROBLEMS[name]())
-        from_zero, _ = _cone_ipm(land, np.zeros_like(start))
-        from_start, _ = _cone_ipm(land, start)
+        # The start correction only seeds the working set: from the zero
+        # correction and from the optimum itself the exchange reaches one l1.
+        problem = PROBLEMS[name]()
+        land = _below_faulty(problem)
+        from_zero, info = _exchange(land, _start(problem, land))
+        from_start, _ = _exchange(land, _start(problem, land, from_zero))
+        assert info["verdict"] == "optimal"
         l1_zero, l1_start = np.sum(np.abs(from_zero)), np.sum(np.abs(from_start))
         assert abs(l1_zero - l1_start) <= 1e-6 * l1_start
 
@@ -412,6 +394,7 @@ def _polygon_lp_l1(optimize, land, sides, inner):
     puts the polygon inside the disc, so the LP is a restriction (inner). Both
     fix Im F(0) = 0 as the cone program does. Sample constraints are added in
     rounds, most violated first, until the LP point meets them on every sample.
+    None when the LP has no point.
     """
     f = land.A.shape[1]
     theta = 2.0 * np.pi * np.arange(sides) / sides
@@ -433,6 +416,8 @@ def _polygon_lp_l1(optimize, land, sides, inner):
         res = optimize.linprog(cost, A_ub=np.vstack([l1_rows, rows]),
                                b_ub=np.concatenate([np.zeros(sides * f), rhs]),
                                A_eq=a_eq, b_eq=[-land.F0_base.imag], bounds=(None, None), method="highs")
+        if res.status == 2:         # infeasible on these samples, so on the region
+            return None
         assert res.status == 0, res.message
         z = res.x[:f] + 1j * res.x[f:2 * f]
         field, f0 = land.fields(z)
@@ -452,17 +437,13 @@ class TestConeIpm:
         if problem == "toy":
             geometry, w_faulty, metric, mask = toy
             land = _Landscape(geometry, w_faulty, metric, ~mask)
-            start = _feasibility_phase(land, np.zeros(3, dtype=complex),
-                                       _lobe_stride(geometry, metric.region.samples))
         elif problem == "test_case_1":
             geometry, weights, scenario, metric, _ = tc1_parts
             land = _Landscape(geometry, apply_failures(weights, scenario), metric, scenario.admissible)
-            start = _feasibility_phase(land, np.zeros(land.A.shape[1], dtype=complex),
-                                       _lobe_stride(geometry, metric.region.samples))
         else:
-            land, start = _ipm_landscape(PROBLEMS[problem]())
-        z, info = _cone_ipm(land, start)
-        assert info["converged"], info
+            land = _below_faulty(PROBLEMS[problem]())
+        z, info = _cone_ipm(land)
+        assert info["verdict"] == "optimal", info
         l1 = float(np.sum(np.abs(z)))
         outer = _polygon_lp_l1(optimize, land, 64, inner=False)
         inner = _polygon_lp_l1(optimize, land, 64, inner=True)
@@ -475,9 +456,22 @@ class TestConeIpm:
         with caplog.at_level(logging.DEBUG, logger="arraymend.solver"):
             solve_constrained_l1(geometry, w_faulty, metric, mask)
         (message,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("cone IPM")]
-        for field in ("1 rounds on 4 of 4 region samples", "iterations", "relative gap",
-                      "primal residual", "dual residual", "start shifted", "converged True"):
+        assert message.startswith("cone IPM: optimal after 1 rounds on 4 of 4 region samples")
+        for field in ("iterations", "relative gap", "primal residual", "dual residual", "tau", "kappa"):
             assert field in message
+        tau, kappa = (float(re.search(rf"{name} ([^,]+)", message).group(1)) for name in ("tau", "kappa"))
+        assert kappa <= _IPM_GAP * tau
+
+    def test_random_s23_0_solves_without_overflow(self):
+        # The benchmark's oracle_certify instance random_s23_0 (seed 23, instance 0).
+        res = resolve_scenario(ScenarioSpec.from_dict({
+            "name": "random_s23_0", "n_elements": 16, "faulty_indices": [1, 3],
+            "taper": {"dolph_chebyshev": {"sll_db": -19.08}},
+            "metric": {"kind": "max_sll", "target_db": -17.809, "region_density": 1001}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = minimize_corrections(res.geometry, res.weights, res.scenario, res.metric, res.config)
+        assert result.n_corrections == 1
 
     def test_certificate_is_logged(self, toy, caplog):
         geometry, w_faulty, metric, mask = toy
@@ -494,17 +488,68 @@ class TestConeIpm:
         assert messages[1].startswith("certificate: proof")
 
 
+def _recorded_removal(name, free):
+    """A catalog scenario's solve over the 1-based elements in free: its resolved spec, faults and mask."""
+    res = resolve_scenario(load_spec(name))
+    mask = np.ones(res.geometry.n, dtype=bool)
+    mask[np.asarray(free) - 1] = False
+    return res, apply_failures(res.weights, res.scenario), mask
+
+
+# removals whose outer 64-gon LP has no point: scenario -> 1-based free elements
+OUTER_INFEASIBLE = {"fail_rate_n50_row1": [1, 6, 46], "size_scan_n100_row2": [1, 9, 83, 93, 100]}
+
+
+class TestRecordedVerdicts:
+    """
+    Removals of the catalog's removal loop that a feasibility descent once
+    left undecided, rebuilt from their masks and decided offline by the
+    64-gon polygon LPs over every region sample.
+    """
+
+    def test_inscribed_feasible_removal_is_accepted(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        res, w_faulty, mask = _recorded_removal("fail_rate_n100_row4",
+                                                [1, 11, 13, 19, 27, 33, 44, 52, 86, 89, 100])
+        inner = _polygon_lp_l1(optimize, _Landscape(res.geometry, w_faulty, res.metric, ~mask), 64, inner=True)
+        assert inner is not None                        # the restriction has a point
+        delta = solve_constrained_l1(res.geometry, w_faulty, res.metric, mask, config=res.config)
+        assert l1_norm(delta) <= inner * (1.0 + 1e-6)
+        phi = evaluate_metric(res.metric, res.geometry, w_faulty + delta)
+        assert phi <= res.metric.target_db + res.config.constraint_tol_db
+
+    @pytest.mark.parametrize("name", OUTER_INFEASIBLE)
+    def test_outer_infeasible_removal_ends_with_a_ray_or_a_proof(self, name):
+        optimize = pytest.importorskip("scipy.optimize")
+        res, w_faulty, mask = _recorded_removal(name, OUTER_INFEASIBLE[name])
+        land = _Landscape(res.geometry, w_faulty, res.metric, ~mask)
+        assert _polygon_lp_l1(optimize, land, 64, inner=False) is None   # the relaxation has none
+        with pytest.raises(InfeasibleError) as err:
+            solve_constrained_l1(res.geometry, w_faulty, res.metric, mask, config=res.config)
+        assert err.value.certified or str(err.value).startswith("a Farkas ray"), err.value
+
+    def test_ray_ends_the_embedding_at_tau_near_zero(self):
+        # On an infeasible program the embedding's tau falls to 0 while kappa
+        # stays: x / tau diverges and the dual iterate is the ray.
+        res, w_faulty, mask = _recorded_removal("size_scan_n100_row2", OUTER_INFEASIBLE["size_scan_n100_row2"])
+        land = _Landscape(res.geometry, w_faulty, res.metric, ~mask)
+        _, info = _exchange(land, _start_rows(land, np.zeros(land.A.shape[1], dtype=complex),
+                                              _lobe_stride(res.geometry, res.metric.region.samples)))
+        assert info["verdict"] == "ray"
+        assert info["tau"] <= 1e-3 * info["kappa"]
+
+
 def _exchange_case(name):
-    """A solve's landscape, its feasible start and the exchange's start stride."""
+    """A solve's landscape and the working set the exchange starts from at the zero correction."""
     if name == "size_scan_n100_row3":        # its first solve
         res = resolve_scenario(load_spec(name))
         land = _Landscape(res.geometry, apply_failures(res.weights, res.scenario), res.metric,
                           res.scenario.admissible)
-        stride = _lobe_stride(res.geometry, res.metric.region.samples)
-        return land, _feasibility_phase(land, np.zeros(land.A.shape[1], dtype=complex), stride), stride
+        return land, _start_rows(land, np.zeros(land.A.shape[1], dtype=complex),
+                                 _lobe_stride(res.geometry, res.metric.region.samples))
     problem = PROBLEMS[name]()
-    land, start = _ipm_landscape(problem)
-    return land, start, _lobe_stride(problem[0], problem[2].samples)
+    land = _below_faulty(problem)
+    return land, _start(problem, land)
 
 
 class TestExchange:
@@ -512,123 +557,83 @@ class TestExchange:
 
     @pytest.mark.parametrize("name", [*PROBLEMS, "size_scan_n100_row3"])
     def test_matches_the_full_region_solve(self, name):
-        land, start, stride = _exchange_case(name)
-        z, info = _exchange(land, start, stride)
-        full, full_info = _cone_ipm(land, start)
-        assert info["converged"] and full_info["converged"]
+        land, rows = _exchange_case(name)
+        z, info = _exchange(land, rows)
+        full, full_info = _cone_ipm(land)
+        assert info["verdict"] == full_info["verdict"] == "optimal"
         l1, l1_full = np.sum(np.abs(z)), np.sum(np.abs(full))
         assert abs(l1 - l1_full) <= 1e-6 * l1_full
         assert np.max(_ratios(land, z)) <= 1.0 + 1e-7      # every region sample, not the set
         assert info["rounds"] <= 2
 
     def test_working_set_is_a_small_share_of_the_region(self):
-        land, start, stride = _exchange_case("size_scan_n100_row3")
-        assert stride > 1
-        _, info = _exchange(land, start, stride)
+        land, rows = _exchange_case("size_scan_n100_row3")
+        assert not rows.all()
+        _, info = _exchange(land, rows)
         assert info["samples"] < land.m / 2
 
     def test_unconverged_round_widens_to_the_full_region(self, monkeypatch):
-        land, start, stride = _exchange_case("seeded_n20")
+        # A first round that stalls on a point breaking the bound (here the
+        # faulty array itself) widens the set to the whole region.
+        land, rows = _exchange_case("seeded_n20")
         sizes = []
 
-        def first_round_fails(sub, z):
-            answer, info = _cone_ipm(sub, z)
+        def first_round_fails(sub):
+            answer, info = _cone_ipm(sub)
             sizes.append(sub.m)
-            return answer, {**info, "converged": info["converged"] and len(sizes) > 1}
+            if len(sizes) == 1:
+                return np.zeros_like(answer), {**info, "verdict": "undecided"}
+            return answer, info
 
         monkeypatch.setattr(solver, "_cone_ipm", first_round_fails)
-        z, info = _exchange(land, start, stride)
+        z, info = _exchange(land, rows)
         assert sizes[0] < land.m and sizes[1:] == [land.m]
-        assert info["rounds"] == 2 and info["samples"] == land.m and info["converged"]
+        assert info["rounds"] == 2 and info["samples"] == land.m and info["verdict"] == "optimal"
         assert land.worst_ratio(z) <= 1.0 + 1e-9
 
+    def test_stalled_round_meeting_every_sample_ends_the_loop(self, monkeypatch):
+        # A stall near the working set's optimum whose point meets the bound on
+        # every region sample needs no wider set: its l1 is within its gap of
+        # the set's optimum, which the region's cannot undercut.
+        land, rows = _exchange_case("seeded_n20")           # one round when not stalled
+        sizes = []
 
-def _check_reused_fields(monkeypatch, land):
-    """
-    Make the feasibility phase check every F, F(0) it prices against the fields
-    of the point its descent handed over, computed afresh; returns the checks made.
-    """
-    point, checks = [None], []
-    violation, ratio, descend = solver._violation, land.ratio, solver._descend
+        def stalls(sub):
+            answer, info = _cone_ipm(sub)
+            sizes.append(sub.m)
+            return answer, {**info, "verdict": "undecided"}
 
-    def exact(f, f0):
-        if point[0] is None:
-            return
-        fresh, fresh0 = land.fields(point[0].copy())
-        tol = 1e-12 * np.max(np.abs(fresh))
-        assert np.max(np.abs(f - fresh)) <= tol
-        assert abs(f0 - fresh0) <= tol
-        checks.append(point[0])
-
-    def checked_violation(land_, f, f0, with_grad):
-        exact(f, f0)
-        return violation(land_, f, f0, with_grad)
-
-    def checked_ratio(f, f0):
-        exact(f, f0)
-        return ratio(f, f0)
-
-    def checked_descend(fun, line, z, *args, success=None, **kwargs):
-        def fun_at(x):
-            point[0] = x
-            return fun(x)
-
-        def line_at(x, g):
-            price = line(x, g)
-
-            def price_at(t):
-                point[0] = x - t * g
-                return price(t)
-            return price_at
-
-        def success_at(value, x):
-            point[0] = x
-            return success(value, x)
-
-        try:
-            return descend(fun_at, line_at, z, *args, success=success_at, **kwargs)
-        finally:
-            point[0] = None
-
-    monkeypatch.setattr(solver, "_violation", checked_violation)
-    monkeypatch.setattr(solver, "_descend", checked_descend)
-    monkeypatch.setattr(land, "ratio", checked_ratio)
-    return checks
+        monkeypatch.setattr(solver, "_cone_ipm", stalls)
+        z, info = _exchange(land, rows)
+        full, _ = _cone_ipm(land)
+        assert sizes == [info["samples"]] and info["samples"] < land.m and info["verdict"] == "undecided"
+        assert np.max(_ratios(land, z)) <= 1.0 + 1e-7
+        assert abs(np.sum(np.abs(z)) - np.sum(np.abs(full))) <= 1e-6 * np.sum(np.abs(full))
 
 
 class TestCarriedFields:
     """
-    The feasibility phase prices each descent candidate once and reuses its
-    fields F, F(0) for the gradient and the ratio; the cone IPM carries its cone
-    rows s, whose sample rows are (sqrt(tau) Re F(0), Re F, Im F), along its
-    steps, and its primal residual is their distance from rows computed afresh.
-    Both must stay exact.
+    The cone IPM carries its cone rows s, whose sample rows are
+    (sqrt(tau) Re F(0), Re F, Im F) at the embedding's scale tau, along its
+    steps, and its primal residual is their distance from rows computed
+    afresh. It must stay exact.
     """
 
     @staticmethod
-    def _through_the_stages(monkeypatch, land, stride):
-        checks = _check_reused_fields(monkeypatch, land)
-        start = _feasibility_phase(land, np.zeros(land.A.shape[1], dtype=complex), stride)
-        monkeypatch.undo()
-        assert len({id(x) for x in checks}) > 2     # the descent took steps
-        assert land.worst_ratio(start) <= 1.0
-        z, info = _cone_ipm(land, start)
-        assert info["converged"], info
+    def _through_the_stages(land):
+        z, info = _cone_ipm(land)
+        assert info["verdict"] == "optimal", info
         assert info["primal"] <= _IPM_RESIDUAL
         assert land.worst_ratio(z) <= 1.0 + 1e-9
         return z
 
-    def test_seeded_landscape_through_the_stages(self, monkeypatch):
-        problem = _seeded_problem()
-        land, stride = _below_faulty(problem), _lobe_stride(problem[0], problem[2].samples)
-        z = self._through_the_stages(monkeypatch, land, stride)
-        assert np.sum(np.abs(z)) < np.sum(np.abs(_feasibility_phase(land, np.zeros_like(z), stride)))
+    def test_seeded_landscape_through_the_stages(self):
+        self._through_the_stages(_below_faulty(_seeded_problem()))
 
-    def test_first_solve_of_size_scan_n100_row3(self, monkeypatch):
+    def test_first_solve_of_size_scan_n100_row3(self):
         res = resolve_scenario(load_spec("size_scan_n100_row3"))
         w_faulty = apply_failures(res.weights, res.scenario)
-        land = _Landscape(res.geometry, w_faulty, res.metric, res.scenario.admissible)
-        z = self._through_the_stages(monkeypatch, land, _lobe_stride(res.geometry, res.metric.region.samples))
+        z = self._through_the_stages(_Landscape(res.geometry, w_faulty, res.metric, res.scenario.admissible))
         # this problem's l1 optimum
         assert np.sum(np.abs(z)) == pytest.approx(1.1097, abs=1e-3)
 
@@ -757,12 +762,16 @@ class TestCertificate:
         z = -w_faulty[support]
         assert land.fields(z)[1] == 0
         stride = _lobe_stride(geometry, metric.region.samples)
+        mask = np.ones(geometry.n, dtype=bool)
+        mask[support] = False
+        start = np.zeros(geometry.n, dtype=complex)
+        start[support] = z
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = _start_rows(land, z, stride)
             lam = _certificate(land, rows)
             with pytest.raises(InfeasibleError) as err:
-                _feasibility_phase(land, z, stride)
+                solve_constrained_l1(geometry, w_faulty, metric, mask, start=start)
         assert np.array_equal(np.flatnonzero(rows), np.arange(0, land.m, stride))
         assert lam is not None and err.value.certified
         assert _certified_min_eig(geometry, w_faulty, metric, support, lam, homogeneous=True) > 0
@@ -784,7 +793,7 @@ class TestCertificate:
     def test_margin_keeps_barely_feasible_problem_uncertified(self):
         # One free element carries the whole array, so every correction gives
         # |F(u)|^2 = |F(0)|^2 on every sample: a worst ratio of 1 - 5e-7, which
-        # meets the bound even as the feasibility descent tightens it (1 - 1e-7).
+        # meets the bound by less than the certificate's margin.
         geometry = uniform_positions(2, 0.5)
         region = AngularRegion(np.array([-0.9, -0.5, 0.5, 0.9]))
         metric = MetricSpec(region=region, target_db=-10.0 * np.log10(1.0 - 5e-7))

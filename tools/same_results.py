@@ -13,9 +13,11 @@ the batch's unreachable row (`BATCH_UNREACHABLE`: test_case_2_sll22 at
 correction vector exactly, plus the correction count, l1, k_opt and the
 removal trace, and the oracle's support, solve count and count of proven
 rejections (n_certified). An item that raises is compared by the error's
-class, not its message, which may name how the error was found. It prints one line per item; under each item that differs,
-a second line gives parent -> change for the correction count, k_opt and the
-oracle's solve and proven-rejection counts, and the relative change of l1.
+class and its certified flag (an InfeasibleError's proof, as against a ray
+or a stall), not by its message. It prints one line per item; under each
+item that differs, a second line gives parent -> change for the correction
+count, k_opt and the oracle's solve and proven-rejection counts, and the
+relative change of l1.
 
 Each tree then runs the runners and writes their files: `run_scenario` on
 toy and test_case_1, `run_oracle` on toy up to support 2, `tradeoff_sweep`
@@ -44,7 +46,8 @@ ORACLE_MAX_SUPPORT = 3
 RUN_PROBLEMS = ("toy", "test_case_1")
 RUNNER_ORACLE = ("toy", 2)                            # problem, largest support
 SWEEP = ("fail_rate_n50_row1", (-20.0, -22.0, -40.0))  # problem, targets loosest first
-SHOWN = ("n_corrections", "k_opt", "support", "n_solves", "n_certified", "error")  # printed per item
+SHOWN = ("n_corrections", "k_opt", "support", "n_solves", "n_certified", "error",
+         "certified")  # printed per item
 MOVED = ("n_corrections", "k_opt", "n_solves", "n_certified")  # parent -> change when an item differs
 
 
@@ -111,7 +114,7 @@ def collect() -> dict:
         try:
             r = minimize_corrections(res.geometry, res.weights, res.scenario, res.metric, res.config)
         except Exception as err:  # a raised error is a result to compare too
-            out[name] = {"error": type(err).__name__}
+            out[name] = {"error": type(err).__name__, "certified": getattr(err, "certified", None)}
             continue
         out[name] = {"delta": _complex_list(r.delta), "n_corrections": r.n_corrections,
                      "l1": r.l1, "k_opt": r.k_opt, "trace": [asdict(e) for e in r.trace]}
