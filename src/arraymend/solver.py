@@ -11,11 +11,15 @@ with ratio = 10^(target_db / 10). The unknowns are the real and imaginary
 parts of the free entries; everything is deterministic.
 
 Every infeasibility verdict rests on one of two dual objects: the
-certificate's weights or the cone IPM's Farkas ray. A solve takes four steps:
+certificate's weights or the cone IPM's Farkas ray. The problem is
+homogeneous in the excitations, and a solve runs in units of the power of two
+nearest their largest magnitude (an exact rescaling), so the absolute floors
+below mean the same whatever the weights' units. A solve takes four steps:
 
 * the zero correction is returned when it meets the toleranced target; with
   no free element left, a miss is certified infeasible.
-* certificate: a search for a dual certificate of infeasibility, a
+* certificate (skipped when the start correction meets the bound): a
+  search for a dual certificate of infeasibility, a
   weighting of the region samples whose weighted sidelobe power exceeds the
   bound for every correction (Elfving's c-optimal-design duality over the
   convex cone form of Lebret & Boyd). A certificate raises
@@ -48,9 +52,9 @@ certificate's weights or the cone IPM's Farkas ray. A solve takes four steps:
     |dual objective|) and the relative primal and dual residuals are all at
     most 1e-8; the answer is x / tau.
   - ray: the dual iterate is a Farkas ray showing that no x of norm below
-    1e4 meets the fixed-phase program's constraints. This raises an
-    uncertified InfeasibleError: it proves the restriction infeasible, not
-    the problem above.
+    1e4 (in the solve's units) meets the fixed-phase program's constraints.
+    This raises an uncertified InfeasibleError: it proves the restriction
+    infeasible, not the problem above.
   - undecided: the solve stalled or reached its iteration cap. Its best
     iterate is the answer when it meets the toleranced target on the whole
     region; otherwise an uncertified InfeasibleError says that it stalled.
@@ -62,8 +66,8 @@ certificate's weights or the cone IPM's Farkas ray. A solve takes four steps:
   inverse serves three KKT solves per iteration, each refined twice against
   the operator form: the tau column, the predictor and the corrector. The
   scaling is carried from step to step in the scaled frame, where the
-  iterates stay well inside the cones. Entries at or below ZERO_THRESHOLD
-  are returned as exact zeros.
+  iterates stay well inside the cones. Entries at or below ZERO_THRESHOLD,
+  in the solve's units, are returned as exact zeros.
 
   The IPM runs inside an exchange loop (Hettich & Kortanek, "Semi-infinite
   programming", SIAM Review 1993): an optimum meets the bound at a few dozen
@@ -77,12 +81,12 @@ certificate's weights or the cone IPM's Farkas ray. A solve takes four steps:
   the set ends the loop as the full optimum, and a ray found on the set
   holds for the whole region. Otherwise the samples that break the bound
   and windows around every local maximum of the answer's ratio at or above
-  0.5 join the set. An undecided round
-  whose point meets the bound on every sample ends the loop too: that point
-  is within its gap of the set's optimum, which the region's cannot undercut.
-  An undecided round whose point breaks the bound, a round that adds no
-  sample and the eighth round widen the set to the whole region, whose solve
-  is the last. Each solve is logged at DEBUG, with its
+  0.5 join the set. An undecided round whose gap and residuals are within
+  100 times their targets (1e-6) and whose point meets the bound on every
+  sample ends the loop too: that point is within its gap of the set's
+  optimum, which the region's cannot undercut. Any other undecided round, a
+  round that adds no sample and the eighth round widen the set to the whole
+  region, whose solve is the last. Each solve is logged at DEBUG, with its
   verdict, rounds, final working set, iterations, gap, residuals, tau and
   kappa.
 * final check: the answer must meet the toleranced target on every region
@@ -123,6 +127,7 @@ _EXCHANGE_WINDOW = 2       # samples added on each side of a ratio peak
 _EXCHANGE_PEAK = 0.5       # a peak gets a window from this share of the start's top ratio, then of 1
 _EXCHANGE_SLACK = 1e-7     # ratio above 1 that marks a sample outside the working set violated
 _EXCHANGE_ROUNDS = 8       # rounds after which the working set becomes the whole region
+_EXCHANGE_NEAR = 100       # an undecided round within this factor of the IPM's targets may end the loop
 ZERO_THRESHOLD = 1e-12  # correction magnitudes at or below this do not count as changes
 
 
@@ -770,7 +775,9 @@ def _exchange(land: _Landscape, rows: np.ndarray):
         ratio = _ratios(land, answer)
         violated = ratio > 1.0 + _EXCHANGE_SLACK
         if info["verdict"] == "undecided":
-            if not violated.any():      # a stall near the set's optimum that meets every sample
+            near = max(info["gap"] / _IPM_GAP, info["primal"] / _IPM_RESIDUAL,
+                       info["dual"] / _IPM_RESIDUAL) <= _EXCHANGE_NEAR
+            if near and not violated.any():     # a stall at the set's optimum that meets every sample
                 break
             rows = np.ones_like(rows)
             continue
@@ -808,7 +815,14 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
         raise ValueError("mask length must match the array size")
     free = ~mask
     nfree = int(free.sum())
-    land = _Landscape(geometry, w, metric, free)
+    # The cone IPM's floors (the ray's norm bound, the 1 in its gap's and
+    # residuals' scales) are absolute, and the problem is homogeneous in w. So
+    # the solve runs in units of the power of two nearest the largest
+    # excitation magnitude: an exact rescaling that makes its verdicts and
+    # answers independent of the weights' units.
+    peak = float(np.max(np.abs(w)))
+    unit = 2.0 ** np.round(np.log2(peak)) if peak > 0.0 else 1.0
+    land = _Landscape(geometry, w / unit, metric, free)
 
     tol_ratio = 10.0 ** (cfg.constraint_tol_db / 10.0)
     z = np.zeros(nfree, dtype=complex)
@@ -823,10 +837,11 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
         s = as_weights(start, geometry.n)
         if np.any(s[mask] != 0):
             raise ValueError("start vector must be zero on masked elements")
-        z = s[free]
+        z = s[free] / unit
 
     rows = _start_rows(land, z, _lobe_stride(geometry, metric.region.samples))
-    if _certificate(land, rows) is not None:
+    # A start that meets the bound shows that no certificate exists.
+    if land.worst_ratio(z) > 1.0 and _certificate(land, rows) is not None:
         raise InfeasibleError(
             "certified: a weighting of the region samples keeps the sidelobe power "
             "above the bound for every correction", certified=True,
@@ -843,5 +858,5 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
         raise NumericalFailureError("the cone IPM left the constraint violated")
 
     delta = np.zeros(geometry.n, dtype=complex)
-    delta[free] = z
+    delta[free] = z * unit
     return delta

@@ -128,6 +128,8 @@ class TestSolveToy:
         assert np.array_equal(a, b)
 
     def test_feasible_start_never_worsens(self, toy):
+        # The start's F(0) is real, so it is a point of the fixed-phase cone
+        # program too; a start with a complex F(0) may beat that program's optimum.
         geometry, w_faulty, metric, mask = toy
         start = np.array([-0.44, 0.0, 0.595, 0.0], dtype=complex)   # meets the bound exactly
         assert evaluate_metric(metric, geometry, w_faulty + start) <= -5.5
@@ -430,6 +432,28 @@ def _polygon_lp_l1(optimize, land, sides, inner):
     raise AssertionError("polygon LP did not settle")
 
 
+def _below_faulty_metric(problem):
+    """The metric of _below_faulty: 2 dB below the faulty array's worst level."""
+    return MetricSpec(region=problem[2], target_db=10.0 * np.log10(_below_faulty(problem).tau))
+
+
+@pytest.mark.parametrize("name", ["toy", "seeded_n20"])
+def test_answer_scales_with_the_weights(name):
+    # The problem is homogeneous in the weights: scaling them scales the
+    # answer, and no verdict may depend on their units.
+    problem = PROBLEMS[name]()
+    geometry, w_faulty, _, free, _ = problem
+    metric = _below_faulty_metric(problem)
+    base = solve_constrained_l1(geometry, w_faulty, metric, ~free)
+    l1 = l1_norm(base)
+    for k in (1e6, 1e-6):
+        delta = solve_constrained_l1(geometry, k * w_faulty, metric, ~free) / k
+        assert abs(l1_norm(delta) - l1) <= 1e-8 * l1
+        assert np.max(np.abs(delta - base)) <= 1e-6 * l1
+    # a power of two rescales exactly
+    assert np.array_equal(solve_constrained_l1(geometry, 1024.0 * w_faulty, metric, ~free) / 1024.0, base)
+
+
 class TestConeIpm:
     @pytest.mark.parametrize("problem", ["toy", "test_case_1", "seeded_n20"])
     def test_polygon_lps_bracket_the_optimum(self, problem, toy, tc1_parts):
@@ -591,10 +615,28 @@ class TestExchange:
         assert info["rounds"] == 2 and info["samples"] == land.m and info["verdict"] == "optimal"
         assert land.worst_ratio(z) <= 1.0 + 1e-9
 
+    def test_stalled_round_far_from_its_targets_widens(self, monkeypatch):
+        # A stall whose point meets every sample but whose gap is far above its
+        # target may sit well above the set's optimum: the set widens.
+        land, rows = _exchange_case("seeded_n20")           # one round when not stalled
+        sizes = []
+
+        def first_round_stalls_early(sub):
+            answer, info = _cone_ipm(sub)
+            sizes.append(sub.m)
+            if len(sizes) == 1:
+                return answer, {**info, "verdict": "undecided", "gap": 1e-2}
+            return answer, info
+
+        monkeypatch.setattr(solver, "_cone_ipm", first_round_stalls_early)
+        _, info = _exchange(land, rows)
+        assert sizes[0] < land.m and sizes[1:] == [land.m]
+        assert info["rounds"] == 2 and info["verdict"] == "optimal"
+
     def test_stalled_round_meeting_every_sample_ends_the_loop(self, monkeypatch):
-        # A stall near the working set's optimum whose point meets the bound on
-        # every region sample needs no wider set: its l1 is within its gap of
-        # the set's optimum, which the region's cannot undercut.
+        # A stall near its targets whose point meets the bound on every region
+        # sample needs no wider set: its l1 is within its gap of the set's
+        # optimum, which the region's cannot undercut.
         land, rows = _exchange_case("seeded_n20")           # one round when not stalled
         sizes = []
 
