@@ -10,13 +10,16 @@ results. Both run the benchmark's eight correction scenarios (`CATALOG` and
 `BATCH_SCENARIOS` of benchmark/bench_workloads.py, read from this checkout),
 the batch's unreachable row (`BATCH_UNREACHABLE`: test_case_2_sll22 at
 -30 dB) and the test_case_1 oracle up to support 3. The script compares each
-correction vector exactly, plus the correction count, l1, k_opt and the
-removal trace, and the oracle's support, solve count and count of proven
-rejections (n_certified). An item that raises is compared by the error's
-class and its certified flag (an InfeasibleError's proof, as against a ray
-or a stall), not by its message. It prints one line per item; under each
-item that differs, a second line gives parent -> change for the correction
-count, k_opt and the oracle's solve and proven-rejection counts, and the
+correction vector exactly, plus the correction count, l1, k_opt, the
+removal trace and the removal loop's backtracks tallied by the certified
+flag of the InfeasibleError behind each (a proof, as against a ray or a
+stall; the collecting process wraps `arraymend.correction`'s
+`solve_constrained_l1` to see them), and the oracle's support, solve count
+and count of proven rejections (n_certified). An item that raises is
+compared by the error's class and its certified flag, not by its message.
+It prints one line per item; under each item that differs, a second line
+gives parent -> change for the correction count, k_opt, the backtrack
+tallies and the oracle's solve and proven-rejection counts, and the
 relative change of l1.
 
 Each tree then runs the runners and writes their files: `run_scenario` on
@@ -46,9 +49,10 @@ ORACLE_MAX_SUPPORT = 3
 RUN_PROBLEMS = ("toy", "test_case_1")
 RUNNER_ORACLE = ("toy", 2)                            # problem, largest support
 SWEEP = ("fail_rate_n50_row1", (-20.0, -22.0, -40.0))  # problem, targets loosest first
-SHOWN = ("n_corrections", "k_opt", "support", "n_solves", "n_certified", "error",
+BACKTRACKS = ("backtracks_certified", "backtracks_uncertified")
+SHOWN = ("n_corrections", "k_opt", *BACKTRACKS, "support", "n_solves", "n_certified", "error",
          "certified")  # printed per item
-MOVED = ("n_corrections", "k_opt", "n_solves", "n_certified")  # parent -> change when an item differs
+MOVED = ("n_corrections", "k_opt", *BACKTRACKS, "n_solves", "n_certified")  # parent -> change when an item differs
 
 
 def _complex_list(a) -> list:
@@ -97,7 +101,8 @@ def collect() -> dict:
     from dataclasses import asdict
 
     import bench_workloads as bw
-    from arraymend.correction import minimize_corrections
+    from arraymend import correction
+    from arraymend.errors import InfeasibleError
     from arraymend.oracle import exhaustive_min
 
     def resolved(name):
@@ -109,15 +114,31 @@ def collect() -> dict:
     problems[bw.BATCH_UNREACHABLE] = bw.am_bench.resolve_scenario(
         bw.am_bench.ScenarioSpec.from_dict(unreachable))
 
+    raised = []  # certified flags of the InfeasibleErrors that the removal loop's solves raise
+    solve = correction.solve_constrained_l1
+
+    def tallied(*args, **kwargs):
+        try:
+            return solve(*args, **kwargs)
+        except InfeasibleError as err:
+            raised.append(err.certified)
+            raise
+
+    correction.solve_constrained_l1 = tallied
     out = {}
     for name, res in problems.items():
+        raised.clear()
         try:
-            r = minimize_corrections(res.geometry, res.weights, res.scenario, res.metric, res.config)
+            r = correction.minimize_corrections(res.geometry, res.weights, res.scenario, res.metric,
+                                                res.config)
         except Exception as err:  # a raised error is a result to compare too
             out[name] = {"error": type(err).__name__, "certified": getattr(err, "certified", None)}
             continue
         out[name] = {"delta": _complex_list(r.delta), "n_corrections": r.n_corrections,
-                     "l1": r.l1, "k_opt": r.k_opt, "trace": [asdict(e) for e in r.trace]}
+                     "l1": r.l1, "k_opt": r.k_opt, "trace": [asdict(e) for e in r.trace],
+                     "backtracks_certified": sum(raised),
+                     "backtracks_uncertified": len(raised) - sum(raised)}
+    correction.solve_constrained_l1 = solve
     res = resolved(ORACLE_PROBLEM)
     o = exhaustive_min(res.geometry, res.weights, res.scenario, res.metric, res.config,
                        max_support=ORACLE_MAX_SUPPORT)
