@@ -42,17 +42,19 @@ below mean the same whatever the weights' units. A solve takes four steps:
   Lebret & Boyd (IEEE TSP 1997):
 
       minimize    sum_n t_n
-      subject to  |dw_n| <= t_n,  |F(u)| <= sqrt(ratio) Re F(0),  Im F(0) = 0.
+      subject to  |dw_n| <= t_n,  |F(u)| <= sqrt(ratio) Re F(0).
 
-  Fixing the phase of F(0) makes this a convex restriction of the problem
-  above. The embedding adds the scalars tau and kappa: it starts from the
-  central point (x = 0, s = z = e, tau = kappa = 1), needs no feasible point,
-  and ends with one of three verdicts.
+  Re F(0) <= |F(0)|, so each point of this program meets the bound: it is a
+  convex restriction of the problem above, with no equality (Lebret & Boyd
+  also fix Im F(0) = 0, which only shrinks it). The embedding adds the
+  scalars tau and kappa: it starts from the central point (x = 0,
+  s = z = e, tau = kappa = 1), needs no feasible point, and ends with one of
+  three verdicts.
   - optimal: the duality gap relative to max(1, |primal objective|,
     |dual objective|) and the relative primal and dual residuals are all at
     most 1e-8; the answer is x / tau.
   - ray: the dual iterate is a Farkas ray showing that no x of norm below
-    1e4 (in the solve's units) meets the fixed-phase program's constraints.
+    1e4 (in the solve's units) meets the cone program's constraints.
     This raises an uncertified InfeasibleError: it proves the restriction
     infeasible, not the problem above.
   - undecided: the solve stalled or reached its iteration cap. Its best
@@ -361,10 +363,9 @@ def _certificate(land: _Landscape, rows: np.ndarray) -> np.ndarray | None:
 
 # The cone program. With x = (t, z), t the f l1 bounds and z the correction,
 #
-#     minimize c^T x = sum(t)  s.t.  s = h - G x in K,  A x = sum(Im z) = b,
+#     minimize c^T x = sum(t)  s.t.  s = h - G x in K;
 #
-# with b = -Im F0_base, so that Im F(0) = 0; its dual is to maximize
-# -(h^T z + b^T y) subject to G^T z + A^T y + c = 0 and z in K.
+# its dual is to maximize -h^T z subject to G^T z + c = 0 and z in K.
 # K is f + m three-dimensional second-order cones {(s0, s1, s2): s0 >= |(s1, s2)|},
 # held as rows of (f + m, 3) arrays: the l1 cones (t_n, Re z_n, Im z_n) first,
 # then one cone (sqrt(tau) Re F(0), Re F(u), Im F(u)) per region sample. The map
@@ -557,16 +558,15 @@ def _cone_ipm(land: _Landscape):
     """
     The cone program in the homogeneous self-dual model, from the central point.
 
-    The iterates (x, y, s, z, tau, kappa) need not be feasible: the residuals
-    of G x + s = h tau, A x = b tau, G^T z + A^T y + c tau = 0 and
-    kappa = -(c^T x + b^T y + h^T z) shrink at the pace of the complementarity
-    (s^T z + tau kappa) / (f + m + 1). Returns (z, info) with z the correction
-    x / tau; info holds the iterations, the relative gap, the relative primal
-    and dual residuals, the final tau and kappa, and the verdict:
+    The iterates (x, s, z, tau, kappa) need not be feasible: the residuals
+    of G x + s = h tau, G^T z + c tau = 0 and kappa = -(c^T x + h^T z) shrink
+    at the pace of the complementarity (s^T z + tau kappa) / (f + m + 1).
+    Returns (z, info) with z the correction x / tau; info holds the
+    iterations, the relative gap, the relative primal and dual residuals, the
+    final tau and kappa, and the verdict:
     - "optimal": gap and residuals all met their targets;
-    - "ray": z in K and ||G^T z + A^T y|| <= _IPM_RAY * -(h^T z + b^T y), a
-      Farkas ray: every feasible x has (G^T z + A^T y)^T x <= h^T z + b^T y,
-      so none has a norm below 1 / _IPM_RAY;
+    - "ray": z in K and ||G^T z|| <= _IPM_RAY * -h^T z, a Farkas ray: every
+      feasible x has (G^T z)^T x <= h^T z, so none has a norm below 1 / _IPM_RAY;
     - "undecided": the solve stalled or hit its iteration cap, and z and info
       are its best iterate's.
     """
@@ -574,11 +574,9 @@ def _cone_ipm(land: _Landscape):
     h = np.zeros((f + land.m, 3))
     h[f:, 0] = np.sqrt(land.tau) * land.F0_base.real
     h[f:, 1], h[f:, 2] = land.F_base.real, land.F_base.imag
-    b = -land.F0_base.imag                              # A x = sum(Im z) = b: Im F(0) = 0
-    h_norm = max(1.0, float(np.linalg.norm(h)), abs(b))
-    a_eq = np.concatenate([np.zeros(f), np.ones(f)])
+    h_norm = max(1.0, float(np.linalg.norm(h)))
 
-    t, z, y, tau, kappa = np.zeros(f), np.zeros(f, dtype=complex), 0.0, 1.0, 1.0
+    t, z, tau, kappa = np.zeros(f), np.zeros(f, dtype=complex), 1.0, 1.0
     s = np.zeros_like(h)
     s[:, 0] = 1.0
     dual = s.copy()
@@ -587,18 +585,17 @@ def _cone_ipm(land: _Landscape):
     best, best_score, best_progress, best_it, verdict = None, np.inf, np.inf, 0, "undecided"
     for it in range(_IPM_ITERATIONS + 1):
         rz = s - tau * h - _lin(land, t, z)              # G x + s - h tau
-        ry = float(np.sum(z.imag)) - tau * b              # A x - b tau
         adj_t, adj_z = _lin_adjoint(land, dual)
-        ray_t, ray_z = -adj_t, 1j * y - adj_z             # G^T z + A^T y
-        rx_t, rx_z = ray_t + tau, ray_z                   # G^T z + A^T y + c tau
-        hz = float(np.sum(h * dual)) + b * y              # h^T z + b^T y
+        ray_t, ray_z = -adj_t, -adj_z                     # G^T z
+        rx_t, rx_z = ray_t + tau, ray_z                   # G^T z + c tau
+        hz = float(np.sum(h * dual))                      # h^T z
         pobj = float(np.sum(t))                           # c^T x
         rt = kappa + pobj + hz
         lam, lam_j = w.lam, w.lam_j
         gap = float(np.sum(lam * lam))                    # s^T z
         ray_norm = float(np.sqrt(np.sum(ray_t ** 2) + np.sum(np.abs(ray_z) ** 2)))
         now = {"gap": gap / (tau * max(tau, abs(pobj), abs(hz))),
-               "primal": float(np.hypot(np.linalg.norm(rz), ry)) / (tau * h_norm),
+               "primal": float(np.linalg.norm(rz)) / (tau * h_norm),
                "dual": float(np.sqrt(np.sum(rx_t ** 2) + np.sum(np.abs(rx_z) ** 2))) / (tau * np.sqrt(f)),
                "tau": tau, "kappa": kappa}
         residual = max(now["primal"], now["dual"]) / _IPM_RESIDUAL
@@ -633,46 +630,41 @@ def _cone_ipm(land: _Landscape):
         except np.linalg.LinAlgError:
             break
         ml = mm[:f]
-        kw = kinv @ a_eq
-        kwa = float(a_eq @ kw)
 
-        def solve(bt, bz, by):
-            # [H a; a^T 0] (dx, dy) = (b, by) with t eliminated row by row
+        def solve(bt, bz):
+            # H dx = (bt, bz) with t eliminated row by row
             r = np.concatenate([bz.real - ml[:, 0, 1] / ml[:, 0, 0] * bt,
                                 bz.imag - ml[:, 0, 2] / ml[:, 0, 0] * bt])
-            u = kinv @ r
-            dy = (float(a_eq @ u) - by) / kwa
-            d = u - kw * dy
+            d = kinv @ r
             dt = (bt - ml[:, 0, 1] * d[:f] - ml[:, 0, 2] * d[f:]) / ml[:, 0, 0]
-            return dt, d[:f] + 1j * d[f:], dy
+            return dt, d[:f] + 1j * d[f:]
 
-        def kkt(bt, bz, by, gc):
-            # G^T dz + A^T dy = (bt, bz), A dx = by, G dx - W^2 dz = W^2 gc, through
-            # H dx + A^T dy = (bt, bz) - (-G)^T gc; refined against the operator form of H.
+        def kkt(bt, bz, gc):
+            # G^T dz = (bt, bz), G dx - W^2 dz = W^2 gc, through
+            # H dx = (bt, bz) - (-G)^T gc; refined against the operator form of H.
             gt, gz = _lin_adjoint(land, gc)
             bt, bz = bt - gt, bz - gz
-            dt, dz, dy = solve(bt, bz, by)
+            dt, dz = solve(bt, bz)
             for _ in range(_IPM_REFINEMENTS):
                 ot, oz = _lin_adjoint(land, _apply_weights(mm, _lin(land, dt, dz)))
-                et, ez, ey = solve(bt - ot, bz - oz - 1j * dy, by - float(np.sum(dz.imag)))
-                dt, dz, dy = dt + et, dz + ez, dy + ey
-            return dt, dz, dy, -_apply_weights(mm, _lin(land, dt, dz)) - gc
+                et, ez = solve(bt - ot, bz - oz)
+                dt, dz = dt + et, dz + ez
+            return dt, dz, -_apply_weights(mm, _lin(land, dt, dz)) - gc
 
-        # the tau column: (dx, dy, dz) per unit of dtau
-        col = kkt(-np.ones(f), np.zeros(f, dtype=complex), b, _apply_weights(mm, h))
-        col_c = float(np.sum(col[0])) + b * col[2] + float(np.sum(h * col[3]))   # c^T dx + b^T dy + h^T dz
+        # the tau column: (dx, dz) per unit of dtau
+        col = kkt(-np.ones(f), np.zeros(f, dtype=complex), _apply_weights(mm, h))
+        col_c = float(np.sum(col[0])) + float(np.sum(h * col[2]))   # c^T dx + h^T dz
 
         def direction(eta, wl, xi):
             # Newton direction with residuals scaled by eta, scaled complementarity
             # lam o (W dz + W^-1 ds) = xi given as wl = W^-1 (lam \ xi), and
             # kappa dtau + tau dkappa = xi.
-            dt, dz, dy, dd = kkt(-eta * rx_t, -eta * rx_z, -eta * ry,
-                                 -eta * _apply_weights(mm, rz) - wl)
-            c1 = float(np.sum(dt)) + b * dy + float(np.sum(h * dd))
+            dt, dz, dd = kkt(-eta * rx_t, -eta * rx_z, -eta * _apply_weights(mm, rz) - wl)
+            c1 = float(np.sum(dt)) + float(np.sum(h * dd))
             dtau = (-eta * rt - xi / tau - c1) / (col_c - kappa / tau)
-            dt, dz, dy, dd = dt + dtau * col[0], dz + dtau * col[1], dy + dtau * col[2], dd + dtau * col[3]
+            dt, dz, dd = dt + dtau * col[0], dz + dtau * col[1], dd + dtau * col[2]
             ds = _lin(land, dt, dz) + dtau * h - eta * rz
-            return dt, dz, dy, dtau, (xi - kappa * dtau) / tau, ds, dd
+            return dt, dz, dtau, (xi - kappa * dtau) / tau, ds, dd
 
         def max_step(ds_s, dd_s, dtau, dkappa):
             # the longest step keeping the scaled cone rows, tau and kappa inside their cones
@@ -680,7 +672,7 @@ def _cone_ipm(land: _Landscape):
             return min(_max_step(lam, lam_j, ds_s), _max_step(lam, lam_j, dd_s), *pair)
 
         # affine predictor, xi = -lam o lam, seen in the scaled frame
-        _, _, _, dtau, dkappa, ds, dd = direction(1.0, -dual, -tau * kappa)
+        _, _, dtau, dkappa, ds, dd = direction(1.0, -dual, -tau * kappa)
         ds, dd = w.apply_inverse(ds), w.apply(dd)
         step = min(1.0, max_step(ds, dd, dtau, dkappa))
         mu = (gap + tau * kappa) / degree
@@ -690,13 +682,13 @@ def _cone_ipm(land: _Landscape):
         centre[:, 0] += sigma * mu
         del ds, dd
         # combined direction: centring plus the predictor's second-order term
-        dt, dz, dy, dtau, dkappa, ds, dd = direction(
+        dt, dz, dtau, dkappa, ds, dd = direction(
             1.0 - sigma, w.apply_inverse(_jdiv(lam, lam_j, centre)) - dual,
             -tau * kappa - dtau * dkappa + sigma * mu)
         del centre
         ds_s, dd_s = w.apply_inverse(ds), w.apply(dd)
         step = min(1.0, _IPM_STEP * max_step(ds_s, dd_s, dtau, dkappa))
-        t, z, y = t + step * dt, z + step * dz, y + step * dy
+        t, z = t + step * dt, z + step * dz
         tau, kappa = tau + step * dtau, kappa + step * dkappa
         s += step * ds
         dual += step * dd
@@ -804,7 +796,7 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
     exactly zero there. start, a correction that is zero on the mask, only
     seeds the working sets with the peaks of its pattern. Raises
     InfeasibleError when no correction within the mask can meet the target
-    (its certified flag tells a proof from a Farkas ray of the fixed-phase
+    (its certified flag tells a proof from a Farkas ray of the cone
     restriction or a stalled solve), NumericalFailureError on non-finite
     values.
     """
@@ -848,7 +840,7 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
         )
     z, info = _exchange(land, rows)
     if info["verdict"] == "ray":
-        raise InfeasibleError("a Farkas ray shows the fixed-phase restriction (Im F(0) = 0) "
+        raise InfeasibleError("a Farkas ray shows the restriction |F(u)| <= sqrt(ratio) Re F(0) "
                               "infeasible")
     if info["verdict"] == "undecided" and not land.worst_ratio(z) <= tol_ratio:
         raise InfeasibleError(f"the cone IPM stalled at relative gap {info['gap']:.2e}, "

@@ -20,6 +20,7 @@ from arraymend import (
     evaluate_metric,
     l0_norm,
     l1_norm,
+    max_sll,
     minimize_corrections,
     sidelobe_region,
     solve_constrained_l1,
@@ -128,8 +129,9 @@ class TestSolveToy:
         assert np.array_equal(a, b)
 
     def test_feasible_start_never_worsens(self, toy):
-        # The start's F(0) is real, so it is a point of the fixed-phase cone
-        # program too; a start with a complex F(0) may beat that program's optimum.
+        # The start's F(0) is real, so it is a point of the cone program
+        # |F(u)| <= sqrt(tau) Re F(0) too; a start with a complex F(0) may break
+        # that cone and beat its optimum.
         geometry, w_faulty, metric, mask = toy
         start = np.array([-0.44, 0.0, 0.595, 0.0], dtype=complex)   # meets the bound exactly
         assert evaluate_metric(metric, geometry, w_faulty + start) <= -5.5
@@ -343,7 +345,8 @@ class TestKernels:
         assert info["primal"] <= _IPM_RESIDUAL and info["dual"] <= _IPM_RESIDUAL
         assert info["kappa"] <= _IPM_GAP * info["tau"]       # the embedding's optimal end: kappa -> 0
         assert land.worst_ratio(z) <= 1.0 + 1e-9
-        assert abs((land.F0_base + np.sum(z)).imag) <= 1e-9 * abs(land.F0_base + np.sum(z))
+        field, f0 = land.fields(z)
+        assert np.sqrt(land.tau) * f0.real >= np.max(np.abs(field)) * (1.0 - 1e-9)   # the cone's own bound
 
     def test_zero_and_feasible_starts_agree(self, name):
         # The start correction only seeds the working set: from the zero
@@ -394,9 +397,9 @@ def _polygon_lp_l1(optimize, land, sides, inner):
     The polygon Re(exp(-j theta_k) w) <= r for theta_k = 2 pi k / sides contains
     the disc, so the LP is a relaxation (outer); scaling r by cos(pi / sides)
     puts the polygon inside the disc, so the LP is a restriction (inner). Both
-    fix Im F(0) = 0 as the cone program does. Sample constraints are added in
-    rounds, most violated first, until the LP point meets them on every sample.
-    None when the LP has no point.
+    bound |F(u)| by sqrt(tau) Re F(0) as the cone program does. Sample
+    constraints are added in rounds, most violated first, until the LP point
+    meets them on every sample. None when the LP has no point.
     """
     f = land.A.shape[1]
     theta = 2.0 * np.pi * np.arange(sides) / sides
@@ -408,7 +411,6 @@ def _polygon_lp_l1(optimize, land, sides, inner):
         rows = slice(n * sides, (n + 1) * sides)
         l1_rows[rows, n], l1_rows[rows, f + n] = np.cos(theta), np.sin(theta)
         l1_rows[rows, 2 * f + n] = -shrink
-    a_eq = np.concatenate([np.zeros(f), np.ones(f), np.zeros(f)])[None]
     cost = np.concatenate([np.zeros(2 * f), np.ones(f)])
     active = np.argsort(-np.abs(land.F_base))[:20]
     for _ in range(30):
@@ -417,7 +419,7 @@ def _polygon_lp_l1(optimize, land, sides, inner):
         rhs = (rt * land.F0_base.real - (rot[:, None] * land.F_base[active][None]).real).reshape(-1)
         res = optimize.linprog(cost, A_ub=np.vstack([l1_rows, rows]),
                                b_ub=np.concatenate([np.zeros(sides * f), rhs]),
-                               A_eq=a_eq, b_eq=[-land.F0_base.imag], bounds=(None, None), method="highs")
+                               bounds=(None, None), method="highs")
         if res.status == 2:         # infeasible on these samples, so on the region
             return None
         assert res.status == 0, res.message
@@ -496,6 +498,21 @@ class TestConeIpm:
             warnings.simplefilter("error")
             result = minimize_corrections(res.geometry, res.weights, res.scenario, res.metric, res.config)
         assert result.n_corrections == 1
+
+    def test_complex_excitations_need_no_real_broadside(self):
+        # Phase errors make F(0) complex. The cone |F(u)| <= sqrt(tau) Re F(0)
+        # needs no real F(0), so the first solve corrects one or two elements;
+        # forcing Im F(0) = 0 spread it over all 23 working elements.
+        geometry = uniform_positions(25, 0.5)
+        weights = dolph_chebyshev(25, -25.0) * np.exp(1j * np.random.default_rng(4).uniform(-0.3, 0.3, 25))
+        scenario = FailureScenario.from_indices(25, [2, 17])
+        region = sidelobe_region(9.6, 1001)
+        metric = MetricSpec(region=region, target_db=max_sll(geometry, weights, region) + 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            delta = solve_constrained_l1(geometry, apply_failures(weights, scenario), metric, scenario.mask)
+        assert l0_norm(delta, 1e-8) <= 2
+        assert l1_norm(delta) < 0.05
 
     def test_certificate_is_logged(self, toy, caplog):
         geometry, w_faulty, metric, mask = toy
