@@ -18,11 +18,11 @@ below mean the same whatever the weights' units. A solve takes four steps:
 
 * the zero correction is returned when it meets the toleranced target; with
   no free element left, a miss is certified infeasible.
-* certificate (skipped when the start correction meets the bound): a
-  search for a dual certificate of infeasibility, a
-  weighting of the region samples whose weighted sidelobe power exceeds the
-  bound for every correction (Elfving's c-optimal-design duality over the
-  convex cone form of Lebret & Boyd). A certificate raises
+* certificate (skipped when the start correction meets the bound, and run
+  again from a ray's weights, below): a search for a dual certificate of
+  infeasibility, a weighting of the region samples whose weighted sidelobe
+  power exceeds the bound for every correction (Elfving's c-optimal-design
+  duality over the convex cone form of Lebret & Boyd). A certificate raises
   InfeasibleError(certified=True) at once. It covers the free-phase problem
   above, which the cone program below only restricts. The search runs on a
   working set of region samples, started as the exchange below starts its
@@ -54,9 +54,11 @@ below mean the same whatever the weights' units. A solve takes four steps:
     |dual objective|) and the relative primal and dual residuals are all at
     most 1e-8; the answer is x / tau.
   - ray: the dual iterate is a Farkas ray showing that no x of norm below
-    1e4 (in the solve's units) meets the cone program's constraints.
-    This raises an uncertified InfeasibleError: it proves the restriction
-    infeasible, not the problem above.
+    1e4 (in the solve's units) meets the cone program's constraints. It
+    proves the restriction infeasible, not the problem above. So the ray's
+    sample-cone weights z_u0 start a certificate search on the exchange's
+    final working set; a proof raises the certified InfeasibleError, and
+    otherwise the ray raises an uncertified one.
   - undecided: the solve stalled or reached its iteration cap. Its best
     iterate is the answer when it meets the toleranced target on the whole
     region; otherwise an uncertified InfeasibleError says that it stalled.
@@ -259,7 +261,7 @@ def _positive_definite(s: np.ndarray) -> bool:
     return True
 
 
-def _certificate(land: _Landscape, rows: np.ndarray) -> np.ndarray | None:
+def _certificate(land: _Landscape, rows: np.ndarray, start: np.ndarray | None = None) -> np.ndarray | None:
     """
     Region-sample weights proving that no correction meets the bound, or None.
 
@@ -275,7 +277,8 @@ def _certificate(land: _Landscape, rows: np.ndarray) -> np.ndarray | None:
     The search runs on a working set of region samples, starting from the
     boolean mask rows, with lam zero off the set: a weighting of some samples
     is a weighting of the region, so a proof on the set holds for the whole
-    region. The weights follow the multiplicative c-optimal-design update
+    region. lam starts proportional to start, positive weights of the set's
+    samples, or uniform without it. The weights follow the multiplicative c-optimal-design update
     lam_u <- lam_u * |g_u^T v| over the set, with v = P^-1 conj(h) (Elfving's
     duality); weights below 1e-12 of the largest are set to zero. The set's
     search ends
@@ -313,7 +316,7 @@ def _certificate(land: _Landscape, rows: np.ndarray) -> np.ndarray | None:
 
     idx = np.flatnonzero(rows)
     sub = land.restricted(idx)
-    lam = np.full(idx.size, 1.0 / idx.size)
+    lam = np.full(idx.size, 1.0 / idx.size) if start is None else start / np.sum(start)
     lows = []
     proof, outcome, it, growths = None, "update cap", 0, 0
     while it < _CERT_ITERATIONS:
@@ -569,6 +572,8 @@ def _cone_ipm(land: _Landscape):
       feasible x has (G^T z)^T x <= h^T z, so none has a norm below 1 / _IPM_RAY;
     - "undecided": the solve stalled or hit its iteration cap, and z and info
       are its best iterate's.
+    info["weights"] holds the final dual iterate's sample-cone weights z_u0,
+    on a ray the weights it puts on each sample.
     """
     f = land.A.shape[1]
     h = np.zeros((f + land.m, 3))
@@ -697,7 +702,7 @@ def _cone_ipm(land: _Landscape):
         del ds_s, dd_s
 
     z, now = best
-    return z, {"iterations": it, **now, "verdict": verdict}
+    return z, {"iterations": it, **now, "verdict": verdict, "weights": dual[f:, 0]}
 
 
 def _lobe_stride(geometry: ArrayGeometry, u: np.ndarray) -> int:
@@ -753,7 +758,8 @@ def _exchange(land: _Landscape, rows: np.ndarray):
     sample (the module docstring has the rules).
 
     Returns (z, info) as _cone_ipm does, with the iterations summed over the
-    rounds, plus the rounds and the final working set's size.
+    rounds, plus the rounds, the final working set (a boolean mask, "rows")
+    and its size.
     """
     rounds = iterations = 0
     while True:
@@ -777,7 +783,7 @@ def _exchange(land: _Landscape, rows: np.ndarray):
             break
         grown = rows | violated | _peak_windows(ratio, _EXCHANGE_PEAK)
         rows = grown if rounds < _EXCHANGE_ROUNDS and grown.sum() > rows.sum() else np.ones_like(rows)
-    info = {**info, "iterations": iterations, "rounds": rounds, "samples": int(rows.sum())}
+    info = {**info, "iterations": iterations, "rounds": rounds, "rows": rows, "samples": int(rows.sum())}
 
     _log.debug("cone IPM: %s after %d rounds on %d of %d region samples, %d iterations, "
                "relative gap %.2e, primal residual %.2e, dual residual %.2e, tau %.2e, kappa %.2e",
@@ -833,12 +839,17 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
 
     rows = _start_rows(land, z, _lobe_stride(geometry, metric.region.samples))
     # A start that meets the bound shows that no certificate exists.
-    if land.worst_ratio(z) > 1.0 and _certificate(land, rows) is not None:
+    proof = land.worst_ratio(z) > 1.0 and _certificate(land, rows) is not None
+    if not proof:
+        z, info = _exchange(land, rows)
+        # A ray proves only the cone restriction infeasible; its sample weights
+        # seed a search for a proof on the exchange's final working set.
+        proof = info["verdict"] == "ray" and _certificate(land, info["rows"], info["weights"]) is not None
+    if proof:
         raise InfeasibleError(
             "certified: a weighting of the region samples keeps the sidelobe power "
             "above the bound for every correction", certified=True,
         )
-    z, info = _exchange(land, rows)
     if info["verdict"] == "ray":
         raise InfeasibleError("a Farkas ray shows the restriction |F(u)| <= sqrt(ratio) Re F(0) "
                               "infeasible")

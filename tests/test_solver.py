@@ -567,7 +567,9 @@ class TestRecordedVerdicts:
         assert _polygon_lp_l1(optimize, land, 64, inner=False) is None   # the relaxation has none
         with pytest.raises(InfeasibleError) as err:
             solve_constrained_l1(res.geometry, w_faulty, res.metric, mask, config=res.config)
-        assert err.value.certified or str(err.value).startswith("a Farkas ray"), err.value
+        # the certificate proves the first at once; the second ends the exchange
+        # with a ray, whose sample weights seed the proof
+        assert err.value.certified, err.value
 
     def test_ray_ends_the_embedding_at_tau_near_zero(self):
         # On an infeasible program the embedding's tau falls to 0 while kappa
@@ -578,6 +580,24 @@ class TestRecordedVerdicts:
                                               _lobe_stride(res.geometry, res.metric.region.samples)))
         assert info["verdict"] == "ray"
         assert info["tau"] <= 1e-3 * info["kappa"]
+
+    def test_ray_weights_seed_a_proof(self):
+        # The certificate started from the ray's sample weights on the
+        # exchange's final working set proves the free-phase problem infeasible,
+        # as an eigenvalue check rebuilt from the array factor confirms.
+        name = "size_scan_n100_row2"
+        res, w_faulty, mask = _recorded_removal(name, OUTER_INFEASIBLE[name])
+        land = _Landscape(res.geometry, w_faulty, res.metric, ~mask)
+        rows = _start_rows(land, np.zeros(land.A.shape[1], dtype=complex),
+                           _lobe_stride(res.geometry, res.metric.region.samples))
+        assert _certificate(land, rows) is None         # the start alone proves nothing
+        _, info = _exchange(land, rows)
+        assert info["verdict"] == "ray" and info["weights"].size == info["samples"]
+        assert _certificate(land, info["rows"]) is None     # uniform weights on that set do not
+        lam = _certificate(land, info["rows"], info["weights"])
+        assert lam is not None
+        support = np.flatnonzero(~mask)
+        assert _certified_min_eig(res.geometry, w_faulty, res.metric, support, lam) > 0
 
 
 def _exchange_case(name):
