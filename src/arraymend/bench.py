@@ -109,7 +109,6 @@ class ResolvedScenario:
     metric: MetricSpec
     config: SolverConfig
     bw_target_deg: float | None
-    design_sll_db: float | None
 
 
 def _resolve_taper(spec: ScenarioSpec) -> tuple[np.ndarray, float | None]:
@@ -179,7 +178,7 @@ def resolve_scenario(spec: ScenarioSpec, grid_density: int | None = None) -> Res
     return ResolvedScenario(
         spec=spec, geometry=geometry, weights=weights, scenario=scenario,
         metric=MetricSpec(region=region, target_db=target, kind=kind),
-        config=config, bw_target_deg=bw_val, design_sll_db=design_sll,
+        config=config, bw_target_deg=bw_val,
     )
 
 

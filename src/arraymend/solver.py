@@ -88,9 +88,9 @@ below mean the same whatever the weights' units. A solve takes four steps:
   0.5 join the set. An undecided round whose gap and residuals are within
   100 times their targets (1e-6) and whose point meets the bound on every
   sample ends the loop too: that point is within its gap of the set's
-  optimum, which the region's cannot undercut. Any other undecided round, a
-  round that adds no sample and the eighth round widen the set to the whole
-  region, whose solve is the last. Each solve is logged at DEBUG, with its
+  optimum, which the region's cannot undercut. Any other undecided round and
+  the eighth round widen the set to the whole region, whose solve is the
+  last. Each solve is logged at DEBUG, with its
   verdict, rounds, final working set, iterations, gap, residuals, tau and
   kappa.
 * final check: the answer must meet the toleranced target on every region
@@ -204,16 +204,17 @@ class _Landscape:
     def fields(self, z: np.ndarray):
         return self.F_base + self.A @ z, self.F0_base + np.sum(z)
 
-    def worst_ratio(self, z: np.ndarray) -> float:
-        """max |F(u)|^2 / (ratio * |F(0)|^2); feasible iff <= 1."""
-        return self.ratio(*self.fields(z))
-
-    def ratio(self, f: np.ndarray, f0: complex) -> float:
-        """worst_ratio given the fields F(u), F(0)."""
+    def ratios(self, z: np.ndarray) -> np.ndarray:
+        """|F(u)|^2 / (ratio * |F(0)|^2) on every sample, inf where F(0) = 0."""
+        f, f0 = self.fields(z)
         p0 = abs(f0) ** 2
         if p0 == 0.0:
-            return np.inf
-        return float(np.max(np.abs(f) ** 2) / (self.tau * p0))
+            return np.full(f.size, np.inf)
+        return np.abs(f) ** 2 / (self.tau * p0)
+
+    def worst_ratio(self, z: np.ndarray) -> float:
+        """max of ratios(z); feasible iff <= 1."""
+        return float(np.max(self.ratios(z)))
 
 
 def _adjoint(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -714,12 +715,6 @@ def _lobe_stride(geometry: ArrayGeometry, u: np.ndarray) -> int:
     return max(1, int(1.0 / (aperture * spacing * _EXCHANGE_PER_LOBE)))
 
 
-def _ratios(land: _Landscape, z: np.ndarray) -> np.ndarray:
-    """|F(u)|^2 / (tau |F(0)|^2) on every region sample."""
-    f, f0 = land.fields(z)
-    return np.abs(f) ** 2 / (land.tau * abs(f0) ** 2)
-
-
 def _peak_windows(ratio: np.ndarray, level: float, among: np.ndarray | None = None) -> np.ndarray:
     """
     The samples within _EXCHANGE_WINDOW of a local maximum of ratio at or above
@@ -739,14 +734,11 @@ def _start_rows(land: _Landscape, z: np.ndarray, stride: int) -> np.ndarray:
     A working set's start at the correction z: every stride-th region sample,
     plus the samples within _EXCHANGE_WINDOW of each local maximum of z's
     ratio at or above _EXCHANGE_PEAK of its largest. Where F(0) = 0 the ratio
-    is undefined, and the stride alone is the start.
+    is infinite, and the stride alone is the start.
     """
-    f, f0 = land.fields(z)
-    if f0 == 0:
-        rows = np.zeros(land.m, dtype=bool)
-    else:
-        ratio = np.abs(f) ** 2 / (land.tau * abs(f0) ** 2)
-        rows = _peak_windows(ratio, _EXCHANGE_PEAK * np.max(ratio))
+    ratio = land.ratios(z)
+    top = np.max(ratio)
+    rows = _peak_windows(ratio, _EXCHANGE_PEAK * top) if top < np.inf else np.zeros(land.m, dtype=bool)
     rows[::stride] = True
     return rows
 
@@ -770,7 +762,7 @@ def _exchange(land: _Landscape, rows: np.ndarray):
         iterations += info["iterations"]
         if rows.all() or info["verdict"] == "ray":    # a ray on a relaxation holds for the region
             break
-        ratio = _ratios(land, answer)
+        ratio = land.ratios(answer)
         violated = ratio > 1.0 + _EXCHANGE_SLACK
         if info["verdict"] == "undecided":
             near = max(info["gap"] / _IPM_GAP, info["primal"] / _IPM_RESIDUAL,
@@ -782,7 +774,7 @@ def _exchange(land: _Landscape, rows: np.ndarray):
         if not np.any(violated & ~rows):
             break
         grown = rows | violated | _peak_windows(ratio, _EXCHANGE_PEAK)
-        rows = grown if rounds < _EXCHANGE_ROUNDS and grown.sum() > rows.sum() else np.ones_like(rows)
+        rows = grown if rounds < _EXCHANGE_ROUNDS else np.ones_like(rows)
     info = {**info, "iterations": iterations, "rounds": rounds, "rows": rows, "samples": int(rows.sum())}
 
     _log.debug("cone IPM: %s after %d rounds on %d of %d region samples, %d iterations, "

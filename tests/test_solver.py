@@ -42,7 +42,6 @@ from arraymend.solver import (
     _lin_adjoint,
     _lobe_stride,
     _normal_matrix,
-    _ratios,
     _Scaling,
     _start_rows,
     _weighted_gram,
@@ -624,7 +623,7 @@ class TestExchange:
         assert info["verdict"] == full_info["verdict"] == "optimal"
         l1, l1_full = np.sum(np.abs(z)), np.sum(np.abs(full))
         assert abs(l1 - l1_full) <= 1e-6 * l1_full
-        assert np.max(_ratios(land, z)) <= 1.0 + 1e-7      # every region sample, not the set
+        assert np.max(land.ratios(z)) <= 1.0 + 1e-7      # every region sample, not the set
         assert info["rounds"] <= 2
 
     def test_working_set_is_a_small_share_of_the_region(self):
@@ -686,7 +685,7 @@ class TestExchange:
         z, info = _exchange(land, rows)
         full, _ = _cone_ipm(land)
         assert sizes == [info["samples"]] and info["samples"] < land.m and info["verdict"] == "undecided"
-        assert np.max(_ratios(land, z)) <= 1.0 + 1e-7
+        assert np.max(land.ratios(z)) <= 1.0 + 1e-7
         assert abs(np.sum(np.abs(z)) - np.sum(np.abs(full))) <= 1e-6 * np.sum(np.abs(full))
 
 
