@@ -61,7 +61,8 @@ below mean the same whatever the weights' units. A solve takes four steps:
     otherwise the ray raises an uncertified one.
   - undecided: the solve stalled or reached its iteration cap. Its best
     iterate is the answer when it meets the toleranced target on the whole
-    region; otherwise an uncertified InfeasibleError says that it stalled.
+    region, and a DEBUG record gives its worst ratio and the tolerance's;
+    otherwise an uncertified InfeasibleError says that it stalled.
   Each iteration builds one normal matrix G^T W^-2 G: a Hermitian Gram
   A^H diag(alpha) A (a Toeplitz gather of a single matrix-vector product when
   the elements sit on a lattice x_n = x_0 + n*d, a dense real product
@@ -845,9 +846,13 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
     if info["verdict"] == "ray":
         raise InfeasibleError("a Farkas ray shows the restriction |F(u)| <= sqrt(ratio) Re F(0) "
                               "infeasible")
-    if info["verdict"] == "undecided" and not land.worst_ratio(z) <= tol_ratio:
-        raise InfeasibleError(f"the cone IPM stalled at relative gap {info['gap']:.2e}, "
-                              f"primal residual {info['primal']:.2e}, dual residual {info['dual']:.2e}")
+    if info["verdict"] == "undecided":
+        worst = land.worst_ratio(z)
+        if not worst <= tol_ratio:
+            raise InfeasibleError(f"the cone IPM stalled at relative gap {info['gap']:.2e}, "
+                                  f"primal residual {info['primal']:.2e}, dual residual {info['dual']:.2e}")
+        _log.debug("undecided answer accepted: worst ratio %.7f within the tolerance ratio %.7f",
+                   worst, tol_ratio)
     z = np.where(np.abs(z) <= ZERO_THRESHOLD, 0.0, z)   # the IPM leaves its zeros near 1e-13
     if not land.worst_ratio(z) <= tol_ratio:
         raise NumericalFailureError("the cone IPM left the constraint violated")

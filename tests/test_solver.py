@@ -487,6 +487,26 @@ class TestConeIpm:
         tau, kappa = (float(re.search(rf"{name} ([^,]+)", message).group(1)) for name in ("tau", "kappa"))
         assert kappa <= _IPM_GAP * tau
 
+    def test_accepted_undecided_answer_is_logged(self, toy, monkeypatch, caplog):
+        # An undecided answer within the tolerance is accepted; the record
+        # gives how far past the exact bound it is, which its gap cannot tell.
+        geometry, w_faulty, metric, mask = toy
+        exchange = solver._exchange
+
+        def undecided(land, rows):
+            z, info = exchange(land, rows)
+            return z, {**info, "verdict": "undecided"}
+
+        monkeypatch.setattr(solver, "_exchange", undecided)
+        with caplog.at_level(logging.DEBUG, logger="arraymend.solver"):
+            delta = solve_constrained_l1(geometry, w_faulty, metric, mask)
+        (message,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("undecided")]
+        worst, tol = (float(re.search(rf"{name} ratio ([0-9.]+)", message).group(1))
+                      for name in ("worst", "tolerance"))
+        assert worst == pytest.approx(_Landscape(geometry, w_faulty, metric, ~mask).worst_ratio(delta[~mask]),
+                                      abs=1e-7)
+        assert tol == pytest.approx(10.0 ** (SolverConfig().constraint_tol_db / 10.0), abs=1e-7)
+
     def test_random_s23_0_solves_without_overflow(self):
         # The benchmark's oracle_certify instance random_s23_0 (seed 23, instance 0).
         res = resolve_scenario(ScenarioSpec.from_dict({
