@@ -44,21 +44,19 @@ below mean the same whatever the weights' units. A solve takes four steps:
       minimize    sum_n t_n
       subject to  |dw_n| <= t_n,  |F(u)| <= sqrt(ratio) Re F(0).
 
-  Re F(0) <= |F(0)|, so each point of this program meets the bound: it is a
-  convex restriction of the problem above, with no equality (Lebret & Boyd
-  also fix Im F(0) = 0, which only shrinks it). The embedding adds the
-  scalars tau and kappa: it starts from the central point (x = 0,
-  s = z = e, tau = kappa = 1), needs no feasible point, and ends with one of
-  three verdicts.
+  As Re F(0) <= |F(0)|, this is a convex restriction of the problem above
+  (Lebret & Boyd also fix the phase of F(0), which only shrinks it). The
+  embedding adds the scalars tau and kappa: it starts from the central point
+  (x = 0, s = z = e, tau = kappa = 1), needs no feasible point, and ends
+  with one of three verdicts.
   - optimal: the duality gap relative to max(1, |primal objective|,
     |dual objective|) and the relative primal and dual residuals are all at
     most 1e-8; the answer is x / tau.
   - ray: the dual iterate is a Farkas ray showing that no x of norm below
-    1e4 (in the solve's units) meets the cone program's constraints. It
-    proves the restriction infeasible, not the problem above. So the ray's
-    sample-cone weights z_u0 start a certificate search on the exchange's
-    final working set; a proof raises the certified InfeasibleError, and
-    otherwise the ray raises an uncertified one.
+    1e4 (in the solve's units) meets the cone program's constraints. As it
+    proves only the restriction infeasible, its sample-cone weights z_u0
+    seed the certificate on the exchange's final working set; without a
+    proof, the ray raises an uncertified InfeasibleError.
   - undecided: the solve stalled or reached its iteration cap. Its best
     iterate is the answer when it meets the toleranced target on the whole
     region, and a DEBUG record gives its worst ratio and the tolerance's;
@@ -263,7 +261,8 @@ def _positive_definite(s: np.ndarray) -> bool:
     return True
 
 
-def _certificate(land: _Landscape, rows: np.ndarray, start: np.ndarray | None = None) -> np.ndarray | None:
+def _certificate(land: _Landscape, rows: np.ndarray,
+                 start: np.ndarray | None = None) -> np.ndarray | None:
     """
     Region-sample weights proving that no correction meets the bound, or None.
 
@@ -279,10 +278,10 @@ def _certificate(land: _Landscape, rows: np.ndarray, start: np.ndarray | None = 
     The search runs on a working set of region samples, starting from the
     boolean mask rows, with lam zero off the set: a weighting of some samples
     is a weighting of the region, so a proof on the set holds for the whole
-    region. lam starts proportional to start, positive weights of the set's
-    samples, or uniform without it. The weights follow the multiplicative c-optimal-design update
-    lam_u <- lam_u * |g_u^T v| over the set, with v = P^-1 conj(h) (Elfving's
-    duality); weights below 1e-12 of the largest are set to zero. The set's
+    region. lam starts proportional to start (positive weights of the set's
+    samples) or uniform, and follows the multiplicative c-optimal-design
+    update lam_u <- lam_u * |g_u^T v| over the set, with v = P^-1 conj(h)
+    (Elfving's duality); weights below 1e-12 of the largest are set to zero. The set's
     search ends
     - when P is singular;
     - when v meets the bound on the set, since then no weighting of the set
@@ -592,8 +591,7 @@ def _cone_ipm(land: _Landscape):
     best, best_score, best_progress, best_it, verdict = None, np.inf, np.inf, 0, "undecided"
     for it in range(_IPM_ITERATIONS + 1):
         rz = s - tau * h - _lin(land, t, z)              # G x + s - h tau
-        adj_t, adj_z = _lin_adjoint(land, dual)
-        ray_t, ray_z = -adj_t, -adj_z                     # G^T z
+        ray_t, ray_z = (-a for a in _lin_adjoint(land, dual))   # G^T z
         rx_t, rx_z = ray_t + tau, ray_z                   # G^T z + c tau
         hz = float(np.sum(h * dual))                      # h^T z
         pobj = float(np.sum(t))                           # c^T x
@@ -751,8 +749,7 @@ def _exchange(land: _Landscape, rows: np.ndarray):
     sample (the module docstring has the rules).
 
     Returns (z, info) as _cone_ipm does, with the iterations summed over the
-    rounds, plus the rounds, the final working set (a boolean mask, "rows")
-    and its size.
+    rounds, plus the rounds and the final working set (a boolean mask, "rows").
     """
     rounds = iterations = 0
     while True:
@@ -776,11 +773,11 @@ def _exchange(land: _Landscape, rows: np.ndarray):
             break
         grown = rows | violated | _peak_windows(ratio, _EXCHANGE_PEAK)
         rows = grown if rounds < _EXCHANGE_ROUNDS else np.ones_like(rows)
-    info = {**info, "iterations": iterations, "rounds": rounds, "rows": rows, "samples": int(rows.sum())}
+    info = {**info, "iterations": iterations, "rounds": rounds, "rows": rows}
 
     _log.debug("cone IPM: %s after %d rounds on %d of %d region samples, %d iterations, "
                "relative gap %.2e, primal residual %.2e, dual residual %.2e, tau %.2e, kappa %.2e",
-               info["verdict"], rounds, info["samples"], land.m, iterations, info["gap"],
+               info["verdict"], rounds, rows.sum(), land.m, iterations, info["gap"],
                info["primal"], info["dual"], info["tau"], info["kappa"])
     return answer, info
 

@@ -611,7 +611,7 @@ class TestRecordedVerdicts:
                            _lobe_stride(res.geometry, res.metric.region.samples))
         assert _certificate(land, rows) is None         # the start alone proves nothing
         _, info = _exchange(land, rows)
-        assert info["verdict"] == "ray" and info["weights"].size == info["samples"]
+        assert info["verdict"] == "ray" and info["weights"].size == info["rows"].sum()
         assert _certificate(land, info["rows"]) is None     # uniform weights on that set do not
         lam = _certificate(land, info["rows"], info["weights"])
         assert lam is not None
@@ -650,7 +650,7 @@ class TestExchange:
         land, rows = _exchange_case("size_scan_n100_row3")
         assert not rows.all()
         _, info = _exchange(land, rows)
-        assert info["samples"] < land.m / 2
+        assert info["rows"].sum() < land.m / 2
 
     def test_unconverged_round_widens_to_the_full_region(self, monkeypatch):
         # A first round that stalls on a point breaking the bound (here the
@@ -668,7 +668,7 @@ class TestExchange:
         monkeypatch.setattr(solver, "_cone_ipm", first_round_fails)
         z, info = _exchange(land, rows)
         assert sizes[0] < land.m and sizes[1:] == [land.m]
-        assert info["rounds"] == 2 and info["samples"] == land.m and info["verdict"] == "optimal"
+        assert info["rounds"] == 2 and info["rows"].sum() == land.m and info["verdict"] == "optimal"
         assert land.worst_ratio(z) <= 1.0 + 1e-9
 
     def test_stalled_round_far_from_its_targets_widens(self, monkeypatch):
@@ -704,7 +704,8 @@ class TestExchange:
         monkeypatch.setattr(solver, "_cone_ipm", stalls)
         z, info = _exchange(land, rows)
         full, _ = _cone_ipm(land)
-        assert sizes == [info["samples"]] and info["samples"] < land.m and info["verdict"] == "undecided"
+        samples = info["rows"].sum()
+        assert sizes == [samples] and samples < land.m and info["verdict"] == "undecided"
         assert np.max(land.ratios(z)) <= 1.0 + 1e-7
         assert abs(np.sum(np.abs(z)) - np.sum(np.abs(full))) <= 1e-6 * np.sum(np.abs(full))
 

@@ -52,7 +52,8 @@ SWEEP = ("fail_rate_n50_row1", (-20.0, -22.0, -40.0))  # problem, targets looses
 BACKTRACKS = ("backtracks_certified", "backtracks_uncertified")
 SHOWN = ("n_corrections", "k_opt", *BACKTRACKS, "support", "n_solves", "n_certified", "error",
          "certified")  # printed per item
-MOVED = ("n_corrections", "k_opt", *BACKTRACKS, "n_solves", "n_certified")  # parent -> change when an item differs
+# parent -> change when an item differs
+MOVED = ("n_corrections", "k_opt", *BACKTRACKS, "n_solves", "n_certified")
 
 
 def _complex_list(a) -> list:
