@@ -521,7 +521,7 @@ class TestConeIpm:
     def test_complex_excitations_need_no_real_broadside(self):
         # Phase errors make F(0) complex. The cone |F(u)| <= sqrt(tau) Re F(0)
         # needs no real F(0), so the first solve corrects one or two elements;
-        # forcing Im F(0) = 0 spread it over all 23 working elements.
+        # a solve that forces F(0) real spreads over all 23 working elements.
         geometry = uniform_positions(25, 0.5)
         weights = dolph_chebyshev(25, -25.0) * np.exp(1j * np.random.default_rng(4).uniform(-0.3, 0.3, 25))
         scenario = FailureScenario.from_indices(25, [2, 17])
