@@ -262,7 +262,7 @@ def _positive_definite(s: np.ndarray) -> bool:
 
 
 def _certificate(land: _Landscape, rows: np.ndarray,
-                 start: np.ndarray | None = None) -> np.ndarray | None:
+                 weights: np.ndarray | None = None) -> np.ndarray | None:
     """
     Region-sample weights proving that no correction meets the bound, or None.
 
@@ -278,11 +278,11 @@ def _certificate(land: _Landscape, rows: np.ndarray,
     The search runs on a working set of region samples, starting from the
     boolean mask rows, with lam zero off the set: a weighting of some samples
     is a weighting of the region, so a proof on the set holds for the whole
-    region. lam starts proportional to start (positive weights of the set's
-    samples) or uniform, and follows the multiplicative c-optimal-design
+    region. lam starts proportional to weights (positive, one per sample of
+    the set) or uniform, and follows the multiplicative c-optimal-design
     update lam_u <- lam_u * |g_u^T v| over the set, with v = P^-1 conj(h)
-    (Elfving's duality); weights below 1e-12 of the largest are set to zero. The set's
-    search ends
+    (Elfving's duality); weights below 1e-12 of the largest are set to zero.
+    The set's search ends
     - when P is singular;
     - when v meets the bound on the set, since then no weighting of the set
       can exclude it;
@@ -317,7 +317,7 @@ def _certificate(land: _Landscape, rows: np.ndarray,
 
     idx = np.flatnonzero(rows)
     sub = land.restricted(idx)
-    lam = np.full(idx.size, 1.0 / idx.size) if start is None else start / np.sum(start)
+    lam = np.full(idx.size, 1.0 / idx.size) if weights is None else weights / np.sum(weights)
     lows = []
     proof, outcome, it, growths = None, "update cap", 0, 0
     while it < _CERT_ITERATIONS:
