@@ -6,21 +6,24 @@ Check that two arraymend source trees give bit-for-bit the same results.
 Each argument is a directory holding the `arraymend` package, such as a
 checkout's `src/`. Each tree runs in its own interpreter with
 one BLAS thread, pinned before numpy loads, because the thread count changes
-results. Both run the benchmark's eight correction scenarios (`CATALOG` and
-`BATCH_SCENARIOS` of benchmark/bench_workloads.py, read from this checkout),
-the batch's unreachable row (`BATCH_UNREACHABLE`: test_case_2_sll22 at
--30 dB) and the test_case_1 oracle up to support 3. The script compares each
+results. Both run `minimize_corrections` on every catalog scenario under
+scenarios/ (read from this checkout), on the batch's unreachable row
+(`BATCH_UNREACHABLE` of benchmark/bench_workloads.py: test_case_2_sll22 at
+-30 dB), and the test_case_1 oracle up to support 3. The script compares each
 correction vector exactly, plus the correction count, l1, k_opt, the
 removal trace and the removal loop's backtracks tallied by the certified
 flag of the InfeasibleError behind each (a proof, as against a ray or a
 stall; the collecting process wraps `arraymend.correction`'s
 `solve_constrained_l1` to see them), and the oracle's support, solve count
-and count of proven rejections (n_certified). An item that raises is
-compared by the error's class and its certified flag, not by its message.
-It prints one line per item; under each item that differs, a second line
-gives parent -> change for the correction count, k_opt, the backtrack
-tallies and the oracle's solve and proven-rejection counts, and the
-relative change of l1.
+and count of proven rejections (n_certified). It also wraps
+`arraymend.solver._exchange` and compares each item's exchange verdicts
+(optimal, ray, undecided), cone IPM iterations and exchange rounds. An item
+that raises is compared by the error's class and its certified flag, not by
+its message. It prints one line per item; under each item that differs, a
+second line gives parent -> change for the correction count, k_opt, the
+backtrack, verdict, iteration and round tallies and the oracle's solve and
+proven-rejection counts, and the relative change of l1. A last line sums
+those counts over the correction items, parent -> change.
 
 Each tree then runs the runners and writes their files: `run_scenario` on
 toy and test_case_1, `run_oracle` on toy up to support 2, `tradeoff_sweep`
@@ -50,10 +53,12 @@ RUN_PROBLEMS = ("toy", "test_case_1")
 RUNNER_ORACLE = ("toy", 2)                            # problem, largest support
 SWEEP = ("fail_rate_n50_row1", (-20.0, -22.0, -40.0))  # problem, targets loosest first
 BACKTRACKS = ("backtracks_certified", "backtracks_uncertified")
+VERDICTS = ("optimal", "ray", "undecided")    # of the exchange, tallied as exchange_<verdict>
+EXCHANGE = (*(f"exchange_{v}" for v in VERDICTS), "ipm_iterations", "exchange_rounds")
 SHOWN = ("n_corrections", "k_opt", *BACKTRACKS, "support", "n_solves", "n_certified", "error",
          "certified")  # printed per item
-# parent -> change when an item differs
-MOVED = ("n_corrections", "k_opt", *BACKTRACKS, "n_solves", "n_certified")
+# parent -> change when an item differs, and summed over the correction items
+MOVED = ("n_corrections", "k_opt", *BACKTRACKS, *EXCHANGE, "n_solves", "n_certified")
 
 
 def _complex_list(a) -> list:
@@ -102,7 +107,7 @@ def collect() -> dict:
     from dataclasses import asdict
 
     import bench_workloads as bw
-    from arraymend import correction
+    from arraymend import correction, solver
     from arraymend.errors import InfeasibleError
     from arraymend.oracle import exhaustive_min
 
@@ -111,7 +116,7 @@ def collect() -> dict:
 
     unreachable = bw.load_spec(ROOT, "test_case_2_sll22").to_dict()  # as the batch builds it
     unreachable.update(name=bw.BATCH_UNREACHABLE, metric={"kind": "max_sll", "target_db": -30.0})
-    problems = {name: resolved(name) for name in bw.CATALOG + bw.BATCH_SCENARIOS}
+    problems = {p.stem: resolved(p.stem) for p in sorted((ROOT / "scenarios").glob("*.json"))}
     problems[bw.BATCH_UNREACHABLE] = bw.am_bench.resolve_scenario(
         bw.am_bench.ScenarioSpec.from_dict(unreachable))
 
@@ -125,26 +130,41 @@ def collect() -> dict:
             raised.append(err.certified)
             raise
 
-    correction.solve_constrained_l1 = tallied
+    exchanged = dict.fromkeys(EXCHANGE, 0)   # the exchange's tallies over one item
+    exchange = solver._exchange
+
+    def counted(*args, **kwargs):
+        z, info = exchange(*args, **kwargs)
+        exchanged[f"exchange_{info['verdict']}"] += 1
+        exchanged["ipm_iterations"] += info["iterations"]
+        exchanged["exchange_rounds"] += info["rounds"]
+        return z, info
+
+    correction.solve_constrained_l1, solver._exchange = tallied, counted
     out = {}
     for name, res in problems.items():
         raised.clear()
+        exchanged.update(dict.fromkeys(EXCHANGE, 0))
         try:
             r = correction.minimize_corrections(res.geometry, res.weights, res.scenario, res.metric,
                                                 res.config)
         except Exception as err:  # a raised error is a result to compare too
-            out[name] = {"error": type(err).__name__, "certified": getattr(err, "certified", None)}
+            out[name] = {"error": type(err).__name__, "certified": getattr(err, "certified", None),
+                         **exchanged}
             continue
         out[name] = {"delta": _complex_list(r.delta), "n_corrections": r.n_corrections,
                      "l1": r.l1, "k_opt": r.k_opt, "trace": [asdict(e) for e in r.trace],
                      "backtracks_certified": sum(raised),
-                     "backtracks_uncertified": len(raised) - sum(raised)}
+                     "backtracks_uncertified": len(raised) - sum(raised), **exchanged}
     correction.solve_constrained_l1 = solve
     res = resolved(ORACLE_PROBLEM)
+    exchanged.update(dict.fromkeys(EXCHANGE, 0))
     o = exhaustive_min(res.geometry, res.weights, res.scenario, res.metric, res.config,
                        max_support=ORACLE_MAX_SUPPORT)
     out[f"oracle:{ORACLE_PROBLEM}"] = {"delta": _complex_list(o.delta), "support": list(o.support),
-                                       "n_solves": o.n_solves, "n_certified": o.n_certified, "l1": o.l1}
+                                       "n_solves": o.n_solves, "n_certified": o.n_certified, "l1": o.l1,
+                                       **exchanged}
+    solver._exchange = exchange
     return {"items": out, "files": runner_files(bw, unreachable)}
 
 
@@ -169,6 +189,12 @@ def moved(a: dict, b: dict) -> str:
     if a.get("l1") and b.get("l1") is not None:
         parts.append(f"l1 {(b['l1'] - a['l1']) / a['l1']:+.3e} relative")
     return ", ".join(parts)
+
+
+def totals(items: dict) -> dict:
+    """Each MOVED count summed over the correction items (the oracle's item left out)."""
+    rows = [v for k, v in items.items() if not k.startswith("oracle:")]
+    return {k: sum(r.get(k, 0) for r in rows) for k in MOVED if any(k in r for r in rows)}
 
 
 def main(argv) -> int:
@@ -201,6 +227,9 @@ def main(argv) -> int:
         if diff:
             print(f"{'':28s} {moved(parent.get(name, {}), change.get(name, {}))}")
     print(f"{bad} of {len(names)} items differ")
+    sums = [totals(parent), totals(change)]
+    print("correction totals: " + ", ".join(f"{k} {sums[0].get(k)} -> {sums[1].get(k)}"
+                                              for k in MOVED if k in sums[0] or k in sums[1]))
     files = sorted(parent_files.keys() | change_files.keys())
     bad_files = 0
     for name in files:
