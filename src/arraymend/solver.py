@@ -728,16 +728,15 @@ def _peak_windows(ratio: np.ndarray, level: float, among: np.ndarray | None = No
     return near
 
 
-def _start_rows(land: _Landscape, z: np.ndarray, stride: int) -> np.ndarray:
+def _start_rows(ratio: np.ndarray, stride: int) -> np.ndarray:
     """
-    A working set's start at the correction z: every stride-th region sample,
-    plus the samples within _EXCHANGE_WINDOW of each local maximum of z's
-    ratio at or above _EXCHANGE_PEAK of its largest. Where F(0) = 0 the ratio
-    is infinite, and the stride alone is the start.
+    A working set's start from the ratios of a correction (_Landscape.ratios):
+    every stride-th region sample, plus the samples within _EXCHANGE_WINDOW of
+    each local maximum of the ratio at or above _EXCHANGE_PEAK of its largest.
+    Where F(0) = 0 the ratio is infinite, and the stride alone is the start.
     """
-    ratio = land.ratios(z)
     top = np.max(ratio)
-    rows = _peak_windows(ratio, _EXCHANGE_PEAK * top) if top < np.inf else np.zeros(land.m, dtype=bool)
+    rows = _peak_windows(ratio, _EXCHANGE_PEAK * top) if top < np.inf else np.zeros(ratio.size, dtype=bool)
     rows[::stride] = True
     return rows
 
@@ -814,9 +813,10 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
 
     tol_ratio = 10.0 ** (cfg.constraint_tol_db / 10.0)
     z = np.zeros(nfree, dtype=complex)
+    ratio = land.ratios(z)
 
     # The zero correction is l1-optimal whenever it is admissible.
-    if land.worst_ratio(z) <= tol_ratio:
+    if np.max(ratio) <= tol_ratio:
         return np.zeros(geometry.n, dtype=complex)
     if nfree == 0:
         raise InfeasibleError("no free elements and the zero correction misses the target",
@@ -826,10 +826,11 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
         if np.any(s[mask] != 0):
             raise ValueError("start vector must be zero on masked elements")
         z = s[free] / unit
+        ratio = land.ratios(z)
 
-    rows = _start_rows(land, z, _lobe_stride(geometry, metric.region.samples))
+    rows = _start_rows(ratio, _lobe_stride(geometry, metric.region.samples))
     # A start that meets the bound shows that no certificate exists.
-    proof = land.worst_ratio(z) > 1.0 and _certificate(land, rows) is not None
+    proof = np.max(ratio) > 1.0 and _certificate(land, rows) is not None
     if not proof:
         z, info = _exchange(land, rows)
         # A ray proves only the cone restriction infeasible; its sample weights

@@ -231,7 +231,7 @@ def _below_faulty(problem):
 def _start(problem, land, z=None):
     """The working-set start that solve_constrained_l1 takes from the correction z (zero by default)."""
     z = np.zeros(land.A.shape[1], dtype=complex) if z is None else z
-    return _start_rows(land, z, _lobe_stride(problem[0], problem[2].samples))
+    return _start_rows(land.ratios(z), _lobe_stride(problem[0], problem[2].samples))
 
 
 def _cone_points(k, seed):
@@ -595,7 +595,7 @@ class TestRecordedVerdicts:
         # stays: x / tau diverges and the dual iterate is the ray.
         res, w_faulty, mask = _recorded_removal("size_scan_n100_row2", OUTER_INFEASIBLE["size_scan_n100_row2"])
         land = _Landscape(res.geometry, w_faulty, res.metric, ~mask)
-        _, info = _exchange(land, _start_rows(land, np.zeros(land.A.shape[1], dtype=complex),
+        _, info = _exchange(land, _start_rows(land.ratios(np.zeros(land.A.shape[1], dtype=complex)),
                                               _lobe_stride(res.geometry, res.metric.region.samples)))
         assert info["verdict"] == "ray"
         assert info["tau"] <= 1e-3 * info["kappa"]
@@ -607,7 +607,7 @@ class TestRecordedVerdicts:
         name = "size_scan_n100_row2"
         res, w_faulty, mask = _recorded_removal(name, OUTER_INFEASIBLE[name])
         land = _Landscape(res.geometry, w_faulty, res.metric, ~mask)
-        rows = _start_rows(land, np.zeros(land.A.shape[1], dtype=complex),
+        rows = _start_rows(land.ratios(np.zeros(land.A.shape[1], dtype=complex)),
                            _lobe_stride(res.geometry, res.metric.region.samples))
         assert _certificate(land, rows) is None         # the start alone proves nothing
         _, info = _exchange(land, rows)
@@ -625,7 +625,7 @@ def _exchange_case(name):
         res = resolve_scenario(load_spec(name))
         land = _Landscape(res.geometry, apply_failures(res.weights, res.scenario), res.metric,
                           res.scenario.admissible)
-        return land, _start_rows(land, np.zeros(land.A.shape[1], dtype=complex),
+        return land, _start_rows(land.ratios(np.zeros(land.A.shape[1], dtype=complex)),
                                  _lobe_stride(res.geometry, res.metric.region.samples))
     problem = PROBLEMS[name]()
     land = _below_faulty(problem)
@@ -786,7 +786,7 @@ def _unreachable():
 
 def _certify(geometry, metric, land):
     """_certificate as the feasibility phase runs it from the zero correction."""
-    start = _start_rows(land, np.zeros(land.A.shape[1], dtype=complex),
+    start = _start_rows(land.ratios(np.zeros(land.A.shape[1], dtype=complex)),
                         _lobe_stride(geometry, metric.region.samples))
     return _certificate(land, start)
 
@@ -867,7 +867,7 @@ class TestCertificate:
         start[support] = z
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = _start_rows(land, z, stride)
+            rows = _start_rows(land.ratios(z), stride)
             lam = _certificate(land, rows)
             with pytest.raises(InfeasibleError) as err:
                 solve_constrained_l1(geometry, w_faulty, metric, mask, start=start)
