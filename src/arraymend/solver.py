@@ -117,7 +117,7 @@ _CERT_MARGIN = 1e-6     # a certificate bounds the sidelobe power this far above
 _CERT_ITERATIONS = 200  # weight updates before the certificate search gives up
 _CERT_TREND = 10        # updates over which the search's progress is extrapolated
 _SYRK_BLOCK = 32768     # entries (samples x unknowns) per block of the normal matrix's B^T B
-_LATTICE_ULPS = 16     # relative position error, in ulps, that a lattice Gram tolerates
+_LATTICE_ULPS = 16     # relative position error, in ulps, that a lattice Gram or a mirrored region tolerates
 _IPM_GAP = 1e-8            # relative duality gap at which the cone IPM stops
 _IPM_RESIDUAL = 1e-8       # relative primal and dual residuals it must reach too
 _IPM_ITERATIONS = 100      # iteration cap of the cone IPM
@@ -174,6 +174,11 @@ def _lattice_lags(positions: np.ndarray, free: np.ndarray) -> np.ndarray | None:
     return idx[None, :] - idx[:, None] + (n - 1)
 
 
+def _mirrored(u: np.ndarray) -> bool:
+    """Whether the sorted samples u mirror each other, u_k = -u_(m-1-k), to within _LATTICE_ULPS."""
+    return bool(np.max(np.abs(u + u[::-1])) <= _LATTICE_ULPS * np.finfo(float).eps * np.max(np.abs(u)))
+
+
 class _Landscape:
     """Pattern pieces of one solve: fixed faulty fields plus free-column steering."""
 
@@ -190,6 +195,23 @@ class _Landscape:
         # The faulty excitations sit on free elements only, so the pattern is
         # linear in x = z + w_free and x = 0 (an all-zero array) is reachable.
         self.homogeneous = not np.any(w_faulty[~free])
+        # Real faulty excitations on a mirrored region: the cone phase may run on
+        # half() (the module docstring has the argument).
+        self.mirrored = not np.any(np.imag(w_faulty)) and _mirrored(metric.region.samples)
+        self.whole = None           # on half(), the whole region's sample count
+
+    @property
+    def real(self) -> bool:
+        """Whether the unknowns are Re z only: the u >= 0 half of a mirrored region."""
+        return self.whole is not None
+
+    def half(self) -> _Landscape:
+        """The u >= 0 half of a mirrored region (samples m // 2 on, as views), for a real z."""
+        k0 = self.m // 2
+        sub = copy.copy(self)
+        sub.A, sub.F_base, sub.full = self.A[k0:], self.F_base[k0:], self.full[k0:]
+        sub.m, sub.whole = self.m - k0, self.m
+        return sub
 
     def restricted(self, rows: np.ndarray) -> _Landscape:
         """The same solve on the region samples in rows only (itself when rows are all of them)."""
@@ -505,11 +527,14 @@ def _lin(land: _Landscape, t: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _lin_adjoint(land: _Landscape, y: np.ndarray):
-    """(-G)^T y as (t part, z part packed as d/dRe + i d/dIm)."""
+    """(-G)^T y as (t part, z part packed as d/dRe + i d/dIm; d/dRe alone for a real z)."""
     f = land.A.shape[1]
     yl, yu = y[:f], y[f:]
+    field = _adjoint(land.A, yu[:, 1] + 1j * yu[:, 2])
+    if land.real:
+        return yl[:, 0], yl[:, 1] + np.sqrt(land.tau) * np.sum(yu[:, 0]) + field.real
     zpart = yl[:, 1] + 1j * yl[:, 2] + np.sqrt(land.tau) * np.sum(yu[:, 0])
-    return yl[:, 0], zpart + _adjoint(land.A, yu[:, 1] + 1j * yu[:, 2])
+    return yl[:, 0], zpart + field
 
 
 def _apply_weights(mm: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -529,6 +554,8 @@ def _normal_matrix(land: _Landscape, mm: np.ndarray) -> np.ndarray:
     gather on a lattice (_gram), and S is one symmetric rank-m product B^T B,
     B = diag(sqrt(kappa)) A. The l1 cones add a 3x3 block on each
     (t_n, Re z_n, Im z_n); eliminating t_n leaves their Schur complements.
+    For a real z only the Re z block is built: the l1 cones' third components
+    stay 0, so they add M11 - M10 M01 / M00 to its diagonal.
     """
     f = land.A.shape[1]
     ml, mu = mm[:f], mm[f:]
@@ -540,6 +567,14 @@ def _normal_matrix(land: _Landscape, mm: np.ndarray) -> np.ndarray:
         b = land.A[r:r + step] * root[r:r + step, None]
         sym += b.T @ b                   # a symmetric product (syrk)
     q = land.A.T @ (mu[:, 0, 1] - 1j * mu[:, 0, 2])
+    i = np.arange(f)
+    if land.real:
+        h = p.real + sym.real + land.tau * np.sum(mu[:, 0, 0])
+        bq = np.sqrt(land.tau) * q.real
+        h += bq
+        h += bq[:, None]
+        h[i, i] += ml[:, 1, 1] - ml[:, 1, 0] * ml[:, 0, 1] / ml[:, 0, 0]
+        return h
     h = np.empty((2 * f, 2 * f))
     h[:f, :f] = p.real + sym.real
     h[:f, f:] = -p.imag - sym.imag
@@ -549,7 +584,6 @@ def _normal_matrix(land: _Landscape, mm: np.ndarray) -> np.ndarray:
     h[:f] += bq
     h[:, :f] += bq[:, None]
     h[:f, :f] += land.tau * np.sum(mu[:, 0, 0])
-    i = np.arange(f)
     schur = ml[:, 1:, 1:] - ml[:, 1:, :1] * ml[:, :1, 1:] / ml[:, :1, :1]
     h[i, i] += schur[:, 0, 0]
     h[i, f + i] += schur[:, 0, 1]
@@ -582,7 +616,7 @@ def _cone_ipm(land: _Landscape):
     h[f:, 1], h[f:, 2] = land.F_base.real, land.F_base.imag
     h_norm = max(1.0, float(np.linalg.norm(h)))
 
-    t, z, tau, kappa = np.zeros(f), np.zeros(f, dtype=complex), 1.0, 1.0
+    t, z, tau, kappa = np.zeros(f), np.zeros(f, dtype=float if land.real else complex), 1.0, 1.0
     s = np.zeros_like(h)
     s[:, 0] = 1.0
     dual = s.copy()
@@ -638,6 +672,9 @@ def _cone_ipm(land: _Landscape):
 
         def solve(bt, bz):
             # H dx = (bt, bz) with t eliminated row by row
+            if land.real:
+                d = kinv @ (bz - ml[:, 0, 1] / ml[:, 0, 0] * bt)
+                return (bt - ml[:, 0, 1] * d) / ml[:, 0, 0], d
             r = np.concatenate([bz.real - ml[:, 0, 1] / ml[:, 0, 0] * bt,
                                 bz.imag - ml[:, 0, 2] / ml[:, 0, 0] * bt])
             d = kinv @ r
@@ -657,7 +694,7 @@ def _cone_ipm(land: _Landscape):
             return dt, dz, -_apply_weights(mm, _lin(land, dt, dz)) - gc
 
         # the tau column: (dx, dz) per unit of dtau
-        col = kkt(-np.ones(f), np.zeros(f, dtype=complex), _apply_weights(mm, h))
+        col = kkt(-np.ones(f), np.zeros_like(z), _apply_weights(mm, h))
         col_c = float(np.sum(col[0])) + float(np.sum(h * col[2]))   # c^T dx + h^T dz
 
         def direction(eta, wl, xi):
@@ -741,6 +778,21 @@ def _start_rows(ratio: np.ndarray, stride: int) -> np.ndarray:
     return rows
 
 
+def _unmirror(rows: np.ndarray, weights: np.ndarray, m: int):
+    """
+    A half region's working set (a mask over samples m - rows.size on) and its
+    sample-cone weights as a whole region's: the cone at u stands for u and -u,
+    which take half its weight each (u = 0, its own mirror, keeps all of it).
+    """
+    k0 = m - rows.size
+    lam = np.zeros(m)
+    lam[k0:][rows] = weights
+    whole = np.zeros(m, dtype=bool)
+    whole[k0:] = rows
+    whole = whole | whole[::-1]
+    return whole, 0.5 * (lam + lam[::-1])[whole]
+
+
 def _exchange(land: _Landscape, rows: np.ndarray):
     """
     The cone program on a working set of region samples, started from the
@@ -749,6 +801,8 @@ def _exchange(land: _Landscape, rows: np.ndarray):
 
     Returns (z, info) as _cone_ipm does, with the iterations summed over the
     rounds, plus the rounds and the final working set (a boolean mask, "rows").
+    On a half() landscape z is real, and the working set and its sample
+    weights are mirrored back onto the whole region.
     """
     rounds = iterations = 0
     while True:
@@ -772,12 +826,16 @@ def _exchange(land: _Landscape, rows: np.ndarray):
             break
         grown = rows | violated | _peak_windows(ratio, _EXCHANGE_PEAK)
         rows = grown if rounds < _EXCHANGE_ROUNDS else np.ones_like(rows)
-    info = {**info, "iterations": iterations, "rounds": rounds, "rows": rows}
+    weights = info["weights"]
+    if land.real:
+        rows, weights = _unmirror(rows, weights, land.whole)
+    info = {**info, "iterations": iterations, "rounds": rounds, "rows": rows, "weights": weights}
 
-    _log.debug("cone IPM: %s after %d rounds on %d of %d region samples, %d iterations, "
-               "relative gap %.2e, primal residual %.2e, dual residual %.2e, tau %.2e, kappa %.2e",
-               info["verdict"], rounds, rows.sum(), land.m, iterations, info["gap"],
-               info["primal"], info["dual"], info["tau"], info["kappa"])
+    _log.debug("cone IPM: %s after %d rounds on %d of %d region samples, mirror reduction %s, "
+               "%d iterations, relative gap %.2e, primal residual %.2e, dual residual %.2e, "
+               "tau %.2e, kappa %.2e", info["verdict"], rounds, rows.sum(), rows.size,
+               "on" if land.real else "off", iterations, info["gap"], info["primal"], info["dual"],
+               info["tau"], info["kappa"])
     return answer, info
 
 
@@ -832,7 +890,8 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
     # A start that meets the bound shows that no certificate exists.
     proof = np.max(ratio) > 1.0 and _certificate(land, rows) is not None
     if not proof:
-        z, info = _exchange(land, rows)
+        cone = land.half() if land.mirrored else land
+        z, info = _exchange(cone, rows[land.m - cone.m:])
         # A ray proves only the cone restriction infeasible; its sample weights
         # seed a search for a proof on the exchange's final working set.
         proof = info["verdict"] == "ray" and _certificate(land, info["rows"], info["weights"]) is not None

@@ -41,9 +41,11 @@ from arraymend.solver import (
     _lin,
     _lin_adjoint,
     _lobe_stride,
+    _mirrored,
     _normal_matrix,
     _Scaling,
     _start_rows,
+    _unmirror,
     _weighted_gram,
 )
 from conftest import load_spec
@@ -312,6 +314,26 @@ class TestKernels:
         h = _normal_matrix(land, mm)
         ref = _dense_normal_matrix(land, mm)
         assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_real_kernels_are_the_re_z_part(self, name):
+        # On the half of a mirrored region z is real and the unknowns are
+        # (t, Re z): the normal matrix is the Re z block of the complex one on
+        # the same samples (t eliminated), and the gradient its Re z part.
+        land, z = _landscape(PROBLEMS[name](), 3.0)
+        assert land.mirrored
+        half = land.half()
+        whole = copy.copy(half)
+        whole.whole = None                  # the same samples, solved for a complex z
+        f = z.size
+        mm = _random_weights(half)
+        ref = _dense_normal_matrix(whole, mm)[:f, :f]
+        assert np.max(np.abs(_normal_matrix(half, mm) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        t = np.abs(z) + 0.1
+        grad_t, grad_x = _lin_adjoint(half, _apply_weights(mm, _lin(half, t, z.real)))
+        ref_t, ref_z = _lin_adjoint(whole, _apply_weights(mm, _lin(whole, t, z.real + 0j)))
+        assert np.isrealobj(grad_x)
+        assert np.max(np.abs(grad_t - ref_t)) <= 1e-12 * np.max(np.abs(ref_t))
+        assert np.max(np.abs(grad_x - ref_z.real)) <= 1e-12 * np.max(np.abs(ref_z.real))
 
     def test_stage_hessian_matches_gradient_differences(self, name):
         land, z = _landscape(PROBLEMS[name](), 3.0)
@@ -708,6 +730,119 @@ class TestExchange:
         assert sizes == [samples] and samples < land.m and info["verdict"] == "undecided"
         assert np.max(land.ratios(z)) <= 1.0 + 1e-7
         assert abs(np.sum(np.abs(z)) - np.sum(np.abs(full))) <= 1e-6 * np.sum(np.abs(full))
+
+
+def _first_solve(name):
+    """A catalog scenario's first solve: its resolved spec, faulty weights, landscape and start rows."""
+    res = resolve_scenario(load_spec(name))
+    w_faulty = apply_failures(res.weights, res.scenario)
+    land = _Landscape(res.geometry, w_faulty, res.metric, res.scenario.admissible)
+    rows = _start_rows(land.ratios(np.zeros(land.A.shape[1], dtype=complex)),
+                       _lobe_stride(res.geometry, res.metric.region.samples))
+    return res, w_faulty, land, rows
+
+
+def _exchanged_landscapes(monkeypatch):
+    """The landscapes that solve_constrained_l1 hands to _exchange, recorded in a list."""
+    seen = []
+    exchange = solver._exchange
+
+    def recording(land, rows):
+        seen.append(land)
+        return exchange(land, rows)
+
+    monkeypatch.setattr(solver, "_exchange", recording)
+    return seen
+
+
+class TestMirror:
+    """
+    Real faulty excitations on a mirrored region: F(-u; w + conj(z)) =
+    conj F(u; w + z), so the cone program has a real optimum, and the cone
+    phase runs on the u >= 0 half with Re z as its only unknowns.
+    """
+
+    @pytest.mark.parametrize("density", [801, 1001, 4001])
+    def test_sidelobe_grids_qualify(self, density, tc1_parts):
+        geometry, weights, scenario, metric, bw_target = tc1_parts
+        region = sidelobe_region(bw_target, density)
+        u = region.samples
+        assert np.max(np.abs(u + u[::-1])) <= np.finfo(float).eps     # 1 ulp off a mirror
+        land = _Landscape(geometry, apply_failures(weights, scenario),
+                          MetricSpec(region=region, target_db=metric.target_db), scenario.admissible)
+        assert land.mirrored and not land.real
+        half = land.half()
+        assert half.real and half.whole == land.m and half.m == land.m - land.m // 2
+        assert np.all(u[land.m - half.m:] > 0)
+        for name in ("A", "F_base", "full"):    # slices of the whole region's arrays, not copies
+            assert np.shares_memory(getattr(half, name), getattr(land, name))
+
+    def test_asymmetric_region_runs_the_complex_path(self, toy, monkeypatch, caplog):
+        geometry, w_faulty, metric, mask = toy
+        skewed = MetricSpec(region=AngularRegion(np.array([-0.7, -0.5, 0.5, 0.8])), target_db=metric.target_db)
+        assert not _mirrored(skewed.region.samples)
+        seen = _exchanged_landscapes(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="arraymend.solver"):
+            delta = solve_constrained_l1(geometry, w_faulty, skewed, mask)
+        (land,) = seen
+        assert not land.real and land.m == 4
+        assert np.any(delta != 0)
+        (message,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("cone IPM")]
+        assert "on 4 of 4 region samples, mirror reduction off" in message
+
+    def test_complex_taper_runs_the_complex_path(self, monkeypatch):
+        # The 25-element taper with phase errors of TestConeIpm: complex weights.
+        geometry = uniform_positions(25, 0.5)
+        weights = dolph_chebyshev(25, -25.0) * np.exp(1j * np.random.default_rng(4).uniform(-0.3, 0.3, 25))
+        scenario = FailureScenario.from_indices(25, [2, 17])
+        region = sidelobe_region(9.6, 1001)
+        metric = MetricSpec(region=region, target_db=max_sll(geometry, weights, region) + 0.5)
+        seen = _exchanged_landscapes(monkeypatch)
+        solve_constrained_l1(geometry, apply_failures(weights, scenario), metric, scenario.mask)
+        assert seen and all(not land.real and land.m == region.size for land in seen)
+
+    @pytest.mark.parametrize("name", ["toy", "test_case_1", "test_case_2_sll22"])
+    def test_half_region_matches_the_whole_complex_region(self, name, monkeypatch, caplog):
+        res, w_faulty, land, rows = _first_solve(name)
+        whole, whole_info = _exchange(land, rows)
+        half = land.half()
+        z, info = _exchange(half, rows[land.m - half.m:])
+        assert info["verdict"] == whole_info["verdict"] == "optimal"
+        assert np.isrealobj(z)
+        l1, l1_whole = np.sum(np.abs(z)), np.sum(np.abs(whole))
+        assert abs(l1 - l1_whole) <= 1e-8 * l1_whole
+        assert info["rows"].size == land.m and np.array_equal(info["rows"], info["rows"][::-1])
+        seen = _exchanged_landscapes(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="arraymend.solver"):
+            delta = solve_constrained_l1(res.geometry, w_faulty, res.metric, res.scenario.mask,
+                                         config=res.config)
+        assert seen[0].real and np.all(delta.imag == 0)
+        message = next(r.getMessage() for r in caplog.records if r.getMessage().startswith("cone IPM"))
+        assert re.search(rf"on \d+ of {land.m} region samples, mirror reduction on", message)
+
+    def test_mirrored_ray_weights_seed_a_proof(self):
+        # size_scan_n100_row2's outer-infeasible removal ends the half region's
+        # exchange with a ray; mirrored onto the whole region, its weights seed
+        # a proof of the free-phase problem on the whole region.
+        name = "size_scan_n100_row2"
+        res, w_faulty, mask = _recorded_removal(name, OUTER_INFEASIBLE[name])
+        land = _Landscape(res.geometry, w_faulty, res.metric, ~mask)
+        rows = _start_rows(land.ratios(np.zeros(land.A.shape[1], dtype=complex)),
+                           _lobe_stride(res.geometry, res.metric.region.samples))
+        half = land.half()
+        _, info = _exchange(half, rows[land.m - half.m:])
+        assert info["verdict"] == "ray"
+        assert info["rows"].size == land.m and np.array_equal(info["rows"], info["rows"][::-1])
+        assert info["weights"].size == info["rows"].sum()
+        lam = _certificate(land, info["rows"], info["weights"])
+        assert lam is not None
+        assert _certified_min_eig(res.geometry, w_faulty, res.metric, np.flatnonzero(~mask), lam) > 0
+
+    def test_unmirror_splits_each_pair_and_keeps_the_centre(self):
+        # Five samples u_0 < ... < u_4 with u_2 = 0: the half is u_2, u_3, u_4.
+        rows, weights = _unmirror(np.array([True, False, True]), np.array([2.0, 4.0]), 5)
+        assert rows.tolist() == [True, False, True, False, True]
+        assert weights.tolist() == [2.0, 2.0, 2.0]
 
 
 class TestCarriedFields:
