@@ -8,7 +8,8 @@ Solves, over the unmasked entries of a correction vector dw,
                 dw_n = 0 on masked elements
 
 with ratio = 10^(target_db / 10). The unknowns are the real and imaginary
-parts of the free entries; everything is deterministic.
+parts of the free entries (the cone phase keeps only the real parts for real
+excitations on a mirrored region, below); everything is deterministic.
 
 Every infeasibility verdict rests on one of two dual objects: the
 certificate's weights or the cone IPM's Farkas ray. The problem is
@@ -89,9 +90,27 @@ below mean the same whatever the weights' units. A solve takes four steps:
   sample ends the loop too: that point is within its gap of the set's
   optimum, which the region's cannot undercut. Any other undecided round and
   the eighth round widen the set to the whole region, whose solve is the
-  last. Each solve is logged at DEBUG, with its
-  verdict, rounds, final working set, iterations, gap, residuals, tau and
-  kappa.
+  last. Each solve is logged at DEBUG, with its verdict, rounds, final
+  working set and region size (counted on the whole region), whether the
+  mirror reduction ran, iterations, gap, residuals, tau and kappa.
+
+  Mirror reduction. When the faulty excitations are real and the region's
+  sorted samples mirror each other (u_k = -u_(m-1-k) to within
+  _LATTICE_ULPS), F(-u; w + conj(z)) = conj F(u; w + z), so the cone program
+  is invariant under (z, u) -> (conj(z), -u). It is convex, so the average
+  of an optimum and its conjugate is a real optimum (the group-averaging
+  argument of Gatermann & Parrilo, J. Pure Appl. Algebra 2004), and a real z
+  has |F(-u)| = |F(u)|. The exchange and the IPM then run on the u >= 0 half
+  of the region (slices of the whole region's arrays) with Re z as the only
+  unknowns: the l1 cones keep their third components at exactly 0, and the
+  normal matrix is its f x f Re z block. The final working set and the ray's
+  weights are mirrored back onto the whole region, u and -u each taking
+  half the weight of u's cone. The certificate stays complex on the whole
+  region: it covers the nonconvex free-phase problem, whose feasible set is
+  not convex, so averaging gives no real point there and the reduction
+  would only restrict it. The acceptance of undecided answers and the final
+  check read every region sample, so they do not rest on the mirror being
+  exact.
 * final check: the answer must meet the toleranced target on every region
   sample, or the solve raises NumericalFailureError.
 
