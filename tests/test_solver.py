@@ -544,11 +544,7 @@ class TestConeIpm:
         # Phase errors make F(0) complex. The cone |F(u)| <= sqrt(tau) Re F(0)
         # needs no real F(0), so the first solve corrects one or two elements;
         # a solve that forces F(0) real spreads over all 23 working elements.
-        geometry = uniform_positions(25, 0.5)
-        weights = dolph_chebyshev(25, -25.0) * np.exp(1j * np.random.default_rng(4).uniform(-0.3, 0.3, 25))
-        scenario = FailureScenario.from_indices(25, [2, 17])
-        region = sidelobe_region(9.6, 1001)
-        metric = MetricSpec(region=region, target_db=max_sll(geometry, weights, region) + 0.5)
+        geometry, weights, scenario, metric = _phase_error_problem()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             delta = solve_constrained_l1(geometry, apply_failures(weights, scenario), metric, scenario.mask)
@@ -568,6 +564,15 @@ class TestConeIpm:
             assert re.search(r"after \d+ updates, \d+ growth rounds, on 4 of 4 region samples", message)
         assert messages[0].startswith(("certificate: bound met on the region", "certificate: trend"))
         assert messages[1].startswith("certificate: proof")
+
+
+def _phase_error_problem():
+    """A 25-element -25 dB Dolph-Chebyshev taper with U(-0.3, 0.3) rad phase errors (seed 4), faults 2 and 17."""
+    geometry = uniform_positions(25, 0.5)
+    weights = dolph_chebyshev(25, -25.0) * np.exp(1j * np.random.default_rng(4).uniform(-0.3, 0.3, 25))
+    region = sidelobe_region(9.6, 1001)
+    metric = MetricSpec(region=region, target_db=max_sll(geometry, weights, region) + 0.5)
+    return geometry, weights, FailureScenario.from_indices(25, [2, 17]), metric
 
 
 def _recorded_removal(name, free):
@@ -641,14 +646,20 @@ class TestRecordedVerdicts:
         assert _certified_min_eig(res.geometry, w_faulty, res.metric, support, lam) > 0
 
 
+def _first_solve(name):
+    """A catalog scenario's first solve: its resolved spec, faulty weights, landscape and start rows."""
+    res = resolve_scenario(load_spec(name))
+    w_faulty = apply_failures(res.weights, res.scenario)
+    land = _Landscape(res.geometry, w_faulty, res.metric, res.scenario.admissible)
+    rows = _start_rows(land.ratios(np.zeros(land.A.shape[1], dtype=complex)),
+                       _lobe_stride(res.geometry, res.metric.region.samples))
+    return res, w_faulty, land, rows
+
+
 def _exchange_case(name):
     """A solve's landscape and the working set the exchange starts from at the zero correction."""
-    if name == "size_scan_n100_row3":        # its first solve
-        res = resolve_scenario(load_spec(name))
-        land = _Landscape(res.geometry, apply_failures(res.weights, res.scenario), res.metric,
-                          res.scenario.admissible)
-        return land, _start_rows(land.ratios(np.zeros(land.A.shape[1], dtype=complex)),
-                                 _lobe_stride(res.geometry, res.metric.region.samples))
+    if name == "size_scan_n100_row3":
+        return _first_solve(name)[2:]
     problem = PROBLEMS[name]()
     land = _below_faulty(problem)
     return land, _start(problem, land)
@@ -732,16 +743,6 @@ class TestExchange:
         assert abs(np.sum(np.abs(z)) - np.sum(np.abs(full))) <= 1e-6 * np.sum(np.abs(full))
 
 
-def _first_solve(name):
-    """A catalog scenario's first solve: its resolved spec, faulty weights, landscape and start rows."""
-    res = resolve_scenario(load_spec(name))
-    w_faulty = apply_failures(res.weights, res.scenario)
-    land = _Landscape(res.geometry, w_faulty, res.metric, res.scenario.admissible)
-    rows = _start_rows(land.ratios(np.zeros(land.A.shape[1], dtype=complex)),
-                       _lobe_stride(res.geometry, res.metric.region.samples))
-    return res, w_faulty, land, rows
-
-
 def _exchanged_landscapes(monkeypatch):
     """The landscapes that solve_constrained_l1 hands to _exchange, recorded in a list."""
     seen = []
@@ -791,15 +792,11 @@ class TestMirror:
         assert "on 4 of 4 region samples, mirror reduction off" in message
 
     def test_complex_taper_runs_the_complex_path(self, monkeypatch):
-        # The 25-element taper with phase errors of TestConeIpm: complex weights.
-        geometry = uniform_positions(25, 0.5)
-        weights = dolph_chebyshev(25, -25.0) * np.exp(1j * np.random.default_rng(4).uniform(-0.3, 0.3, 25))
-        scenario = FailureScenario.from_indices(25, [2, 17])
-        region = sidelobe_region(9.6, 1001)
-        metric = MetricSpec(region=region, target_db=max_sll(geometry, weights, region) + 0.5)
+        geometry, weights, scenario, metric = _phase_error_problem()
+        assert _mirrored(metric.region.samples)         # the weights alone rule the reduction out
         seen = _exchanged_landscapes(monkeypatch)
         solve_constrained_l1(geometry, apply_failures(weights, scenario), metric, scenario.mask)
-        assert seen and all(not land.real and land.m == region.size for land in seen)
+        assert seen and all(not land.real and land.m == metric.region.size for land in seen)
 
     @pytest.mark.parametrize("name", ["toy", "test_case_1", "test_case_2_sll22"])
     def test_half_region_matches_the_whole_complex_region(self, name, monkeypatch, caplog):
