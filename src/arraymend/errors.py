@@ -16,7 +16,7 @@ class InfeasibleError(RuntimeError):
 
 
 class NumericalFailureError(RuntimeError):
-    """A solve produced non-finite values and was aborted."""
+    """The cone IPM left the constraint violated: its answer misses the toleranced target on the region."""
 
 
 class BudgetExceededError(RuntimeError):

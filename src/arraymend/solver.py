@@ -103,14 +103,20 @@ below mean the same whatever the weights' units. A solve takes four steps:
   has |F(-u)| = |F(u)|. The exchange and the IPM then run on the u >= 0 half
   of the region (slices of the whole region's arrays) with Re z as the only
   unknowns: the l1 cones keep their third components at exactly 0, and the
-  normal matrix is its f x f Re z block. The final working set and the ray's
-  weights are mirrored back onto the whole region, u and -u each taking
-  half the weight of u's cone. The certificate stays complex on the whole
-  region: it covers the nonconvex free-phase problem, whose feasible set is
-  not convex, so averaging gives no real point there and the reduction
-  would only restrict it. The acceptance of undecided answers and the final
-  check read every region sample, so they do not rest on the mirror being
-  exact.
+  normal matrix is its f x f Re z block. Both certificate searches run on
+  the same half. The free-phase problem is not convex, but its
+  certificates are: the weights lam >= 0 with P(lam) - tau' conj(h) h^T
+  positive definite form a convex set. As g_(-u) = conj(g_u) and h is
+  real, mirroring lam conjugates P(lam) and keeps the set, so averaging
+  turns any proof into a mirrored one, whose P(lam) is the real part of the
+  half's Gram (u and -u each taking half of lam_u). A real
+  P(lam) - tau' h h^T that is positive definite is a positive-definite
+  Hermitian form over complex y too, so a proof on the half covers the
+  free-phase problem on the half and its mirror image. That image is the
+  region's other half to within _LATTICE_ULPS, a shift of P far below the
+  certificate's margin and guard. The acceptance of undecided answers and
+  the final check read every region sample, so they do not rest on the
+  mirror being exact.
 * final check: the answer must meet the toleranced target on every region
   sample, or the solve raises NumericalFailureError.
 
@@ -232,6 +238,12 @@ class _Landscape:
         sub.m, sub.whole = self.m - k0, self.m
         return sub
 
+    def counts(self, rows: np.ndarray):
+        """A working set's size and the region's, counted on the whole region (u and -u) on half()."""
+        if not self.real:
+            return int(rows.sum()), self.m
+        return int(2 * rows.sum() - (self.whole % 2 and rows[0])), self.whole   # u = 0 counts once
+
     def restricted(self, rows: np.ndarray) -> _Landscape:
         """The same solve on the region samples in rows only (itself when rows are all of them)."""
         if rows.size == self.m:
@@ -281,17 +293,20 @@ def _weighted_gram(land: _Landscape, lam: np.ndarray) -> np.ndarray:
     """
     P = sum_u lam_u conj(g_u) g_u^T over g_u = (A_u, F_base_u), or A_u when
     homogeneous: the A block from _gram, the F_base column from one adjoint
-    product and the corner from one sum.
+    product and the corner from one sum. On half() it is the whole region's
+    P for lam mirrored (u and -u each taking half of lam_u): as
+    g_(-u) = conj(g_u), that is the real part of the half's.
     """
     if land.homogeneous:
-        return _gram(land, lam)
-    f = land.A.shape[1]
-    p = np.empty((f + 1, f + 1), dtype=complex)
-    p[:f, :f] = _gram(land, lam)
-    p[:f, f] = _adjoint(land.A, lam * land.F_base)
-    p[f, :f] = np.conj(p[:f, f])
-    p[f, f] = np.sum(lam * np.abs(land.F_base) ** 2)
-    return p
+        p = _gram(land, lam)
+    else:
+        f = land.A.shape[1]
+        p = np.empty((f + 1, f + 1), dtype=complex)
+        p[:f, :f] = _gram(land, lam)
+        p[:f, f] = _adjoint(land.A, lam * land.F_base)
+        p[f, :f] = np.conj(p[:f, f])
+        p[f, f] = np.sum(lam * np.abs(land.F_base) ** 2)
+    return p.real if land.real else p
 
 
 def _positive_definite(s: np.ndarray) -> bool:
@@ -338,19 +353,22 @@ def _certificate(land: _Landscape, rows: np.ndarray,
     or above 1 join the set with the largest current weight, the weights are
     renormalized, the pace restarts and the search goes on; such a growth
     counts as an update. Otherwise the search gives up.
+    On half() P is real (_weighted_gram) and lam is returned on the half's
+    samples; mirrored, u and -u each taking half of lam_u, it is a proof on
+    the whole region.
     Positive definiteness is tested on the matrix scaled by P's diagonal,
-    less 4*d*m*eps with m the whole region's sample count: each entry of the
-    scaled P carries at most about m*eps of rounding, so the test cannot
-    pass on rounding alone. Each search is logged at DEBUG.
+    less 4*d*m*eps with m the whole region's sample count, on half() too:
+    each entry of the scaled P carries at most about m*eps of rounding, so
+    the test cannot pass on rounding alone. Each search is logged at DEBUG.
     """
     f = land.A.shape[1]
     d = f if land.homogeneous else f + 1
-    h = np.ones(d, dtype=complex)
+    h = np.ones(d, dtype=float if land.real else complex)
     if not land.homogeneous:
-        h[f] = land.F0_base
+        h[f] = land.F0_base.real if land.real else land.F0_base
     tau = land.tau * (1.0 + _CERT_MARGIN)
     bound = tau * np.outer(np.conj(h), h)
-    guard = 4.0 * d * land.m * np.finfo(float).eps * np.eye(d)
+    guard = 4.0 * d * (land.whole or land.m) * np.finfo(float).eps * np.eye(d)
 
     def products(sub, v):
         # |g_u^T v| on the landscape's samples
@@ -402,7 +420,7 @@ def _certificate(land: _Landscape, rows: np.ndarray,
         lam /= np.sum(lam)
         it += 1
     _log.debug("certificate: %s after %d updates, %d growth rounds, on %d of %d region samples",
-               outcome, it, growths, idx.size, land.m)
+               outcome, it, growths, *land.counts(rows))
     return proof
 
 
@@ -797,21 +815,6 @@ def _start_rows(ratio: np.ndarray, stride: int) -> np.ndarray:
     return rows
 
 
-def _unmirror(rows: np.ndarray, weights: np.ndarray, m: int):
-    """
-    A half region's working set (a mask over samples m - rows.size on) and its
-    sample-cone weights as a whole region's: the cone at u stands for u and -u,
-    which take half its weight each (u = 0, its own mirror, keeps all of it).
-    """
-    k0 = m - rows.size
-    lam = np.zeros(m)
-    lam[k0:][rows] = weights
-    whole = np.zeros(m, dtype=bool)
-    whole[k0:] = rows
-    whole = whole | whole[::-1]
-    return whole, 0.5 * (lam + lam[::-1])[whole]
-
-
 def _exchange(land: _Landscape, rows: np.ndarray):
     """
     The cone program on a working set of region samples, started from the
@@ -819,9 +822,8 @@ def _exchange(land: _Landscape, rows: np.ndarray):
     sample (the module docstring has the rules).
 
     Returns (z, info) as _cone_ipm does, with the iterations summed over the
-    rounds, plus the rounds and the final working set (a boolean mask, "rows").
-    On a half() landscape z is real, and the working set and its sample
-    weights are mirrored back onto the whole region.
+    rounds, plus the rounds and the final working set (a boolean mask, "rows"),
+    all on land's samples; on a half() landscape z is real.
     """
     rounds = iterations = 0
     while True:
@@ -845,14 +847,11 @@ def _exchange(land: _Landscape, rows: np.ndarray):
             break
         grown = rows | violated | _peak_windows(ratio, _EXCHANGE_PEAK)
         rows = grown if rounds < _EXCHANGE_ROUNDS else np.ones_like(rows)
-    weights = info["weights"]
-    if land.real:
-        rows, weights = _unmirror(rows, weights, land.whole)
-    info = {**info, "iterations": iterations, "rounds": rounds, "rows": rows, "weights": weights}
+    info = {**info, "iterations": iterations, "rounds": rounds, "rows": rows}
 
     _log.debug("cone IPM: %s after %d rounds on %d of %d region samples, mirror reduction %s, "
                "%d iterations, relative gap %.2e, primal residual %.2e, dual residual %.2e, "
-               "tau %.2e, kappa %.2e", info["verdict"], rounds, rows.sum(), rows.size,
+               "tau %.2e, kappa %.2e", info["verdict"], rounds, *land.counts(rows),
                "on" if land.real else "off", iterations, info["gap"], info["primal"], info["dual"],
                info["tau"], info["kappa"])
     return answer, info
@@ -869,8 +868,8 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
     seeds the working sets with the peaks of its pattern. Raises
     InfeasibleError when no correction within the mask can meet the target
     (its certified flag tells a proof from a Farkas ray of the cone
-    restriction or a stalled solve), NumericalFailureError on non-finite
-    values.
+    restriction or a stalled solve), NumericalFailureError when the cone
+    IPM's answer breaks the toleranced target on the region.
     """
     cfg = config if config is not None else SolverConfig()
     w = as_weights(w_faulty, geometry.n)
@@ -905,15 +904,15 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
         z = s[free] / unit
         ratio = land.ratios(z)
 
-    rows = _start_rows(ratio, _lobe_stride(geometry, metric.region.samples))
+    cone = land.half() if land.mirrored else land
+    rows = _start_rows(ratio, _lobe_stride(geometry, metric.region.samples))[land.m - cone.m:]
     # A start that meets the bound shows that no certificate exists.
-    proof = np.max(ratio) > 1.0 and _certificate(land, rows) is not None
+    proof = np.max(ratio) > 1.0 and _certificate(cone, rows) is not None
     if not proof:
-        cone = land.half() if land.mirrored else land
-        z, info = _exchange(cone, rows[land.m - cone.m:])
+        z, info = _exchange(cone, rows)
         # A ray proves only the cone restriction infeasible; its sample weights
         # seed a search for a proof on the exchange's final working set.
-        proof = info["verdict"] == "ray" and _certificate(land, info["rows"], info["weights"]) is not None
+        proof = info["verdict"] == "ray" and _certificate(cone, info["rows"], info["weights"]) is not None
     if proof:
         raise InfeasibleError(
             "certified: a weighting of the region samples keeps the sidelobe power "

@@ -14,6 +14,7 @@ from arraymend import (
     FailureScenario,
     InfeasibleError,
     MetricSpec,
+    NumericalFailureError,
     SolverConfig,
     apply_failures,
     dolph_chebyshev,
@@ -45,7 +46,6 @@ from arraymend.solver import (
     _normal_matrix,
     _Scaling,
     _start_rows,
-    _unmirror,
     _weighted_gram,
 )
 from conftest import load_spec
@@ -156,6 +156,16 @@ class TestSolveToy:
             solve_constrained_l1(geometry, w_faulty, metric, np.ones(4, dtype=bool))
         assert info.value.certified       # nothing to solve for: the exact zero check
 
+    def test_optimal_answer_breaking_the_bound_is_a_numerical_failure(self, toy, monkeypatch):
+        # The final check reads every region sample and trusts no verdict: an
+        # "optimal" answer that misses the target (here the zero correction)
+        # raises instead of being returned.
+        geometry, w_faulty, metric, mask = toy
+        monkeypatch.setattr(solver, "_exchange",
+                            lambda land, rows: (np.zeros(land.A.shape[1]), {"verdict": "optimal"}))
+        with pytest.raises(NumericalFailureError, match="left the constraint violated"):
+            solve_constrained_l1(geometry, w_faulty, metric, mask)
+
 
 class TestSolverConfig:
     def test_defaults_positive(self):
@@ -236,6 +246,13 @@ def _start(problem, land, z=None):
     return _start_rows(land.ratios(z), _lobe_stride(problem[0], problem[2].samples))
 
 
+def _mirror(lam, m):
+    """Weights on a mirrored region's half (its last lam.size samples) as the whole region's: u and -u take half each."""
+    whole = np.zeros(m)
+    whole[m - lam.size:] = lam
+    return 0.5 * (whole + whole[::-1])
+
+
 def _cone_points(k, seed):
     """k random points strictly inside the three-dimensional second-order cone."""
     rng = np.random.default_rng(seed)
@@ -277,19 +294,26 @@ def _dense_normal_matrix(land, mm):
 @pytest.mark.parametrize("name", PROBLEMS)
 class TestKernels:
     def test_weighted_gram_matches_reference(self, name):
-        # The certificate's P(lam), on the region and on a working set of it,
-        # against the sum over samples of lam_u conj(g_u) g_u^T.
-        land, _ = _landscape(PROBLEMS[name](), 0.0)
-        rows = np.arange(0, land.m, 3)
-        for sub in (land, land.restricted(rows)):
+        # The certificate's P(lam), on the region, on a working set of it and on
+        # the halves of mirrored regions (an odd one too, whose u = 0 is its own
+        # mirror), against the sum over samples of lam_u conj(g_u) g_u^T; on a
+        # half the sum runs over the whole region with lam mirrored.
+        geometry, w_faulty, region, free, z = PROBLEMS[name]()
+        land, _ = _landscape((geometry, w_faulty, region, free, z), 0.0)
+        odd = _Landscape(geometry, w_faulty, MetricSpec(AngularRegion(0.05 * np.arange(-18, 19)), 0.0), free)
+        assert land.mirrored and odd.mirrored and odd.m % 2 == 1
+        cases = [(land, land), (land.restricted(np.arange(0, land.m, 3)),) * 2,
+                 (land.half(), land), (odd.half(), odd)]
+        for sub, whole in cases:
             lam = np.random.default_rng(3).uniform(0.0, 1.0, sub.m)
             lam[::4] = 0.0                  # the search zeroes small weights
             lam /= lam.sum()
+            weights = _mirror(lam, whole.m) if sub.real else lam
             for homogeneous in (True, False):
                 form = copy.copy(sub)
                 form.homogeneous = homogeneous
-                g = sub.A if homogeneous else np.column_stack([sub.A, sub.F_base])
-                ref = (g.conj().T * lam) @ g
+                g = whole.A if homogeneous else np.column_stack([whole.A, whole.F_base])
+                ref = (g.conj().T * weights) @ g
                 assert np.max(np.abs(_weighted_gram(form, lam) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     # Each IPM step solves a Newton system with the Hessian G^T W^-2 G of the
@@ -808,7 +832,8 @@ class TestMirror:
         assert np.isrealobj(z)
         l1, l1_whole = np.sum(np.abs(z)), np.sum(np.abs(whole))
         assert abs(l1 - l1_whole) <= 1e-8 * l1_whole
-        assert info["rows"].size == land.m and np.array_equal(info["rows"], info["rows"][::-1])
+        assert info["rows"].size == half.m
+        assert half.counts(info["rows"]) == (2 * info["rows"].sum(), land.m)   # as the records count it
         seen = _exchanged_landscapes(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="arraymend.solver"):
             delta = solve_constrained_l1(res.geometry, w_faulty, res.metric, res.scenario.mask,
@@ -819,8 +844,9 @@ class TestMirror:
 
     def test_mirrored_ray_weights_seed_a_proof(self):
         # size_scan_n100_row2's outer-infeasible removal ends the half region's
-        # exchange with a ray; mirrored onto the whole region, its weights seed
-        # a proof of the free-phase problem on the whole region.
+        # exchange with a ray; its weights seed a proof on the half which,
+        # mirrored onto the whole region, proves the free-phase problem
+        # infeasible there.
         name = "size_scan_n100_row2"
         res, w_faulty, mask = _recorded_removal(name, OUTER_INFEASIBLE[name])
         land = _Landscape(res.geometry, w_faulty, res.metric, ~mask)
@@ -829,17 +855,11 @@ class TestMirror:
         half = land.half()
         _, info = _exchange(half, rows[land.m - half.m:])
         assert info["verdict"] == "ray"
-        assert info["rows"].size == land.m and np.array_equal(info["rows"], info["rows"][::-1])
-        assert info["weights"].size == info["rows"].sum()
-        lam = _certificate(land, info["rows"], info["weights"])
-        assert lam is not None
-        assert _certified_min_eig(res.geometry, w_faulty, res.metric, np.flatnonzero(~mask), lam) > 0
-
-    def test_unmirror_splits_each_pair_and_keeps_the_centre(self):
-        # Five samples u_0 < ... < u_4 with u_2 = 0: the half is u_2, u_3, u_4.
-        rows, weights = _unmirror(np.array([True, False, True]), np.array([2.0, 4.0]), 5)
-        assert rows.tolist() == [True, False, True, False, True]
-        assert weights.tolist() == [2.0, 2.0, 2.0]
+        assert info["rows"].size == half.m and info["weights"].size == info["rows"].sum()
+        lam = _certificate(half, info["rows"], info["weights"])
+        assert lam is not None and lam.size == half.m
+        support = np.flatnonzero(~mask)
+        assert _certified_min_eig(res.geometry, w_faulty, res.metric, support, _mirror(lam, land.m)) > 0
 
 
 class TestCarriedFields:
@@ -916,11 +936,20 @@ def _unreachable():
     return res.geometry, w_faulty, res.metric, support
 
 
-def _certify(geometry, metric, land):
-    """_certificate as the feasibility phase runs it from the zero correction."""
+def _certify(geometry, metric, land, half=False):
+    """
+    _certificate as the feasibility phase runs it from the zero correction, on
+    land or, for half, on the half of its mirrored region with the weights
+    mirrored back onto the whole region.
+    """
     start = _start_rows(land.ratios(np.zeros(land.A.shape[1], dtype=complex)),
                         _lobe_stride(geometry, metric.region.samples))
-    return _certificate(land, start)
+    if not half:
+        return _certificate(land, start)
+    assert land.mirrored
+    cone = land.half()
+    lam = _certificate(cone, start[land.m - cone.m:])
+    return None if lam is None else _mirror(lam, land.m)
 
 
 def _logged_certificate(caplog, land, rows):
@@ -941,11 +970,12 @@ class TestCertificate:
         for size in (1, 2):
             for support in itertools.combinations(working, size):
                 land = _support_landscape(geometry, w_faulty, metric, support)
-                lam = _certify(geometry, metric, land)
-                assert lam is not None, support
-                assert np.all(lam >= 0) and np.isclose(lam.sum(), 1.0)
-                assert _certified_min_eig(geometry, w_faulty, metric, support, lam) > 0, support
-                zero_shares.append(np.mean(lam == 0))
+                for half in (False, True):      # the whole region's search and the half's
+                    lam = _certify(geometry, metric, land, half)
+                    assert lam is not None, (support, half)
+                    assert np.all(lam >= 0) and np.isclose(lam.sum(), 1.0)
+                    assert _certified_min_eig(geometry, w_faulty, metric, support, lam) > 0, (support, half)
+                    zero_shares.append(np.mean(lam == 0))
         assert max(zero_shares) > 0.5          # proofs found on a working set hold for the region
 
     def test_feasible_problems_are_not_certified(self, toy, tc1_parts):
@@ -1036,7 +1066,7 @@ class TestCertificate:
         optimize = pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(7)
         sides = 16
-        counts = {"lp_feasible": 0, "certified": 0}
+        counts = {"lp_feasible": 0, "certified": 0, "certified_on_the_half": 0}
         for _ in range(3):
             n = int(rng.integers(10, 17))
             faults = sorted(int(i) for i in rng.choice(np.arange(1, n + 1), int(rng.integers(1, 4)),
@@ -1053,11 +1083,15 @@ class TestCertificate:
                 land = _support_landscape(geometry, w_faulty, metric, support)
                 z = _polygon_lp_point(optimize, land, sides)
                 lam = _certify(geometry, metric, land)
+                lam_half = _certify(geometry, metric, land, half=True)
                 if z is not None and land.worst_ratio(z) <= 1.0:
                     counts["lp_feasible"] += 1
-                    assert lam is None, (n, faults, support)
+                    assert lam is None and lam_half is None, (n, faults, support)
                 counts["certified"] += lam is not None
-        assert counts["lp_feasible"] > 0 and counts["certified"] > 0, counts
+                counts["certified_on_the_half"] += lam_half is not None
+                if lam_half is not None:
+                    assert _certified_min_eig(geometry, w_faulty, metric, support, lam_half) > 0
+        assert all(counts.values()), counts
 
 
 def _polygon_lp_point(optimize, land, sides):

@@ -17,13 +17,15 @@ stall; the collecting process wraps `arraymend.correction`'s
 `solve_constrained_l1` to see them), and the oracle's support, solve count
 and count of proven rejections (n_certified). It also wraps
 `arraymend.solver._exchange` and compares each item's exchange verdicts
-(optimal, ray, undecided), cone IPM iterations and exchange rounds. An item
-that raises is compared by the error's class and its certified flag, not by
-its message. It prints one line per item; under each item that differs, a
-second line gives parent -> change for the correction count, k_opt, the
-backtrack, verdict, iteration and round tallies and the oracle's solve and
-proven-rejection counts, and the relative change of l1. A last line sums
-those counts over the correction items, parent -> change.
+(optimal, ray, undecided), cone IPM iterations and exchange rounds, and
+wraps `arraymend.solver._certificate` to compare each item's certificate
+searches and the proofs they found. An item that raises is compared by the
+error's class and its certified flag, not by its message. It prints one line
+per item; under each item that differs, a second line gives parent -> change
+for the correction count, k_opt, the backtrack, verdict, iteration, round
+and certificate tallies and the oracle's solve and proven-rejection counts,
+and the relative change of l1. A last line sums those counts over the
+correction items, parent -> change.
 
 Each tree then runs the runners and writes their files: `run_scenario` on
 toy and test_case_1, `run_oracle` on toy up to support 2, `tradeoff_sweep`
@@ -54,11 +56,12 @@ RUNNER_ORACLE = ("toy", 2)                            # problem, largest support
 SWEEP = ("fail_rate_n50_row1", (-20.0, -22.0, -40.0))  # problem, targets loosest first
 BACKTRACKS = ("backtracks_certified", "backtracks_uncertified")
 VERDICTS = ("optimal", "ray", "undecided")    # of the exchange, tallied as exchange_<verdict>
-EXCHANGE = (*(f"exchange_{v}" for v in VERDICTS), "ipm_iterations", "exchange_rounds")
+SOLVER = (*(f"exchange_{v}" for v in VERDICTS), "ipm_iterations", "exchange_rounds",
+            "certificate_searches", "certificate_proofs")
 SHOWN = ("n_corrections", "k_opt", *BACKTRACKS, "support", "n_solves", "n_certified", "error",
          "certified")  # printed per item
 # parent -> change when an item differs, and summed over the correction items
-MOVED = ("n_corrections", "k_opt", *BACKTRACKS, *EXCHANGE, "n_solves", "n_certified")
+MOVED = ("n_corrections", "k_opt", *BACKTRACKS, *SOLVER, "n_solves", "n_certified")
 
 
 def _complex_list(a) -> list:
@@ -130,41 +133,49 @@ def collect() -> dict:
             raised.append(err.certified)
             raise
 
-    exchanged = dict.fromkeys(EXCHANGE, 0)   # the exchange's tallies over one item
+    tallies = dict.fromkeys(SOLVER, 0)   # the exchange's and the certificate's tallies over one item
     exchange = solver._exchange
 
     def counted(*args, **kwargs):
         z, info = exchange(*args, **kwargs)
-        exchanged[f"exchange_{info['verdict']}"] += 1
-        exchanged["ipm_iterations"] += info["iterations"]
-        exchanged["exchange_rounds"] += info["rounds"]
+        tallies[f"exchange_{info['verdict']}"] += 1
+        tallies["ipm_iterations"] += info["iterations"]
+        tallies["exchange_rounds"] += info["rounds"]
         return z, info
 
-    correction.solve_constrained_l1, solver._exchange = tallied, counted
+    certificate = solver._certificate
+
+    def searched(*args, **kwargs):
+        proof = certificate(*args, **kwargs)
+        tallies["certificate_searches"] += 1
+        tallies["certificate_proofs"] += proof is not None
+        return proof
+
+    correction.solve_constrained_l1, solver._exchange, solver._certificate = tallied, counted, searched
     out = {}
     for name, res in problems.items():
         raised.clear()
-        exchanged.update(dict.fromkeys(EXCHANGE, 0))
+        tallies.update(dict.fromkeys(SOLVER, 0))
         try:
             r = correction.minimize_corrections(res.geometry, res.weights, res.scenario, res.metric,
                                                 res.config)
         except Exception as err:  # a raised error is a result to compare too
             out[name] = {"error": type(err).__name__, "certified": getattr(err, "certified", None),
-                         **exchanged}
+                         **tallies}
             continue
         out[name] = {"delta": _complex_list(r.delta), "n_corrections": r.n_corrections,
                      "l1": r.l1, "k_opt": r.k_opt, "trace": [asdict(e) for e in r.trace],
                      "backtracks_certified": sum(raised),
-                     "backtracks_uncertified": len(raised) - sum(raised), **exchanged}
+                     "backtracks_uncertified": len(raised) - sum(raised), **tallies}
     correction.solve_constrained_l1 = solve
     res = resolved(ORACLE_PROBLEM)
-    exchanged.update(dict.fromkeys(EXCHANGE, 0))
+    tallies.update(dict.fromkeys(SOLVER, 0))
     o = exhaustive_min(res.geometry, res.weights, res.scenario, res.metric, res.config,
                        max_support=ORACLE_MAX_SUPPORT)
     out[f"oracle:{ORACLE_PROBLEM}"] = {"delta": _complex_list(o.delta), "support": list(o.support),
                                        "n_solves": o.n_solves, "n_certified": o.n_certified, "l1": o.l1,
-                                       **exchanged}
-    solver._exchange = exchange
+                                       **tallies}
+    solver._exchange, solver._certificate = exchange, certificate
     return {"items": out, "files": runner_files(bw, unreachable)}
 
 
