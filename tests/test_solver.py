@@ -247,7 +247,10 @@ def _start(problem, land, z=None):
 
 
 def _mirror(lam, m):
-    """Weights on a mirrored region's half (its last lam.size samples) as the whole region's: u and -u take half each."""
+    """
+    Weights on the half of a mirrored region (its last lam.size samples) as
+    the whole region's: u and -u take half of lam_u each.
+    """
     whole = np.zeros(m)
     whole[m - lam.size:] = lam
     return 0.5 * (whole + whole[::-1])
@@ -860,6 +863,27 @@ class TestMirror:
         assert lam is not None and lam.size == half.m
         support = np.flatnonzero(~mask)
         assert _certified_min_eig(res.geometry, w_faulty, res.metric, support, _mirror(lam, land.m)) > 0
+
+    def test_certificate_guard_counts_the_whole_region(self, tc1_parts, monkeypatch):
+        # The rounding guard 4*d*m*eps takes the whole region's m on the half
+        # too: the half's count would halve a proof's safety margin. Read it
+        # off the singularity test's matrix, P scaled to a unit diagonal less
+        # the guard, on test_case_1's first solve (feasible, so no proof).
+        geometry, weights, scenario, metric, _ = tc1_parts
+        land = _Landscape(geometry, apply_failures(weights, scenario), metric, scenario.admissible)
+        diagonals = []
+        positive_definite = solver._positive_definite
+
+        def recording(s):
+            diagonals.append(np.diag(s).real)
+            return positive_definite(s)
+
+        monkeypatch.setattr(solver, "_positive_definite", recording)
+        guard = 4.0 * land.A.shape[1] * land.m * np.finfo(float).eps    # homogeneous: d = f
+        for form in (land, land.half()):
+            diagonals.clear()
+            assert _certificate(form, np.ones(form.m, dtype=bool)) is None
+            assert 1.0 - diagonals[1] == pytest.approx(np.full(land.A.shape[1], guard), rel=1e-3)
 
 
 class TestCarriedFields:
