@@ -6,8 +6,8 @@ class InfeasibleError(RuntimeError):
     No excitation correction satisfying the pattern constraint was found.
 
     certified is True when the failure is proven (a dual certificate, or an
-    exact check with nothing left to solve for), False when a search merely
-    gave up.
+    exact check with nothing left to solve for), False when the solve found
+    neither a point meeting the bound nor a proof.
     """
 
     def __init__(self, message: str = "", certified: bool = False):

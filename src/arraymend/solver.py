@@ -11,8 +11,8 @@ with ratio = 10^(target_db / 10). The unknowns are the real and imaginary
 parts of the free entries (the cone phase keeps only the real parts for real
 excitations on a mirrored region, below); everything is deterministic.
 
-Every infeasibility verdict rests on one of two dual objects: the
-certificate's weights or the cone IPM's Farkas ray. The problem is
+A solve returns a correction that meets the bound, or raises; a certified
+InfeasibleError rests on a certificate's weights. The problem is
 homogeneous in the excitations, and a solve runs in units of the power of two
 nearest their largest magnitude (an exact rescaling), so the absolute floors
 below mean the same whatever the weights' units. A solve takes four steps:
@@ -20,7 +20,7 @@ below mean the same whatever the weights' units. A solve takes four steps:
 * the zero correction is returned when it meets the toleranced target; with
   no free element left, a miss is certified infeasible.
 * certificate (skipped when the start correction meets the bound, and run
-  again from a ray's weights, below): a search for a dual certificate of
+  again when the exchange has no answer): a search for a dual certificate of
   infeasibility, a weighting of the region samples whose weighted sidelobe
   power exceeds the bound for every correction (Elfving's c-optimal-design
   duality over the convex cone form of Lebret & Boyd). A certificate raises
@@ -54,14 +54,10 @@ below mean the same whatever the weights' units. A solve takes four steps:
     |dual objective|) and the relative primal and dual residuals are all at
     most 1e-8; the answer is x / tau.
   - ray: the dual iterate is a Farkas ray showing that no x of norm below
-    1e4 (in the solve's units) meets the cone program's constraints. As it
-    proves only the restriction infeasible, its sample-cone weights z_u0
-    seed the certificate on the exchange's final working set; without a
-    proof, the ray raises an uncertified InfeasibleError.
-  - undecided: the solve stalled or reached its iteration cap. Its best
-    iterate is the answer when it meets the toleranced target on the whole
-    region, and a DEBUG record gives its worst ratio and the tolerance's;
-    otherwise an uncertified InfeasibleError says that it stalled.
+    1e4 (in the solve's units) meets the cone program's constraints. It
+    proves only the restriction infeasible.
+  - undecided: the solve stalled or reached its iteration cap; its point is
+    its best iterate.
   Each iteration builds one normal matrix G^T W^-2 G: a Hermitian Gram
   A^H diag(alpha) A (a Toeplitz gather of a single matrix-vector product when
   the elements sit on a lattice x_n = x_0 + n*d, a dense real product
@@ -80,17 +76,19 @@ below mean the same whatever the weights' units. A solve takes four steps:
   window of two samples on each side of every local maximum of the start
   correction's ratio |F|^2 / (ratio |F(0)|^2) that reaches half its maximum.
   Each round solves on the working set, then checks every region sample
-  with one product. The working set's program is a relaxation, so an answer
-  that exceeds the bound by at most 1e-7 (relative) on every sample outside
-  the set ends the loop as the full optimum, and a ray found on the set
-  holds for the whole region. Otherwise the samples that break the bound
-  and windows around every local maximum of the answer's ratio at or above
-  0.5 join the set. An undecided round whose gap and residuals are within
-  100 times their targets (1e-6) and whose point meets the bound on every
-  sample ends the loop too: that point is within its gap of the set's
-  optimum, which the region's cannot undercut. Any other undecided round and
-  the eighth round widen the set to the whole region, whose solve is the
-  last. Each solve is logged at DEBUG, with its verdict, rounds, final
+  with one product. A round's point is the answer when it exceeds the bound
+  by at most 1e-7 (relative) on every sample and the round ended within 100
+  times the IPM's targets (1e-6; every optimal round does) or on the whole
+  region, where no wider set is left: the set's program is a relaxation, so
+  its optimum, or a point within its gap of it, is the region's. An optimal
+  round that breaks the bound outside the set adds those samples and windows
+  around every local maximum of its ratio at or above 0.5; any other round,
+  and the eighth, widen the set to the whole region, whose solve is the
+  last. A ray (on the set, it holds for the region) and a whole-region round
+  whose point breaks the bound leave no answer: the last round's sample-cone
+  weights z_u0 then seed the certificate on the final working set, and
+  without a proof an uncertified InfeasibleError names the verdict and the
+  gap. Each solve is logged at DEBUG, with its verdict, rounds, final
   working set and region size (counted on the whole region), whether the
   mirror reduction ran, iterations, gap, residuals, tau and kappa.
 
@@ -114,9 +112,8 @@ below mean the same whatever the weights' units. A solve takes four steps:
   Hermitian form over complex y too, so a proof on the half covers the
   free-phase problem on the half and its mirror image. That image is the
   region's other half to within _LATTICE_ULPS, a shift of P far below the
-  certificate's margin and guard. The acceptance of undecided answers and
-  the final check read every region sample, so they do not rest on the
-  mirror being exact.
+  certificate's margin and guard. The final check reads every region
+  sample, so it does not rest on the mirror being exact.
 * final check: the answer must meet the toleranced target on every region
   sample, or the solve raises NumericalFailureError.
 
@@ -310,11 +307,10 @@ def _weighted_gram(land: _Landscape, lam: np.ndarray) -> np.ndarray:
 
 
 def _positive_definite(s: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(s)
+    try:    # a NaN entry passes the factorization, not the finiteness check
+        return bool(np.all(np.isfinite(np.linalg.cholesky(s))))
     except np.linalg.LinAlgError:
         return False
-    return True
 
 
 def _certificate(land: _Landscape, rows: np.ndarray,
@@ -818,12 +814,13 @@ def _start_rows(ratio: np.ndarray, stride: int) -> np.ndarray:
 def _exchange(land: _Landscape, rows: np.ndarray):
     """
     The cone program on a working set of region samples, started from the
-    boolean mask rows and grown until its answer meets the bound on every
-    sample (the module docstring has the rules).
+    boolean mask rows and grown until a round's answer is the solve's (the
+    module docstring has the rule).
 
     Returns (z, info) as _cone_ipm does, with the iterations summed over the
     rounds, plus the rounds and the final working set (a boolean mask, "rows"),
-    all on land's samples; on a half() landscape z is real.
+    all on land's samples; on a half() landscape z is real, and it is None
+    when the loop ends with no answer.
     """
     rounds = iterations = 0
     while True:
@@ -832,21 +829,23 @@ def _exchange(land: _Landscape, rows: np.ndarray):
         answer, info = _cone_ipm(sub)
         del sub                     # free this round's rows before the next round gathers its own
         iterations += info["iterations"]
-        if rows.all() or info["verdict"] == "ray":    # a ray on a relaxation holds for the region
+        if info["verdict"] == "ray":    # a ray on a relaxation holds for the region
+            answer = None
             break
         ratio = land.ratios(answer)
         violated = ratio > 1.0 + _EXCHANGE_SLACK
-        if info["verdict"] == "undecided":
-            near = max(info["gap"] / _IPM_GAP, info["primal"] / _IPM_RESIDUAL,
-                       info["dual"] / _IPM_RESIDUAL) <= _EXCHANGE_NEAR
-            if near and not violated.any():     # a stall at the set's optimum that meets every sample
-                break
-            rows = np.ones_like(rows)
-            continue
-        if not np.any(violated & ~rows):
+        # within _EXCHANGE_NEAR of the IPM's targets, as every optimal round is
+        near = max(info["gap"] / _IPM_GAP, info["primal"] / _IPM_RESIDUAL,
+                   info["dual"] / _IPM_RESIDUAL) <= _EXCHANGE_NEAR
+        if not violated.any() and (near or rows.all()):
             break
-        grown = rows | violated | _peak_windows(ratio, _EXCHANGE_PEAK)
-        rows = grown if rounds < _EXCHANGE_ROUNDS else np.ones_like(rows)
+        if rows.all():
+            answer = None
+            break
+        if info["verdict"] == "optimal" and rounds < _EXCHANGE_ROUNDS and np.any(violated & ~rows):
+            rows = rows | violated | _peak_windows(ratio, _EXCHANGE_PEAK)
+        else:
+            rows = np.ones_like(rows)
     info = {**info, "iterations": iterations, "rounds": rounds, "rows": rows}
 
     _log.debug("cone IPM: %s after %d rounds on %d of %d region samples, mirror reduction %s, "
@@ -864,12 +863,13 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
 
     mask marks elements whose correction entry is pinned to zero (failed
     elements plus any entries the caller has frozen). The returned vector is
-    exactly zero there. start, a correction that is zero on the mask, only
+    exactly zero there and meets the bound on every region sample (to the
+    exchange's 1e-7). start, a correction that is zero on the mask, only
     seeds the working sets with the peaks of its pattern. Raises
-    InfeasibleError when no correction within the mask can meet the target
-    (its certified flag tells a proof from a Farkas ray of the cone
-    restriction or a stalled solve), NumericalFailureError when the cone
-    IPM's answer breaks the toleranced target on the region.
+    InfeasibleError when the exchange ends with no answer, certified=True
+    when a certificate proves that no correction within the mask meets the
+    target; NumericalFailureError when the answer, with its dust entries
+    zeroed, breaks the toleranced target on the region.
     """
     cfg = config if config is not None else SolverConfig()
     w = as_weights(w_faulty, geometry.n)
@@ -910,24 +910,17 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
     proof = np.max(ratio) > 1.0 and _certificate(cone, rows) is not None
     if not proof:
         z, info = _exchange(cone, rows)
-        # A ray proves only the cone restriction infeasible; its sample weights
+        # With no answer, the last round's sample weights (a ray's or a stall's)
         # seed a search for a proof on the exchange's final working set.
-        proof = info["verdict"] == "ray" and _certificate(cone, info["rows"], info["weights"]) is not None
+        proof = z is None and _certificate(cone, info["rows"], info["weights"]) is not None
     if proof:
         raise InfeasibleError(
             "certified: a weighting of the region samples keeps the sidelobe power "
             "above the bound for every correction", certified=True,
         )
-    if info["verdict"] == "ray":
-        raise InfeasibleError("a Farkas ray shows the restriction |F(u)| <= sqrt(ratio) Re F(0) "
-                              "infeasible")
-    if info["verdict"] == "undecided":
-        worst = land.worst_ratio(z)
-        if not worst <= tol_ratio:
-            raise InfeasibleError(f"the cone IPM stalled at relative gap {info['gap']:.2e}, "
-                                  f"primal residual {info['primal']:.2e}, dual residual {info['dual']:.2e}")
-        _log.debug("undecided answer accepted: worst ratio %.7f within the tolerance ratio %.7f",
-                   worst, tol_ratio)
+    if z is None:
+        raise InfeasibleError(f"the cone IPM ended {info['verdict']} at relative gap {info['gap']:.2e} "
+                              "with no point meeting the bound and no certificate")
     z = np.where(np.abs(z) <= ZERO_THRESHOLD, 0.0, z)   # the IPM leaves its zeros near 1e-13
     if not land.worst_ratio(z) <= tol_ratio:
         raise NumericalFailureError("the cone IPM left the constraint violated")

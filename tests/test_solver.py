@@ -536,25 +536,26 @@ class TestConeIpm:
         tau, kappa = (float(re.search(rf"{name} ([^,]+)", message).group(1)) for name in ("tau", "kappa"))
         assert kappa <= _IPM_GAP * tau
 
-    def test_accepted_undecided_answer_is_logged(self, toy, monkeypatch, caplog):
-        # An undecided answer within the tolerance is accepted; the record
-        # gives how far past the exact bound it is, which its gap cannot tell.
+    def test_stall_meeting_only_the_tolerance_is_no_answer(self, toy, monkeypatch):
+        # A whole-region stall far from its targets whose point meets the
+        # 0.02 dB tolerance but breaks the exact bound (here the optimum of a
+        # target 0.01 dB looser) is no answer. Its weights seed the
+        # certificate, which proves nothing on this feasible problem, so the
+        # solve raises uncertified.
         geometry, w_faulty, metric, mask = toy
-        exchange = solver._exchange
+        looser = 10.0 ** (0.01 / 10.0)
 
-        def undecided(land, rows):
-            z, info = exchange(land, rows)
-            return z, {**info, "verdict": "undecided"}
+        def stalls_above_the_bound(sub):
+            loose = copy.copy(sub)
+            loose.tau = sub.tau * looser
+            answer, info = _cone_ipm(loose)
+            assert 1.0 + 1e-7 < sub.worst_ratio(answer) <= 10.0 ** (SolverConfig().constraint_tol_db / 10.0)
+            return answer, {**info, "verdict": "undecided", "gap": 1e-2}
 
-        monkeypatch.setattr(solver, "_exchange", undecided)
-        with caplog.at_level(logging.DEBUG, logger="arraymend.solver"):
-            delta = solve_constrained_l1(geometry, w_faulty, metric, mask)
-        (message,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("undecided")]
-        worst, tol = (float(re.search(rf"{name} ratio ([0-9.]+)", message).group(1))
-                      for name in ("worst", "tolerance"))
-        assert worst == pytest.approx(_Landscape(geometry, w_faulty, metric, ~mask).worst_ratio(delta[~mask]),
-                                      abs=1e-7)
-        assert tol == pytest.approx(10.0 ** (SolverConfig().constraint_tol_db / 10.0), abs=1e-7)
+        monkeypatch.setattr(solver, "_cone_ipm", stalls_above_the_bound)
+        with pytest.raises(InfeasibleError, match="ended undecided at relative gap 1.00e-02") as err:
+            solve_constrained_l1(geometry, w_faulty, metric, mask)
+        assert not err.value.certified
 
     def test_random_s23_0_solves_without_overflow(self):
         # The benchmark's oracle_certify instance random_s23_0 (seed 23, instance 0).
@@ -612,6 +613,9 @@ def _recorded_removal(name, free):
 
 # removals whose outer 64-gon LP has no point: scenario -> 1-based free elements
 OUTER_INFEASIBLE = {"fail_rate_n50_row1": [1, 6, 46], "size_scan_n100_row2": [1, 9, 83, 93, 100]}
+# removals whose whole-region solve stalls far from its targets: scenario -> 1-based free elements
+STALLED = {"fail_rate_n50_row3": [1, 6, 8, 9, 10, 15, 16, 17, 18, 19, 20, 26, 43, 44, 48, 49, 50],
+           "size_scan_n50_row3": [5, 8, 14, 50]}
 
 
 class TestRecordedVerdicts:
@@ -653,6 +657,38 @@ class TestRecordedVerdicts:
                                               _lobe_stride(res.geometry, res.metric.region.samples)))
         assert info["verdict"] == "ray"
         assert info["tau"] <= 1e-3 * info["kappa"]
+
+    @pytest.mark.parametrize("name", STALLED)
+    def test_stall_weights_seed_a_proof(self, name, monkeypatch):
+        # The removal's exchange ends with a stall on the whole region whose
+        # point breaks the exact bound. The stall's final sample weights seed
+        # a proof on the half region which, mirrored onto the whole region,
+        # an eigenvalue check rebuilt from the array factor confirms.
+        res, w_faulty, mask = _recorded_removal(name, STALLED[name])
+        ends, searches = [], []
+        exchange, certificate = solver._exchange, solver._certificate
+
+        def recording_exchange(land, rows):
+            z, info = exchange(land, rows)
+            ends.append((info["verdict"], bool(info["rows"].all()), z is None))
+            return z, info
+
+        def recording_certificate(land, rows, weights=None):
+            lam = certificate(land, rows, weights)
+            searches.append((weights is not None, lam))
+            return lam
+
+        monkeypatch.setattr(solver, "_exchange", recording_exchange)
+        monkeypatch.setattr(solver, "_certificate", recording_certificate)
+        with pytest.raises(InfeasibleError) as err:
+            solve_constrained_l1(res.geometry, w_faulty, res.metric, mask, config=res.config)
+        assert err.value.certified
+        assert ends == [("undecided", True, True)]
+        (_, before), (seeded, lam) = searches
+        assert before is None and seeded and lam is not None
+        land = _Landscape(res.geometry, w_faulty, res.metric, ~mask)
+        support = np.flatnonzero(~mask)
+        assert _certified_min_eig(res.geometry, w_faulty, res.metric, support, _mirror(lam, land.m)) > 0
 
     def test_ray_weights_seed_a_proof(self):
         # The certificate started from the ray's sample weights on the
@@ -750,24 +786,27 @@ class TestExchange:
         assert info["rounds"] == 2 and info["verdict"] == "optimal"
 
     def test_stalled_round_meeting_every_sample_ends_the_loop(self, monkeypatch):
-        # A stall near its targets whose point meets the bound on every region
-        # sample needs no wider set: its l1 is within its gap of the set's
-        # optimum, which the region's cannot undercut.
-        land, rows = _exchange_case("seeded_n20")           # one round when not stalled
-        sizes = []
-
-        def stalls(sub):
-            answer, info = _cone_ipm(sub)
-            sizes.append(sub.m)
-            return answer, {**info, "verdict": "undecided"}
-
-        monkeypatch.setattr(solver, "_cone_ipm", stalls)
-        z, info = _exchange(land, rows)
+        # A stall whose point meets the bound on every region sample needs no
+        # wider set when it is near its targets (its l1 is within its gap of
+        # the set's optimum, which the region's cannot undercut), or when its
+        # set is the whole region, however far it is from its targets.
+        land, start = _exchange_case("seeded_n20")          # one round when not stalled
         full, _ = _cone_ipm(land)
-        samples = info["rows"].sum()
-        assert sizes == [samples] and samples < land.m and info["verdict"] == "undecided"
-        assert np.max(land.ratios(z)) <= 1.0 + 1e-7
-        assert abs(np.sum(np.abs(z)) - np.sum(np.abs(full))) <= 1e-6 * np.sum(np.abs(full))
+        for rows, far in ((start, {}), (np.ones_like(start), {"gap": 1e-2})):
+            sizes = []
+
+            def stalls(sub):
+                answer, info = _cone_ipm(sub)
+                sizes.append(sub.m)
+                return answer, {**info, "verdict": "undecided", **far}
+
+            monkeypatch.setattr(solver, "_cone_ipm", stalls)
+            z, info = _exchange(land, rows)
+            samples = info["rows"].sum()
+            assert sizes == [samples] == [rows.sum()] and info["verdict"] == "undecided"
+            assert np.max(land.ratios(z)) <= 1.0 + 1e-7
+            assert abs(np.sum(np.abs(z)) - np.sum(np.abs(full))) <= 1e-6 * np.sum(np.abs(full))
+        assert start.sum() < land.m
 
 
 def _exchanged_landscapes(monkeypatch):
@@ -863,6 +902,19 @@ class TestMirror:
         assert lam is not None and lam.size == half.m
         support = np.flatnonzero(~mask)
         assert _certified_min_eig(res.geometry, w_faulty, res.metric, support, _mirror(lam, land.m)) > 0
+
+    def test_half_counts_u_0_once(self, toy):
+        # An odd mirrored region holds u = 0, the one sample that is its own
+        # mirror image: a half working set counts it once.
+        geometry, w_faulty, metric, mask = toy
+        odd = AngularRegion(np.array([-0.6, -0.3, 0.0, 0.3, 0.6]))
+        land = _Landscape(geometry, w_faulty, MetricSpec(region=odd, target_db=metric.target_db), ~mask)
+        assert land.mirrored
+        half = land.half()
+        assert half.m == 3 and half.whole == 5            # u = 0, 0.3 and 0.6
+        for rows, count in (([True, False, False], 1), ([True, True, False], 3),
+                            ([False, True, True], 4), ([True, True, True], 5)):
+            assert half.counts(np.array(rows)) == (count, 5)
 
     def test_certificate_guard_counts_the_whole_region(self, tc1_parts, monkeypatch):
         # The rounding guard 4*d*m*eps takes the whole region's m on the half

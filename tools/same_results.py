@@ -19,13 +19,19 @@ and count of proven rejections (n_certified). It also wraps
 `arraymend.solver._exchange` and compares each item's exchange verdicts
 (optimal, ray, undecided), cone IPM iterations and exchange rounds, and
 wraps `arraymend.solver._certificate` to compare each item's certificate
-searches and the proofs they found. An item that raises is compared by the
-error's class and its certified flag, not by its message. It prints one line
-per item; under each item that differs, a second line gives parent -> change
-for the correction count, k_opt, the backtrack, verdict, iteration, round
-and certificate tallies and the oracle's solve and proven-rejection counts,
-and the relative change of l1. A last line sums those counts over the
-correction items, parent -> change.
+searches and the proofs they found. Both trees also run the benchmark
+generator's oracle_certify instances for seeds 1-10 (`generate_instances` of
+benchmark/bench_workloads.py) as that workload does: the heuristic, then
+`exhaustive_min` up to the heuristic's count or 3, whichever is smaller.
+Each instance is compared by its heuristic count (or the error it raised),
+the oracle's support, solve count and n_certified. An item that raises is
+compared by the error's class and its certified flag, not by its message.
+It prints one line per item; under each item that differs, a second line
+gives parent -> change for the correction count, k_opt, the backtrack,
+verdict, iteration, round and certificate tallies and the oracle's solve
+and proven-rejection counts, and the relative change of l1. Two lines sum
+those counts, parent -> change: one over the correction items, one over the
+generated instances.
 
 Each tree then runs the runners and writes their files: `run_scenario` on
 toy and test_case_1, `run_oracle` on toy up to support 2, `tradeoff_sweep`
@@ -51,6 +57,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ORACLE_PROBLEM = "test_case_1"
 ORACLE_MAX_SUPPORT = 3
+INSTANCE_SEEDS = range(1, 11)                         # of the benchmark's instance generator
 RUN_PROBLEMS = ("toy", "test_case_1")
 RUNNER_ORACLE = ("toy", 2)                            # problem, largest support
 SWEEP = ("fail_rate_n50_row1", (-20.0, -22.0, -40.0))  # problem, targets loosest first
@@ -176,7 +183,27 @@ def collect() -> dict:
                                        "n_solves": o.n_solves, "n_certified": o.n_certified, "l1": o.l1,
                                        **tallies}
     solver._exchange, solver._certificate = exchange, certificate
+    for seed in INSTANCE_SEEDS:
+        for data in bw.generate_instances(seed):
+            spec = bw.am_bench.ScenarioSpec.from_dict(data)
+            out[f"instance:{spec.name}"] = instance(bw, bw.am_bench.resolve_scenario(spec))
     return {"items": out, "files": runner_files(bw, unreachable)}
+
+
+def instance(bw, res) -> dict:
+    """One generated instance certified as oracle_certify does: the heuristic, then the oracle."""
+    from arraymend.correction import minimize_corrections
+    from arraymend.oracle import exhaustive_min
+
+    try:
+        heuristic = minimize_corrections(res.geometry, res.weights, res.scenario, res.metric,
+                                         res.config).n_corrections
+        item = {"n_corrections": heuristic}
+    except Exception as err:  # a raised error is a result to compare too
+        heuristic, item = None, {"error": type(err).__name__, "certified": getattr(err, "certified", None)}
+    limit = bw.ORACLE_MAX_SUPPORT if heuristic is None else min(heuristic, bw.ORACLE_MAX_SUPPORT)
+    o = exhaustive_min(res.geometry, res.weights, res.scenario, res.metric, res.config, max_support=limit)
+    return {**item, "support": list(o.support), "n_solves": o.n_solves, "n_certified": o.n_certified}
 
 
 def run_tree(src: Path) -> subprocess.Popen:
@@ -202,9 +229,9 @@ def moved(a: dict, b: dict) -> str:
     return ", ".join(parts)
 
 
-def totals(items: dict) -> dict:
-    """Each MOVED count summed over the correction items (the oracle's item left out)."""
-    rows = [v for k, v in items.items() if not k.startswith("oracle:")]
+def totals(items: dict, kind: str = "") -> dict:
+    """Each MOVED count summed over the correction items (kind "") or the generated instances ("instance")."""
+    rows = [v for k, v in items.items() if k.rpartition(":")[0] == kind]
     return {k: sum(r.get(k, 0) for r in rows) for k in MOVED if any(k in r for r in rows)}
 
 
@@ -238,9 +265,10 @@ def main(argv) -> int:
         if diff:
             print(f"{'':28s} {moved(parent.get(name, {}), change.get(name, {}))}")
     print(f"{bad} of {len(names)} items differ")
-    sums = [totals(parent), totals(change)]
-    print("correction totals: " + ", ".join(f"{k} {sums[0].get(k)} -> {sums[1].get(k)}"
-                                              for k in MOVED if k in sums[0] or k in sums[1]))
+    for kind, label in (("", "correction"), ("instance", "instance")):
+        sums = [totals(parent, kind), totals(change, kind)]
+        print(f"{label} totals: " + ", ".join(f"{k} {sums[0].get(k)} -> {sums[1].get(k)}"
+                                               for k in MOVED if k in sums[0] or k in sums[1]))
     files = sorted(parent_files.keys() | change_files.keys())
     bad_files = 0
     for name in files:
