@@ -1127,6 +1127,16 @@ class TestCertificate:
             land.homogeneous = False
             assert _certificate(land, np.ones(land.m, dtype=bool)) is None
 
+    def test_non_finite_weights_never_prove(self, toy):
+        # np.linalg.cholesky factors a NaN matrix without raising, and a
+        # stalled solve's weights seed the search: a proof must be finite.
+        geometry, w_faulty, metric, mask = toy
+        hopeless = MetricSpec(region=metric.region, target_db=-100.0)
+        land = _Landscape(geometry, w_faulty, hopeless, ~mask)
+        rows = np.ones(land.m, dtype=bool)
+        assert _certificate(land, rows) is not None
+        assert _certificate(land, rows, np.full(land.m, np.nan)) is None
+
     def test_margin_keeps_barely_feasible_problem_uncertified(self):
         # One free element carries the whole array, so every correction gives
         # |F(u)|^2 = |F(0)|^2 on every sample: a worst ratio of 1 - 5e-7, which

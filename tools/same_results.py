@@ -265,10 +265,10 @@ def main(argv) -> int:
         if diff:
             print(f"{'':28s} {moved(parent.get(name, {}), change.get(name, {}))}")
     print(f"{bad} of {len(names)} items differ")
-    for kind, label in (("", "correction"), ("instance", "instance")):
+    for kind in ("", "instance"):
         sums = [totals(parent, kind), totals(change, kind)]
-        print(f"{label} totals: " + ", ".join(f"{k} {sums[0].get(k)} -> {sums[1].get(k)}"
-                                               for k in MOVED if k in sums[0] or k in sums[1]))
+        print(f"{kind or 'correction'} totals: " + ", ".join(f"{k} {sums[0].get(k)} -> {sums[1].get(k)}"
+                                                            for k in MOVED if k in sums[0] or k in sums[1]))
     files = sorted(parent_files.keys() | change_files.keys())
     bad_files = 0
     for name in files:
