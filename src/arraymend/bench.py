@@ -27,6 +27,8 @@ from .model import (
     ArrayGeometry,
     FailureScenario,
     MetricSpec,
+    _mainlobe_width,
+    _patterns_db,
     beamwidth,
     dynamic_range,
     max_sll,
@@ -212,9 +214,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _safe_beamwidth(geometry, weights, threshold_db, grid) -> float | None:
+def _safe_beamwidth(grid, p_db, threshold_db) -> float | None:
+    """The beamwidth of the dB pattern p_db on grid, or None when it has no mainlobe."""
     try:
-        return beamwidth(geometry, weights, threshold_db, grid)
+        return _mainlobe_width(grid, p_db, threshold_db)
     except NoMainlobeError:
         return None
 
@@ -226,7 +229,7 @@ def _safe_dr(weights) -> float | None:
         return None
 
 
-def _base_record(res: ResolvedScenario, grid: np.ndarray) -> dict:
+def _base_record(res: ResolvedScenario, grid: np.ndarray, original_db, faulty_db) -> dict:
     spec = res.spec
     scenario = res.scenario
     w = res.weights
@@ -245,24 +248,31 @@ def _base_record(res: ResolvedScenario, grid: np.ndarray) -> dict:
         "region_size": res.metric.region.size,
         "sll_original_db": max_sll(res.geometry, w, res.metric.region),
         "sll_faulty_db": max_sll(res.geometry, w_faulty, res.metric.region),
-        "bw_original_deg": _safe_beamwidth(res.geometry, w, target, grid),
-        "bw_faulty_deg": _safe_beamwidth(res.geometry, w_faulty, target, grid),
+        "bw_original_deg": _safe_beamwidth(grid, original_db, target),
+        "bw_faulty_deg": _safe_beamwidth(grid, faulty_db, target),
         "dr_original": _safe_dr(w),
         "dr_faulty": _safe_dr(w_faulty),
     }
 
 
 def _start(spec: ScenarioSpec, out_dir, grid_density: int | None):
-    """Output directory, resolved scenario, export grid, and base record of one run."""
+    """
+    Output directory, resolved scenario, export grid, base record, and the
+    original and faulty dB patterns on the grid (one pass over its blocks) of one run.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     res = resolve_scenario(spec, grid_density)
     grid = uniform_grid(DEFAULT_GRID_DENSITY if grid_density is None else grid_density)
-    return out, res, grid, _base_record(res, grid)
+    base_db = _patterns_db(res.geometry, [res.weights, apply_failures(res.weights, res.scenario)], grid)
+    return out, res, grid, _base_record(res, grid, *base_db), base_db
 
 
-def _correct(res: ResolvedScenario, grid, record: dict) -> CorrectionResult:
-    """Minimize the corrections and fill in the record, on InfeasibleError before re-raising."""
+def _correct(res: ResolvedScenario, grid, record: dict) -> tuple[CorrectionResult, np.ndarray]:
+    """
+    Minimize the corrections and fill in the record, on InfeasibleError before
+    re-raising; returns the result and the corrected dB pattern on the grid.
+    """
     try:
         result = minimize_corrections(res.geometry, res.weights, res.scenario,
                                       res.metric, res.config)
@@ -271,10 +281,11 @@ def _correct(res: ResolvedScenario, grid, record: dict) -> CorrectionResult:
         raise
 
     w_corrected = apply_failures(res.weights, res.scenario) + result.delta
+    corrected_db = pattern_db(res.geometry, w_corrected, grid)
     record.update({
         "status": "ok",
         "sll_corrected_db": max_sll(res.geometry, w_corrected, res.metric.region),
-        "bw_corrected_deg": _safe_beamwidth(res.geometry, w_corrected, res.metric.target_db, grid),
+        "bw_corrected_deg": _safe_beamwidth(grid, corrected_db, res.metric.target_db),
         "dr_corrected": _safe_dr(w_corrected),
         "n_corrections": result.n_corrections,
         "eta_c_hat_pct": 100.0 * result.n_corrections / res.scenario.n_controllable,
@@ -284,7 +295,7 @@ def _correct(res: ResolvedScenario, grid, record: dict) -> CorrectionResult:
         "corrected_elements": result.corrected_elements,
         "elapsed_s": result.elapsed_s,
     })
-    return result
+    return result, corrected_db
 
 
 def run_scenario(spec: ScenarioSpec, out_dir,
@@ -296,18 +307,14 @@ def run_scenario(spec: ScenarioSpec, out_dir,
     out_dir. On an infeasible scenario the diagnostic record is written
     before InfeasibleError is re-raised.
     """
-    out, res, grid, record = _start(spec, out_dir, grid_density)
+    out, res, grid, record, (original_db, faulty_db) = _start(spec, out_dir, grid_density)
     try:
-        result = _correct(res, grid, record)
+        result, corrected_db = _correct(res, grid, record)
     except InfeasibleError:
         _write_json(out / f"{spec.name}_result.json", record)
         raise
     _write_json(out / f"{spec.name}_result.json", record)
 
-    w_faulty = apply_failures(res.weights, res.scenario)
-    original_db = pattern_db(res.geometry, res.weights, grid)
-    faulty_db = pattern_db(res.geometry, w_faulty, grid)
-    corrected_db = pattern_db(res.geometry, w_faulty + result.delta, grid)
     _write_csv(out / f"{spec.name}_pattern.csv",
                ["u", "original_db", "faulty_db", "corrected_db"],
                zip(grid.tolist(), original_db.tolist(), faulty_db.tolist(), corrected_db.tolist()))
@@ -321,7 +328,7 @@ def run_scenario(spec: ScenarioSpec, out_dir,
 def run_oracle(spec: ScenarioSpec, out_dir, max_support: int | None = None,
                grid_density: int | None = None) -> tuple[dict, OracleResult]:
     """Exhaustive minimum search for one scenario, serialized like run_scenario."""
-    out, res, grid, record = _start(spec, out_dir, grid_density)
+    out, res, grid, record, _ = _start(spec, out_dir, grid_density)
     result = exhaustive_min(res.geometry, res.weights, res.scenario, res.metric,
                             res.config, max_support=max_support)
     record.update({
@@ -361,8 +368,8 @@ def tradeoff_sweep(spec: ScenarioSpec, targets, out_dir,
     header = ["target_db", "status", "n_corrections", "achieved_sll_db", "l1"]
     rows: list[dict] = []
     for target in targets:
-        _, res, grid, record = _start(replace(spec, metric={**spec.metric, "target_db": target}),
-                                      out, grid_density)
+        _, res, grid, record, _ = _start(replace(spec, metric={**spec.metric, "target_db": target}),
+                                         out, grid_density)
         with suppress(InfeasibleError):
             _correct(res, grid, record)
         rows.append({"target_db": target, "status": record["status"],

@@ -43,8 +43,7 @@ def _parse_args(argv):
     p_sweep.add_argument("--targets", required=True,
                          help="comma-separated dB targets, loosest first; use the = form "
                               "for negative values (e.g. --targets=-22.4,-23.5,-24.5)")
-    p_sweep.add_argument("--out", default="out")
-    p_sweep.add_argument("--grid", type=int, default=None, metavar="POINTS")
+    add_common(p_sweep)
 
     p_scale = sub.add_parser("scale", help="grow a failure layout onto a larger array")
     p_scale.add_argument("--base", required=True, help="comma-separated seed fault indices")

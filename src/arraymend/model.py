@@ -237,17 +237,30 @@ def _broadside_power(geometry: ArrayGeometry, w: np.ndarray) -> float:
     return p0
 
 
+def _patterns_db(geometry: ArrayGeometry, weight_sets, u) -> list[np.ndarray]:
+    """
+    pattern_db of each excitation vector in weight_sets over the same u
+    samples, building each block of the steering matrix once for all of them.
+    """
+    ws = [as_weights(w, geometry.n) for w in weight_sets]
+    p0 = [_broadside_power(geometry, w) for w in ws]
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    fields = [np.empty(u.size, dtype=complex) for _ in ws]
+    if u.size <= _PATTERN_BLOCK or (not u.flags.writeable and u.flags.owndata):
+        step = max(u.size, 1)   # small, or a region's shared matrix: one block, u itself
+    else:   # a grid in blocks: its whole matrix would be a short-lived multi-MB temporary
+        step = _PATTERN_BLOCK
+    for i in range(0, u.size, step):
+        block = steering_matrix(geometry, u if step >= u.size else u[i:i + step])
+        for f, w in zip(fields, ws):
+            f[i:i + step] = block @ w
+        del block               # dropped before the next block is built
+    return [_power_db(np.abs(f) ** 2 / q) for f, q in zip(fields, p0)]
+
+
 def pattern_db(geometry: ArrayGeometry, weights, u) -> np.ndarray:
     """Normalized power pattern 10*log10(|F(u)|^2 / |F(0)|^2) over the u samples."""
-    w = as_weights(weights, geometry.n)
-    p0 = _broadside_power(geometry, w)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.size <= _PATTERN_BLOCK or (not u.flags.writeable and u.flags.owndata):
-        f = steering_matrix(geometry, u) @ w    # small, or a region's shared matrix
-    else:   # a grid in blocks: its whole matrix would be a short-lived multi-MB temporary
-        f = np.concatenate([steering_matrix(geometry, u[i:i + _PATTERN_BLOCK]) @ w
-                            for i in range(0, u.size, _PATTERN_BLOCK)])
-    return _power_db(np.abs(f) ** 2 / p0)
+    return _patterns_db(geometry, [weights], u)[0]
 
 
 def sll_db(geometry: ArrayGeometry, weights, u: float) -> float:
@@ -283,10 +296,14 @@ def beamwidth(geometry: ArrayGeometry, weights, threshold_db: float, grid: np.nd
     located on the grid; both boundaries are refined by linear interpolation
     of the dB values, then converted through theta = asin(u).
     """
+    u = uniform_grid() if grid is None else np.asarray(grid, dtype=float)
+    return _mainlobe_width(u, pattern_db(geometry, weights, u), threshold_db)
+
+
+def _mainlobe_width(u: np.ndarray, p: np.ndarray, threshold_db: float) -> float:
+    """beamwidth of the dB pattern p sampled on the grid u."""
     if threshold_db >= 0:
         raise ValueError("threshold must be negative dB")
-    u = uniform_grid() if grid is None else np.asarray(grid, dtype=float)
-    p = pattern_db(geometry, weights, u)
     center = int(np.argmin(np.abs(u)))
     if p[center] < threshold_db:
         raise NoMainlobeError(f"pattern is below {threshold_db} dB at broadside")

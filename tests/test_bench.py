@@ -1,10 +1,20 @@
 import gc
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from arraymend import InfeasibleError, beamwidth, dolph_chebyshev, uniform_positions
+from arraymend import (
+    InfeasibleError,
+    apply_failures,
+    beamwidth,
+    dolph_chebyshev,
+    model,
+    pattern_db,
+    uniform_grid,
+    uniform_positions,
+)
 from arraymend.bench import (
     ScenarioSpec,
     batch_run,
@@ -159,6 +169,34 @@ class TestRunScenario:
         outside = np.abs(data[:, 0]) >= edge
         # independent re-verification of the constraint from the emitted samples
         assert data[outside, 3].max() <= record["target_db"] + 0.02 + 1e-6
+
+    def test_export_grid_blocks_are_built_at_most_twice(self, tmp_path, monkeypatch):
+        # Original and faulty share one pass over the grid's blocks and the
+        # corrected pattern takes one more; the beamwidths and the pattern file
+        # reuse those dB arrays, which match the public functions' values.
+        builds = Counter()
+        steering_matrix = model.steering_matrix
+
+        def counted(geometry, u):
+            u = np.atleast_1d(np.asarray(u, dtype=float))
+            if u.flags.writeable and u.size <= 1024:
+                builds[geometry.n, float(u[0]), u.size] += 1
+            return steering_matrix(geometry, u)
+
+        monkeypatch.setattr(model, "steering_matrix", counted)
+        record, result = run_scenario(load_spec("test_case_1"), tmp_path)
+        monkeypatch.undo()
+        assert [c for (n, _, _), c in builds.items() if n == 16] == [2, 2, 2, 2]
+
+        res = resolve_scenario(load_spec("test_case_1"))
+        grid = uniform_grid()
+        w_faulty = apply_failures(res.weights, res.scenario)
+        weights = {"original": res.weights, "faulty": w_faulty, "corrected": w_faulty + result.delta}
+        lines = (tmp_path / "test_case_1_pattern.csv").read_text().splitlines()
+        columns = dict(zip(lines[0].split(","), zip(*(line.split(",") for line in lines[1:]))))
+        for key, w in weights.items():
+            assert record[f"bw_{key}_deg"] == beamwidth(res.geometry, w, res.metric.target_db, grid)
+            assert list(columns[f"{key}_db"]) == [f"{v:.6g}" for v in pattern_db(res.geometry, w, grid)]
 
     def test_deterministic_records(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
@@ -330,6 +368,15 @@ class TestCli:
         assert cli_main(["run", toy, "--out", str(tmp_path / "a")]) == 0
         assert "corrections=1" in capsys.readouterr().out
         assert cli_main(["run", toy, "--constraint-tol", "3.1", "--out", str(tmp_path / "b")]) == 0
+        assert "corrections=0" in capsys.readouterr().out
+
+    def test_constraint_tol_reaches_the_sweep(self, tmp_path, capsys):
+        # the faulty toy sits at -2.45 dB, within 3.1 dB of its -5.5 dB target
+        toy = str(SCENARIO_DIR / "toy.json")
+        assert cli_main(["sweep", toy, "--targets=-5.5", "--out", str(tmp_path / "a")]) == 0
+        assert "corrections=1" in capsys.readouterr().out
+        assert cli_main(["sweep", toy, "--targets=-5.5", "--constraint-tol", "3.1",
+                         "--out", str(tmp_path / "b")]) == 0
         assert "corrections=0" in capsys.readouterr().out
 
     def test_sweep_cli(self, tmp_path, capsys):

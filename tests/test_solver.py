@@ -43,6 +43,7 @@ from arraymend.solver import (
     _lin_adjoint,
     _lobe_stride,
     _mirrored,
+    _newton_solver,
     _normal_matrix,
     _Scaling,
     _start_rows,
@@ -320,9 +321,10 @@ class TestKernels:
                 assert np.max(np.abs(_weighted_gram(form, lam) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     # Each IPM step solves a Newton system with the Hessian G^T W^-2 G of the
-    # quadratic x^T G^T W^-2 G x / 2 (the normal matrix, t eliminated). Its
-    # gradient in operator form, _lin_adjoint(W^-2 _lin(x)), is what the step
-    # refines against; the two must agree with an explicit G and with each other.
+    # quadratic x^T G^T W^-2 G x / 2 (the normal matrix, t eliminated). The
+    # step refines against the assembled normal matrix; its gradient in
+    # operator form, _lin_adjoint(W^-2 _lin(x)), is the reference both must
+    # agree with, as must an explicit G.
 
     def test_stage_gradient_matches_reference(self, name):
         land, z = _landscape(PROBLEMS[name](), 3.0)
@@ -361,6 +363,22 @@ class TestKernels:
         assert np.isrealobj(grad_x)
         assert np.max(np.abs(grad_t - ref_t)) <= 1e-12 * np.max(np.abs(ref_t))
         assert np.max(np.abs(grad_x - ref_z.real)) <= 1e-12 * np.max(np.abs(ref_z.real))
+
+    def test_newton_solve_meets_the_operator_form(self, name):
+        # A solve refined against the assembled normal matrix meets the
+        # operator form of H, for a complex z and for a real z on the half.
+        land, z = _landscape(PROBLEMS[name](), 3.0)
+        assert (land.lags is not None) == ON_LATTICE[name]
+        rng = np.random.default_rng(7)
+        for sub in (land, land.half()):
+            mm = _random_weights(sub)
+            bt = rng.standard_normal(z.size)
+            bz = rng.standard_normal(z.size) + (0.0 if sub.real else 1j * rng.standard_normal(z.size))
+            dt, dz = _newton_solver(sub, mm)(bt, bz)
+            assert np.isrealobj(dz) == sub.real
+            ot, oz = _lin_adjoint(sub, _apply_weights(mm, _lin(sub, dt, dz)))
+            residual = np.sqrt(np.sum((ot - bt) ** 2) + np.sum(np.abs(oz - bz) ** 2))
+            assert residual <= 1e-10 * np.sqrt(np.sum(bt ** 2) + np.sum(np.abs(bz) ** 2))
 
     def test_stage_hessian_matches_gradient_differences(self, name):
         land, z = _landscape(PROBLEMS[name](), 3.0)
