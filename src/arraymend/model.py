@@ -296,12 +296,14 @@ def beamwidth(geometry: ArrayGeometry, weights, threshold_db: float, grid: np.nd
     located on the grid; both boundaries are refined by linear interpolation
     of the dB values, then converted through theta = asin(u).
     """
+    if threshold_db >= 0:       # checked before the pattern is built
+        raise ValueError("threshold must be negative dB")
     u = uniform_grid() if grid is None else np.asarray(grid, dtype=float)
     return _mainlobe_width(u, pattern_db(geometry, weights, u), threshold_db)
 
 
 def _mainlobe_width(u: np.ndarray, p: np.ndarray, threshold_db: float) -> float:
-    """beamwidth of the dB pattern p sampled on the grid u."""
+    """beamwidth of the dB pattern p sampled on the grid u, for a caller that already holds p."""
     if threshold_db >= 0:
         raise ValueError("threshold must be negative dB")
     center = int(np.argmin(np.abs(u)))

@@ -59,18 +59,16 @@ below mean the same whatever the weights' units. A solve takes four steps:
   - undecided: the solve stalled or reached its iteration cap; its point is
     its best iterate.
   Each iteration builds one normal matrix G^T W^-2 G: a Hermitian Gram
-  A^H diag(alpha) A, a symmetric product A^T diag(kappa) A, rank-one terms,
-  and the l1 cones' 3x3 blocks with t eliminated. When the elements sit on a
-  lattice x_n = x_0 + n*d, the Gram's entries depend only on the lag n - k
-  and the symmetric product's only on the sum k + n, so they are a Toeplitz
-  gather of one matrix-vector product and a Hankel gather of two; otherwise
-  they are a dense real product and a product accumulated over row blocks.
-  The normal matrix's inverse serves three KKT solves per iteration (the tau
-  column, the predictor and the corrector), each refined twice against the
-  assembled normal matrix itself (_newton_solver). The scaling is carried
-  from step to step in the scaled frame, where the iterates stay well inside
-  the cones. Entries at or below ZERO_THRESHOLD, in the solve's units, are
-  returned as exact zeros.
+  A^H diag(alpha) A (a Toeplitz gather of a single matrix-vector product when
+  the elements sit on a lattice x_n = x_0 + n*d, a dense real product
+  otherwise), one symmetric product B^T B accumulated over row blocks,
+  rank-one terms, and the l1 cones' 3x3 blocks with t eliminated. Its
+  inverse serves three KKT solves per iteration (the tau column, the
+  predictor and the corrector), each refined twice against the assembled
+  normal matrix itself, not against the operator form (_newton_solver). The
+  scaling is carried from step to step in the scaled frame, where the
+  iterates stay well inside the cones. Entries at or below ZERO_THRESHOLD,
+  in the solve's units, are returned as exact zeros.
 
   The IPM runs inside an exchange loop (Hettich & Kortanek, "Semi-infinite
   programming", SIAM Review 1993): an optimum meets the bound at a few dozen
@@ -183,24 +181,20 @@ def l0_norm(delta, zero_threshold: float) -> int:
     return int(np.count_nonzero(np.abs(as_weights(delta)) > zero_threshold))
 
 
-def _lattice_gathers(positions: np.ndarray, free: np.ndarray):
+def _lattice_lags(positions: np.ndarray, free: np.ndarray) -> np.ndarray | None:
     """
-    Gather indices (lags, sums) of the free columns' products when
-    x_n = x_0 + n*d, else (None, None).
+    Lag gather index of the free columns' Gram when x_n = x_0 + n*d, else None.
 
     On such a lattice, sum_u w_u conj(A_uk) A_un depends only on the lag
-    n - k, and sum_u w_u A_uk A_un only on the sum k + n. So
-    lags[k, n] = n - k + N - 1 indexes a vector of the 2N - 1 lags (a
-    Toeplitz gather), and sums[k, n] = k + n one of the 2N - 1 sums (a
-    Hankel gather).
+    n - k, so lags[k, n] = n - k + N - 1 indexes a vector of the 2N - 1 lags.
     """
     n = positions.size
     d = (positions[-1] - positions[0]) / (n - 1)
     off = positions - (positions[0] + d * np.arange(n))
     if np.max(np.abs(off)) > _LATTICE_ULPS * np.finfo(float).eps * np.max(np.abs(positions)):
-        return None, None
+        return None
     idx = np.flatnonzero(free)
-    return idx[None, :] - idx[:, None] + (n - 1), idx[:, None] + idx[None, :]
+    return idx[None, :] - idx[:, None] + (n - 1)
 
 
 def _mirrored(u: np.ndarray) -> bool:
@@ -216,7 +210,7 @@ class _Landscape:
         full = steering_matrix(geometry, metric.region.samples)
         self.A = full[:, free]
         self.full = full            # the geometry's shared matrix, not a copy
-        self.lags, self.sums = _lattice_gathers(geometry.positions, free)
+        self.lags = _lattice_lags(geometry.positions, free)
         self.F_base = full @ w_faulty
         self.F0_base = complex(np.sum(w_faulty))
         self.tau = 10.0 ** (metric.target_db / 10.0)
@@ -254,7 +248,7 @@ class _Landscape:
             return self
         sub = copy.copy(self)
         sub.A, sub.F_base, sub.m = self.A[rows], self.F_base[rows], int(rows.size)
-        sub.full = self.full[rows] if self.lags is not None else None   # read by the lattice gathers only
+        sub.full = self.full[rows] if self.lags is not None else None   # read by the lattice Gram only
         return sub
 
     def fields(self, z: np.ndarray):
@@ -590,13 +584,9 @@ def _normal_matrix(land: _Landscape, mm: np.ndarray) -> np.ndarray:
     q = A^T (M01 - i M02), the Hermitian Gram P = A^H diag(alpha) A and the
     symmetric S = A^T diag(kappa) A as [[Re P + Re S, -Im P - Im S],
     [Im P - Im S, Re P - Re S]], plus sqrt(tau) (a0 b^T + b a0^T) with
-    a0 = (1, 0), b = (Re q, -Im q), plus tau sum(M00) a0 a0^T. On a lattice
-    P is a Toeplitz gather (_gram) and S a Hankel gather: A_uk A_un =
-    A_u0 A_u(k+n), so the sums k + n = 0 .. N-2 come from column 0 of the
-    geometry's matrix and N-1 .. 2N-2 from column N-1, two matrix-vector
-    products. Off a lattice P is a real syrk and S one symmetric rank-m
-    product B^T B, B = diag(sqrt(kappa)) A, accumulated over row blocks that
-    keep the temporary small. The l1 cones add a 3x3 block on each
+    a0 = (1, 0), b = (Re q, -Im q), plus tau sum(M00) a0 a0^T. P is a Toeplitz
+    gather on a lattice (_gram), and S is one symmetric rank-m product B^T B,
+    B = diag(sqrt(kappa)) A. The l1 cones add a 3x3 block on each
     (t_n, Re z_n, Im z_n); eliminating t_n leaves their Schur complements.
     For a real z only the Re z block is built: the l1 cones' third components
     stay 0, so they add M11 - M10 M01 / M00 to its diagonal.
@@ -604,18 +594,12 @@ def _normal_matrix(land: _Landscape, mm: np.ndarray) -> np.ndarray:
     f = land.A.shape[1]
     ml, mu = mm[:f], mm[f:]
     p = _gram(land, 0.5 * (mu[:, 1, 1] + mu[:, 2, 2]))
-    kappa = 0.5 * (mu[:, 1, 1] - mu[:, 2, 2]) - 1j * mu[:, 1, 2]
-    if land.sums is not None:
-        full = land.full
-        sums = np.concatenate([(kappa * full[:, 0]) @ full[:, :-1], (kappa * full[:, -1]) @ full])
-        sym = sums[land.sums]
-    else:
-        root = np.sqrt(kappa)
-        sym = np.zeros((f, f), dtype=complex)
-        step = max(1, _SYRK_BLOCK // f)
-        for r in range(0, land.m, step):
-            b = land.A[r:r + step] * root[r:r + step, None]
-            sym += b.T @ b               # a symmetric product (syrk)
+    root = np.sqrt(0.5 * (mu[:, 1, 1] - mu[:, 2, 2]) - 1j * mu[:, 1, 2])
+    sym = np.zeros((f, f), dtype=complex)
+    step = max(1, _SYRK_BLOCK // f)
+    for r in range(0, land.m, step):     # row blocks keep the temporary small
+        b = land.A[r:r + step] * root[r:r + step, None]
+        sym += b.T @ b                   # a symmetric product (syrk)
     q = land.A.T @ (mu[:, 0, 1] - 1j * mu[:, 0, 2])
     i = np.arange(f)
     if land.real:
@@ -652,7 +636,8 @@ def _newton_solver(land: _Landscape, mm: np.ndarray):
     a real z (_normal_matrix). hm is inverted once, equilibrated by its
     diagonal, which spans many decades; each solve refines d
     _IPM_REFINEMENTS times against the assembled hm, d += hm^-1 (r - hm d),
-    then recovers t. Raises LinAlgError when hm is singular.
+    then recovers t; without the refinements most solves stall short of
+    their targets. Raises LinAlgError when hm is singular.
     """
     f = land.A.shape[1]
     hm = _normal_matrix(land, mm)

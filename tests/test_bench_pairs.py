@@ -66,3 +66,65 @@ def test_workload_summary_sums_operations_and_keeps_units():
     assert got["wall_s"]["change_lower_in"] == "1/2"
     assert got["corrections_total"]["change_lower_in"] == "0/2"
     assert got["corrections_total"]["median_change"] == 0.0
+
+
+def test_workload_summary_leaves_a_stopped_run_out_of_the_metrics():
+    def run(wall):
+        return {"correct": True, "attempted": 10, "failed": 0,
+                "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
+
+    stop = {"returncode": 1, "stderr_tail": "FAILED check"}
+    pairs = [{"parent": run(1.0), "change": run(0.5)},
+             {"parent": run(2.0), "change": stop},
+             {"parent": run(3.0), "change": run(1.5)}]
+    got = bench_pairs.workload_summary(pairs)
+    assert got["pairs"] == 2
+    assert got["attempted"] == {"parent": 30, "change": 20}
+    assert got["stopped"] == {"parent": [], "change": [{"pair": 2, **stop}]}
+    assert got["wall_s"]["parent"]["runs"] == [1.0, 3.0] and got["wall_s"]["change"]["runs"] == [0.5, 1.5]
+
+    none = bench_pairs.workload_summary([{"parent": stop, "change": stop}])
+    assert none["pairs"] == 0 and "wall_s" not in none
+    assert none["attempted"] == {"parent": 0, "change": 0}
+
+
+_FAKE_RUN = '''
+import json, sys
+args = sys.argv[1:]
+workload, seconds = args[args.index("--workload") + 1], float(args[args.index("--seconds") + 1])
+if workload == "stops" and {stops}:
+    print("Traceback\\nRuntimeError: the workload check failed", file=sys.stderr)
+    raise SystemExit(1)
+print("env " + json.dumps({{"tree": {tree!r}}}))
+print(json.dumps({{"correct": True, "attempted": 4, "failed": 0,
+                  "metrics": {{"wall_s": {{"value": seconds, "unit": "s"}}}}}}))
+'''
+
+
+def _fake_tree(root, tree, stops):
+    (root / "benchmark").mkdir(parents=True)
+    (root / "benchmark" / "run.py").write_text(_FAKE_RUN.format(tree=tree, stops=stops), encoding="utf-8")
+    declared = {"run_seconds": 7, "workloads": [{"name": "ok"}, {"name": "stops"}]}
+    (root / "BENCHMARK.json").write_text(json.dumps(declared), encoding="utf-8")
+    return root
+
+
+def test_a_stopped_run_is_recorded_and_the_file_still_written(tmp_path, monkeypatch):
+    # The change tree's run of "stops" exits 1; the script still measures
+    # every pair, writes the file and exits 1. Each run gets the declared
+    # run_seconds, which the fake run reports as its wall_s.
+    parent = _fake_tree(tmp_path / "parent", "parent", stops=False)
+    change = _fake_tree(tmp_path / "change", "change", stops=True)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    assert bench_pairs.main([str(parent), str(change), "--seed", "3", "--pairs", "2", "--tag", "t"]) == 1
+    record = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    assert record["env"] == {"parent": {"tree": "parent"}, "change": {"tree": "change"}}
+    assert "--seconds 7 " in record["command"]
+    ok, stops = record["workloads"]["ok"], record["workloads"]["stops"]
+    assert ok["pairs"] == 2 and "stopped" not in ok
+    assert ok["wall_s"]["parent"]["runs"] == ok["wall_s"]["change"]["runs"] == [7.0, 7.0]
+    assert stops["pairs"] == 0 and stops["attempted"] == {"parent": 8, "change": 0}
+    assert [s["pair"] for s in stops["stopped"]["change"]] == [1, 2] and stops["stopped"]["parent"] == []
+    assert all(s["returncode"] == 1 and s["stderr_tail"].endswith("the workload check failed")
+               for s in stops["stopped"]["change"])
+

@@ -188,6 +188,15 @@ class TestBeamwidth:
         with pytest.raises(NoMainlobeError):
             beamwidth(g, w, -3.01, grid=np.linspace(0.4, 0.9, 101))
 
+    def test_threshold_is_checked_before_the_pattern(self):
+        # [1, -1] is zero at broadside, so building its pattern would raise
+        # DegenerateBroadsideError (itself a ValueError) first.
+        g = uniform_positions(2, 0.5)
+        for threshold in (0.0, 3.0):
+            with pytest.raises(ValueError, match="threshold must be negative") as raised:
+                beamwidth(g, [1.0, -1.0], threshold)
+            assert raised.type is ValueError
+
 
 class TestDynamicRange:
     def test_uniform_is_one(self):

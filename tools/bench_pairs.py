@@ -9,13 +9,17 @@ every workload that CHANGE_ROOT's BENCHMARK.json declares, the script runs
     python3 benchmark/run.py --workload W --seed S --seconds SECONDS --trace 0
 
 in each tree, N pairs of runs, alternating which tree goes first (the parent
-in even pairs). SECONDS is BENCHMARK.json's run_seconds unless --seconds is
-given. It writes BENCH_<tag>.json at the root of this checkout: for each
-workload the attempted and failed operations summed over the runs, and for
-each end-to-end metric each side's runs with their quartiles, the pairs in
-which the change read lower, and the relative change of the medians (the
-schema of the earlier BENCH_*.json files). --what and --claim fill in the
-file's description of the change and of what it claims.
+in even pairs), with SECONDS the declared run_seconds. It writes
+BENCH_<tag>.json at the root of this checkout: for each workload the
+attempted and failed operations summed over the runs, and for each
+end-to-end metric each side's runs with their quartiles, the pairs in which
+the change read lower, and the relative change of the medians (the schema of
+the earlier BENCH_*.json files). A run that exits non-zero, such as one whose
+workload check stops it, is listed under its workload's "stopped" with its
+exit code and the tail of its stderr; its pair is left out of the metrics,
+the remaining pairs are still measured, the file is still written, and the
+script exits 1. --what and --claim fill in the file's description of the
+change and of what it claims.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+_STDERR_LINES = 5           # lines of a stopped run's stderr kept in the file
 
 
 def summarize(parent: list, change: list) -> dict:
@@ -55,13 +60,22 @@ def summarize(parent: list, change: list) -> dict:
 def workload_summary(pairs: list) -> dict:
     """
     One workload's record from its pairs, each a {"parent": ..., "change": ...}
-    of the JSON objects that the two trees' benchmark/run.py printed last.
+    of the JSON objects that the two trees' benchmark/run.py printed last,
+    or, for a run that stopped, of {"returncode": ..., "stderr_tail": ...}.
+    Operations are summed over the runs that finished, and the metrics over
+    the pairs in which both runs finished; "pairs" counts those.
     """
-    out = {"pairs": len(pairs),
-           "failed": {s: sum(p[s]["failed"] for p in pairs) for s in SIDES},
-           "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in SIDES}}
-    for name, metric in pairs[0]["change"]["metrics"].items():
-        runs = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in SIDES}
+    done = [p for p in pairs if all("metrics" in p[s] for s in SIDES)]
+    out = {"pairs": len(done),
+           "failed": {s: sum(p[s]["failed"] for p in pairs if "metrics" in p[s]) for s in SIDES},
+           "attempted": {s: sum(p[s]["attempted"] for p in pairs if "metrics" in p[s])
+                         for s in SIDES}}
+    stopped = {s: [{"pair": i + 1, **p[s]} for i, p in enumerate(pairs) if "metrics" not in p[s]]
+               for s in SIDES}
+    if any(stopped.values()):
+        out["stopped"] = stopped
+    for name, metric in (done[0]["change"]["metrics"].items() if done else ()):
+        runs = {s: [p[s]["metrics"][name]["value"] for p in done] for s in SIDES}
         out[name] = {"unit": metric["unit"], **summarize(runs["parent"], runs["change"])}
     return out
 
@@ -77,10 +91,16 @@ def _commit(root: Path) -> str | None:
 
 
 def _run(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One untraced run in a tree: the last JSON line it printed, and its env line."""
+    """
+    One untraced run in a tree: the last JSON line it printed and its env
+    line, or, when it exits non-zero, its exit code and stderr tail and {}.
+    """
     done = subprocess.run([sys.executable, "benchmark/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=root, capture_output=True, text=True, check=True)
+                          cwd=root, capture_output=True, text=True)
+    if done.returncode != 0:
+        return {"returncode": done.returncode,
+                "stderr_tail": "\n".join(done.stderr.splitlines()[-_STDERR_LINES:])}, {}
     lines = done.stdout.splitlines()
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
     return json.loads(lines[-1]), env
@@ -93,8 +113,6 @@ def _parse_args(argv):
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--tag", required=True, help="the file is written as BENCH_<tag>.json")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="measuring time per run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--what", default="", help="what the change does")
     parser.add_argument("--claim", default="", help="what the change claims")
     return parser.parse_args(argv)
@@ -107,16 +125,17 @@ def main(argv=None) -> int:
         return 2
     roots = {"parent": args.parent_root.resolve(), "change": args.change_root.resolve()}
     declared = json.loads((roots["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = declared["run_seconds"] if args.seconds is None else args.seconds
-    workloads, env = {}, {}
+    seconds = declared["run_seconds"]
+    workloads, env = {}, {s: {} for s in SIDES}
     for workload in (w["name"] for w in declared["workloads"]):
         pairs = []
         for i in range(args.pairs):
             pair = {}
             for s in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                pair[s], env = _run(roots[s], workload, args.seed, seconds)
-                print(f"{workload} pair {i + 1}/{args.pairs} {s}: "
-                      f"wall_s {pair[s]['metrics'].get('wall_s', {}).get('value')}", file=sys.stderr)
+                pair[s], run_env = _run(roots[s], workload, args.seed, seconds)
+                env[s] = env[s] or run_env
+                got = pair[s]["metrics"]["wall_s"]["value"] if "metrics" in pair[s] else "stopped"
+                print(f"{workload} pair {i + 1}/{args.pairs} {s}: wall_s {got}", file=sys.stderr)
             pairs.append(pair)
         workloads[workload] = workload_summary(pairs)
 
@@ -129,14 +148,14 @@ def main(argv=None) -> int:
                     f"--trace 0, {args.pairs} pairs per workload, alternating which side runs first "
                     "(tools/bench_pairs.py)"),
         "seed": args.seed,
-        "env": env,                 # as the last run reported it
+        "env": env,                 # each side's, as its first finished run reported it
         "claim": args.claim,
         "workloads": workloads,
     }
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
-    return 0
+    return 1 if any("stopped" in w for w in workloads.values()) else 0
 
 
 if __name__ == "__main__":
