@@ -208,9 +208,13 @@ def _write_json(path: Path, record: dict) -> None:
     path.write_text(json.dumps(_sig6(record), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], rows, template: str | None = None) -> None:
+    """Header and rows, each value through _fmt, or each row as template % row when given."""
     lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    if template is None:
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
+    else:
+        lines += [template % row for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -325,9 +329,11 @@ def run_scenario(spec: ScenarioSpec, out_dir,
         raise
     _write_json(out / f"{spec.name}_result.json", record)
 
+    # all floats, for which "%.6g" % x is _fmt(x)
     _write_csv(out / f"{spec.name}_pattern.csv",
                ["u", "original_db", "faulty_db", "corrected_db"],
-               zip(grid.tolist(), original_db.tolist(), faulty_db.tolist(), corrected_db.tolist()))
+               zip(grid.tolist(), original_db.tolist(), faulty_db.tolist(), corrected_db.tolist()),
+               template="%.6g,%.6g,%.6g,%.6g")
 
     _write_csv(out / f"{spec.name}_trace.csv",
                ["k", "step", "event", "n_least", "l0", "l1", "phi_db"],
@@ -344,6 +350,7 @@ def run_oracle(spec: ScenarioSpec, out_dir, max_support: int | None = None,
     record.update({
         "status": "ok" if result.feasible else "infeasible-up-to-m",
         "searched_up_to": result.searched_up_to,
+        "n_supports": result.n_supports,
         "n_solves": result.n_solves,
         "n_certified": result.n_certified,
         "elapsed_s": result.elapsed_s,

@@ -80,7 +80,7 @@ def main(argv=None) -> int:
         elif args.command == "oracle":
             record, result = run_oracle(_load_spec(args), args.out, args.max_support, args.grid)
             if result.feasible:
-                rejected = result.n_solves - 1
+                rejected = result.n_supports - 1
                 proof = ("minimum proven" if result.n_certified == rejected else
                          f"{result.n_certified} of {rejected} rejections proven")
                 print(f"{record['name']}: minimum support={result.min_support} "

@@ -12,7 +12,9 @@ parts of the free entries (the cone phase keeps only the real parts for real
 excitations on a mirrored region, below); everything is deterministic.
 
 A solve returns a correction that meets the bound, or raises; a certified
-InfeasibleError rests on a certificate's weights. The problem is
+InfeasibleError carries its proof, a certificate's weights on the whole
+region's samples and the free mask they were proved for, so that a caller
+can test the same weights on other supports (proves). The problem is
 homogeneous in the excitations, and a solve runs in units of the power of two
 nearest their largest magnitude (an exact rescaling), so the absolute floors
 below mean the same whatever the weights' units. A solve takes four steps:
@@ -24,17 +26,18 @@ below mean the same whatever the weights' units. A solve takes four steps:
   infeasibility, a weighting of the region samples whose weighted sidelobe
   power exceeds the bound for every correction (Elfving's c-optimal-design
   duality over the convex cone form of Lebret & Boyd). A certificate raises
-  InfeasibleError(certified=True) at once. It covers the free-phase problem
-  above, which the cone program below only restricts. The search runs on a
-  working set of region samples, started as the exchange below starts its
-  own, from the solve's start correction: weights that are zero off the set
-  still weight the region, so a proof found there holds for the whole
-  region. When the search on the set ends without a proof (its point meets
-  the bound on the set, or its progress stalls), one product checks that
-  point on every sample, and windows around the peaks that break the bound
-  outside the set join it. Its weighted Gram matrix is the cone phase's
-  Toeplitz gather on a lattice. Each search is logged at DEBUG, with its
-  outcome, updates, growth rounds and final working set.
+  InfeasibleError(certified=True) at once, with its weights mirrored back
+  onto the whole region when they were found on the half (below). It covers
+  the free-phase problem above, which the cone program below only restricts.
+  The search runs on a working set of region samples, started as the
+  exchange below starts its own, from the solve's start correction: weights
+  that are zero off the set still weight the region, so a proof found there
+  holds for the whole region. When the search on the set ends without a
+  proof (its point meets the bound on the set, or its progress stalls), one
+  product checks that point on every sample, and windows around the peaks
+  that break the bound outside the set join it. Its weighted Gram matrix is
+  the cone phase's Toeplitz gather on a lattice. Each search is logged at
+  DEBUG, with its outcome, updates, growth rounds and final working set.
 * cone phase: a primal-dual interior-point method in the homogeneous
   self-dual model (Ye, Todd & Mizuno, Math. Oper. Res. 1994; for second-order
   cones as in ECOS, Domahidi, Chu & Boyd, ECC 2013), with Nesterov-Todd
@@ -314,6 +317,22 @@ def _positive_definite(s: np.ndarray) -> bool:
         return False
 
 
+def proves(p: np.ndarray, h: np.ndarray, tau: float, m: int) -> bool:
+    """
+    Whether P - tau*(1 + _CERT_MARGIN)*conj(h) h^T is positive definite
+    beyond rounding, for P = P(lam) of dimension d over a region of m
+    samples (_certificate has the argument; tau = 0 tests P alone). The test
+    runs on the matrix scaled by P's diagonal, less 4*d*m*eps: each entry of
+    the scaled P carries at most about m*eps of rounding, so the test cannot
+    pass on rounding alone.
+    """
+    d = p.shape[0]
+    inv = 1.0 / np.sqrt(np.diag(p).real)
+    bound = tau * (1.0 + _CERT_MARGIN) * np.outer(np.conj(h), h)
+    guard = 4.0 * d * m * np.finfo(float).eps * np.eye(d)
+    return _positive_definite((p - bound) * np.outer(inv, inv) - guard)
+
+
 def _certificate(land: _Landscape, rows: np.ndarray,
                  weights: np.ndarray | None = None) -> np.ndarray | None:
     """
@@ -321,7 +340,7 @@ def _certificate(land: _Landscape, rows: np.ndarray,
 
     Write F(u) = g_u^T y and F(0) = h^T y with y = (z, 1). Weights lam >= 0
     summing to 1 for which P(lam) - tau*(1 + margin)*conj(h) h^T is positive
-    definite, P(lam) = sum_u lam_u conj(g_u) g_u^T, give
+    definite (proves), P(lam) = sum_u lam_u conj(g_u) g_u^T, give
     sum_u lam_u |F(u)|^2 > tau*(1 + margin)*|F(0)|^2 for every z, so some
     sample exceeds the bound by more than the margin. When the landscape is
     homogeneous the proof runs on x = z + w_free (g_u = A_u, h = 1) instead:
@@ -352,11 +371,8 @@ def _certificate(land: _Landscape, rows: np.ndarray,
     counts as an update. Otherwise the search gives up.
     On half() P is real (_weighted_gram) and lam is returned on the half's
     samples; mirrored, u and -u each taking half of lam_u, it is a proof on
-    the whole region.
-    Positive definiteness is tested on the matrix scaled by P's diagonal,
-    less 4*d*m*eps with m the whole region's sample count, on half() too:
-    each entry of the scaled P carries at most about m*eps of rounding, so
-    the test cannot pass on rounding alone. Each search is logged at DEBUG.
+    the whole region. proves counts m as the whole region's samples, on
+    half() too. Each search is logged at DEBUG.
     """
     f = land.A.shape[1]
     d = f if land.homogeneous else f + 1
@@ -364,8 +380,7 @@ def _certificate(land: _Landscape, rows: np.ndarray,
     if not land.homogeneous:
         h[f] = land.F0_base.real if land.real else land.F0_base
     tau = land.tau * (1.0 + _CERT_MARGIN)
-    bound = tau * np.outer(np.conj(h), h)
-    guard = 4.0 * d * (land.whole or land.m) * np.finfo(float).eps * np.eye(d)
+    m = land.whole or land.m
 
     def products(sub, v):
         # |g_u^T v| on the landscape's samples
@@ -378,13 +393,11 @@ def _certificate(land: _Landscape, rows: np.ndarray,
     proof, outcome, it, growths = None, "update cap", 0, 0
     while it < _CERT_ITERATIONS:
         p = _weighted_gram(sub, lam)
-        inv = 1.0 / np.sqrt(np.diag(p).real)
-        unit = np.outer(inv, inv)
-        if _positive_definite((p - bound) * unit - guard):
+        if proves(p, h, land.tau, m):
             proof, outcome = np.zeros(land.m), "proof"
             proof[idx] = lam
             break
-        if not _positive_definite(p * unit - guard):
+        if not proves(p, h, 0.0, m):
             outcome = "singular P"
             break
         v = np.linalg.solve(p, np.conj(h))
@@ -886,8 +899,9 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
     seeds the working sets with the peaks of its pattern. Raises
     InfeasibleError when the exchange ends with no answer, certified=True
     when a certificate proves that no correction within the mask meets the
-    target; NumericalFailureError when the answer, with its dust entries
-    zeroed, breaks the toleranced target on the region.
+    target (the error then carries the certificate's weights on the whole
+    region and the free mask); NumericalFailureError when the answer, with
+    its dust entries zeroed, breaks the toleranced target on the region.
     """
     cfg = config if config is not None else SolverConfig()
     w = as_weights(w_faulty, geometry.n)
@@ -914,7 +928,7 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
         return np.zeros(geometry.n, dtype=complex)
     if nfree == 0:
         raise InfeasibleError("no free elements and the zero correction misses the target",
-                              certified=True)
+                              certified=True, free=free)
     if start is not None:
         s = as_weights(start, geometry.n)
         if np.any(s[mask] != 0):
@@ -925,16 +939,21 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
     cone = land.half() if land.mirrored else land
     rows = _start_rows(ratio, _lobe_stride(geometry, metric.region.samples))[land.m - cone.m:]
     # A start that meets the bound shows that no certificate exists.
-    proof = np.max(ratio) > 1.0 and _certificate(cone, rows) is not None
-    if not proof:
+    proof = _certificate(cone, rows) if np.max(ratio) > 1.0 else None
+    if proof is None:
         z, info = _exchange(cone, rows)
         # With no answer, the last round's sample weights (a ray's or a stall's)
         # seed a search for a proof on the exchange's final working set.
-        proof = z is None and _certificate(cone, info["rows"], info["weights"]) is not None
-    if proof:
+        if z is None:
+            proof = _certificate(cone, info["rows"], info["weights"])
+    if proof is not None:
+        weights = np.zeros(land.m)
+        weights[land.m - cone.m:] = proof
+        if cone.real:       # a proof on half(): u and -u each take half of lam_u
+            weights = 0.5 * (weights + weights[::-1])
         raise InfeasibleError(
             "certified: a weighting of the region samples keeps the sidelobe power "
-            "above the bound for every correction", certified=True,
+            "above the bound for every correction", certified=True, weights=weights, free=free,
         )
     if z is None:
         raise InfeasibleError(f"the cone IPM ended {info['verdict']} at relative gap {info['gap']:.2e} "

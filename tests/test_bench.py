@@ -242,7 +242,7 @@ class TestRunOracle:
         assert record["support"] == [3]
         assert record["status"] == "ok"
         written = json.loads((tmp_path / "toy_oracle.json").read_text())
-        assert written["n_solves"] == 3 and written["n_certified"] == 2  # (), (1,) rejected
+        assert written["n_supports"] == 3 and written["n_certified"] == 2  # (), (1,) rejected
 
     def test_infeasible_record(self, tmp_path):
         data = toy_spec_dict(name="toy_hopeless")

@@ -14,8 +14,9 @@ correction vector exactly, plus the correction count, l1, k_opt, the
 removal trace and the removal loop's backtracks tallied by the certified
 flag of the InfeasibleError behind each (a proof, as against a ray or a
 stall; the collecting process wraps `arraymend.correction`'s
-`solve_constrained_l1` to see them), and the oracle's support, solve count
-and count of proven rejections (n_certified). It also wraps
+`solve_constrained_l1` to see them), and the oracle's support, the
+supports it examined (n_supports) and its count of proven rejections
+(n_certified). It also wraps
 `arraymend.solver._exchange` and compares each item's exchange verdicts
 (optimal, ray, undecided), cone IPM iterations and exchange rounds, and
 wraps `arraymend.solver._certificate` to compare each item's certificate
@@ -24,14 +25,18 @@ generator's oracle_certify instances for seeds 1-10 (`generate_instances` of
 benchmark/bench_workloads.py) as that workload does: the heuristic, then
 `exhaustive_min` up to the heuristic's count or 3, whichever is smaller.
 Each instance is compared by its heuristic count (or the error it raised),
-the oracle's support, solve count and n_certified. An item that raises is
+the oracle's support, n_supports and n_certified. An item that raises is
 compared by the error's class and its certified flag, not by its message.
-It prints one line per item; under each item that differs, a second line
-gives parent -> change for the correction count, k_opt, the backtrack,
-verdict, iteration, round and certificate tallies and the oracle's solve
-and proven-rejection counts, and the relative change of l1. Two lines sum
-those counts, parent -> change: one over the correction items, one over the
-generated instances.
+An oracle's solve count (n_solves) and, for the test_case_1 oracle, its
+exchange and certificate tallies are reported but not compared: the
+oracle's proof pool rejects supports without a solve, so a change to the
+pool moves them while every answer stays. It prints one line per item;
+under each item that differs, or whose reported counts moved, a second
+line gives parent -> change for the correction count, k_opt, the
+backtrack, verdict, iteration, round and certificate tallies and the
+oracle's support, solve and proven-rejection counts, and the relative
+change of l1. Two lines sum those counts, parent -> change: one over the
+correction items, one over the generated instances.
 
 Each tree then runs the runners and writes their files: `run_scenario` on
 toy and test_case_1, `run_oracle` on toy up to support 2, `tradeoff_sweep`
@@ -65,15 +70,22 @@ BACKTRACKS = ("backtracks_certified", "backtracks_uncertified")
 VERDICTS = ("optimal", "ray", "undecided")    # of the exchange, tallied as exchange_<verdict>
 SOLVER = (*(f"exchange_{v}" for v in VERDICTS), "ipm_iterations", "exchange_rounds",
             "certificate_searches", "certificate_proofs")
-SHOWN = ("n_corrections", "k_opt", *BACKTRACKS, "support", "n_solves", "n_certified", "error",
-         "certified")  # printed per item
+SHOWN = ("n_corrections", "k_opt", *BACKTRACKS, "support", "n_supports", "n_solves", "n_certified",
+         "error", "certified")  # printed per item
 # parent -> change when an item differs, and summed over the correction items
-MOVED = ("n_corrections", "k_opt", *BACKTRACKS, *SOLVER, "n_solves", "n_certified")
+MOVED = ("n_corrections", "k_opt", *BACKTRACKS, *SOLVER, "n_supports", "n_solves", "n_certified")
+REPORTED = ("n_solves", *SOLVER)    # of the oracle items: reported, not compared
+ORACLE_KINDS = ("oracle", "instance")
 
 
 def _complex_list(a) -> list:
     # float repr round-trips exactly through JSON
     return None if a is None else [[float(v.real), float(v.imag)] for v in a]
+
+
+def _supports(o) -> int:
+    # an oracle without a proof pool solved every support it examined
+    return getattr(o, "n_supports", o.n_solves)
 
 
 def read_output(path: Path):
@@ -180,8 +192,8 @@ def collect() -> dict:
     o = exhaustive_min(res.geometry, res.weights, res.scenario, res.metric, res.config,
                        max_support=ORACLE_MAX_SUPPORT)
     out[f"oracle:{ORACLE_PROBLEM}"] = {"delta": _complex_list(o.delta), "support": list(o.support),
-                                       "n_solves": o.n_solves, "n_certified": o.n_certified, "l1": o.l1,
-                                       **tallies}
+                                       "n_supports": _supports(o), "n_solves": o.n_solves,
+                                       "n_certified": o.n_certified, "l1": o.l1, **tallies}
     solver._exchange, solver._certificate = exchange, certificate
     for seed in INSTANCE_SEEDS:
         for data in bw.generate_instances(seed):
@@ -203,7 +215,8 @@ def instance(bw, res) -> dict:
         heuristic, item = None, {"error": type(err).__name__, "certified": getattr(err, "certified", None)}
     limit = bw.ORACLE_MAX_SUPPORT if heuristic is None else min(heuristic, bw.ORACLE_MAX_SUPPORT)
     o = exhaustive_min(res.geometry, res.weights, res.scenario, res.metric, res.config, max_support=limit)
-    return {**item, "support": list(o.support), "n_solves": o.n_solves, "n_certified": o.n_certified}
+    return {**item, "support": list(o.support), "n_supports": _supports(o), "n_solves": o.n_solves,
+            "n_certified": o.n_certified}
 
 
 def run_tree(src: Path) -> subprocess.Popen:
@@ -212,13 +225,14 @@ def run_tree(src: Path) -> subprocess.Popen:
                             stdout=subprocess.PIPE, text=True)
 
 
-def differences(a: dict, b: dict) -> list[str]:
-    """Names of the fields that differ between two results of one item."""
+def differences(name: str, a: dict, b: dict) -> list[str]:
+    """Names of the compared fields that differ between two results of one item."""
     def same(key):
         if key == "delta" and a.get(key) is not None and b.get(key) is not None:
             return np.array_equal(np.array(a[key]), np.array(b[key]))
         return a.get(key) == b.get(key)
-    return sorted(k for k in a.keys() | b.keys() if not same(k))
+    skipped = REPORTED if name.partition(":")[0] in ORACLE_KINDS else ()
+    return sorted(k for k in a.keys() | b.keys() if k not in skipped and not same(k))
 
 
 def moved(a: dict, b: dict) -> str:
@@ -258,12 +272,13 @@ def main(argv) -> int:
     names = list(dict.fromkeys([*parent, *change]))
     bad = 0
     for name in names:
-        diff = differences(parent.get(name, {}), change.get(name, {}))
+        a, b = parent.get(name, {}), change.get(name, {})
+        diff = differences(name, a, b)
         bad += bool(diff)
-        shown = {k: v for k, v in change.get(name, {}).items() if k in SHOWN}
+        shown = {k: v for k, v in b.items() if k in SHOWN}
         print(f"{name:28s} {'DIFFERS in ' + ', '.join(diff) if diff else 'same':40s} {shown}")
-        if diff:
-            print(f"{'':28s} {moved(parent.get(name, {}), change.get(name, {}))}")
+        if diff or any(a.get(k) != b.get(k) for k in MOVED):
+            print(f"{'':28s} {moved(a, b)}")
     print(f"{bad} of {len(names)} items differ")
     for kind in ("", "instance"):
         sums = [totals(parent, kind), totals(change, kind)]
