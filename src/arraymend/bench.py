@@ -50,6 +50,13 @@ def _converted(kind, value, name: str):
         raise ValueError(f"scenario field {name} must be a {kind.__name__}, got {value!r}") from None
 
 
+def _integer(value, name: str) -> int:
+    """value as an int, with a ValueError naming the field unless it is a Python or numpy integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"scenario field {name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ScenarioSpec:
     """One correction problem: array, taper, failures, and metric target."""
@@ -64,6 +71,8 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"a scenario must be a JSON object, got {data!r}")
         known = {"name", "n_elements", "faulty_indices", "taper", "metric",
                  "spacing_wavelengths", "solver"}
         unknown = set(data) - known
@@ -74,8 +83,9 @@ class ScenarioSpec:
             raise ValueError(f"scenario is missing fields: {sorted(missing)}")
         return cls(
             name=str(data["name"]),
-            n_elements=_converted(int, data["n_elements"], "n_elements"),
-            faulty_indices=_converted(list, data["faulty_indices"], "faulty_indices"),
+            n_elements=_integer(data["n_elements"], "n_elements"),
+            faulty_indices=[_integer(i, "faulty_indices")
+                            for i in _converted(list, data["faulty_indices"], "faulty_indices")],
             taper=data["taper"],
             metric=_converted(dict, data.get("metric", {}), "metric"),
             spacing_wavelengths=_converted(float, data.get("spacing_wavelengths", 0.5),

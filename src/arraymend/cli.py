@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 
 from .bench import ScenarioSpec, batch_run, run_oracle, run_scenario, scale_failure_scenario, tradeoff_sweep
-from .errors import InfeasibleError
+from .errors import BudgetExceededError, InfeasibleError, NumericalFailureError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -108,7 +108,7 @@ def main(argv=None) -> int:
     except InfeasibleError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, BudgetExceededError, NumericalFailureError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_OK

@@ -29,15 +29,14 @@ below mean the same whatever the weights' units. A solve takes four steps:
   InfeasibleError(certified=True) at once, with its weights mirrored back
   onto the whole region when they were found on the half (below). It covers
   the free-phase problem above, which the cone program below only restricts.
-  The search runs on a working set of region samples, started as the
-  exchange below starts its own, from the solve's start correction: weights
-  that are zero off the set still weight the region, so a proof found there
-  holds for the whole region. When the search on the set ends without a
-  proof (its point meets the bound on the set, or its progress stalls), one
-  product checks that point on every sample, and windows around the peaks
-  that break the bound outside the set join it. Its weighted Gram matrix is
-  the cone phase's Toeplitz gather on a lattice. Each search is logged at
-  DEBUG, with its outcome, updates, growth rounds and final working set.
+  The first search runs on the working set the exchange below starts from,
+  built from the solve's start correction; the second on the exchange's
+  final working set, seeded with its last round's weights. A search never
+  widens its set (the exchange is the one loop that grows a set of region
+  samples): a proof's weights are zero off it, and as they still weight
+  the region, a proof found there holds for the whole region. Its weighted
+  Gram matrix is the cone phase's Toeplitz gather on a lattice. Each search
+  is logged at DEBUG, with its outcome, updates and working set.
 * cone phase: a primal-dual interior-point method in the homogeneous
   self-dual model (Ye, Todd & Mizuno, Math. Oper. Res. 1994; for second-order
   cones as in ECOS, Domahidi, Chu & Boyd, ECC 2013), with Nesterov-Todd
@@ -347,14 +346,15 @@ def _certificate(land: _Landscape, rows: np.ndarray,
     there x = 0 is an exact null vector of the (z, 1) form, and the all-zero
     array it stands for has F(0) = 0, which no correction can use.
 
-    The search runs on a working set of region samples, starting from the
-    boolean mask rows, with lam zero off the set: a weighting of some samples
-    is a weighting of the region, so a proof on the set holds for the whole
+    The search runs on the region samples in the boolean mask rows and never
+    widens that set (the exchange is the loop that grows working sets), so a
+    proof's weights are zero off rows: a weighting of some samples is a
+    weighting of the region, and a proof found there holds for the whole
     region. lam starts proportional to weights (positive, one per sample of
     the set) or uniform, and follows the multiplicative c-optimal-design
     update lam_u <- lam_u * |g_u^T v| over the set, with v = P^-1 conj(h)
     (Elfving's duality); weights below 1e-12 of the largest are set to zero.
-    The set's search ends
+    The search returns None
     - when P is singular;
     - when v meets the bound on the set, since then no weighting of the set
       can exclude it;
@@ -363,12 +363,6 @@ def _certificate(land: _Landscape, rows: np.ndarray,
       it kept the pace of its last few updates (the pace slows as the
       weights converge, so this extrapolation is optimistic);
     - at the update cap.
-    In the second and third case one product checks v on every region
-    sample. Where v breaks the bound outside the set, windows of
-    _EXCHANGE_WINDOW samples around each local maximum of its ratio there at
-    or above 1 join the set with the largest current weight, the weights are
-    renormalized, the pace restarts and the search goes on; such a growth
-    counts as an update. Otherwise the search gives up.
     On half() P is real (_weighted_gram) and lam is returned on the half's
     samples; mirrored, u and -u each taking half of lam_u, it is a proof on
     the whole region. proves counts m as the whole region's samples, on
@@ -382,15 +376,11 @@ def _certificate(land: _Landscape, rows: np.ndarray,
     tau = land.tau * (1.0 + _CERT_MARGIN)
     m = land.whole or land.m
 
-    def products(sub, v):
-        # |g_u^T v| on the landscape's samples
-        return np.abs(sub.A @ v[:f] + (0.0 if land.homogeneous else sub.F_base * v[f]))
-
     idx = np.flatnonzero(rows)
     sub = land.restricted(idx)
     lam = np.full(idx.size, 1.0 / idx.size) if weights is None else weights / np.sum(weights)
     lows = []
-    proof, outcome, it, growths = None, "update cap", 0, 0
+    proof, outcome, it = None, "update cap", 0
     while it < _CERT_ITERATIONS:
         p = _weighted_gram(sub, lam)
         if proves(p, h, land.tau, m):
@@ -401,36 +391,22 @@ def _certificate(land: _Landscape, rows: np.ndarray,
             outcome = "singular P"
             break
         v = np.linalg.solve(p, np.conj(h))
-        level = land.tau * abs(h @ v) ** 2
-        gv = products(sub, v)
-        stop = "bound met on the region" if level >= np.max(gv) ** 2 else None
-        if stop is None:
-            lows.append(1.0 / (h @ v).real)
-            if len(lows) > _CERT_TREND:
-                rate = (lows[-1] - lows[-1 - _CERT_TREND]) / _CERT_TREND
-                if lows[-1] + (_CERT_ITERATIONS - it) * rate < tau:
-                    stop = "trend"
-        if stop is not None:
-            # The set's search has ended; v decides whether the region's can go on.
-            ratio = products(land, v) ** 2 / level
-            new = _peak_windows(ratio, 1.0, among=~rows) & ~rows
-            if not new.any():
-                outcome = stop
+        gv = np.abs(sub.A @ v[:f] + (0.0 if land.homogeneous else sub.F_base * v[f]))
+        if land.tau * abs(h @ v) ** 2 >= np.max(gv) ** 2:
+            outcome = "bound met on the set"
+            break
+        lows.append(1.0 / (h @ v).real)
+        if len(lows) > _CERT_TREND:
+            rate = (lows[-1] - lows[-1 - _CERT_TREND]) / _CERT_TREND
+            if lows[-1] + (_CERT_ITERATIONS - it) * rate < tau:
+                outcome = "trend"
                 break
-            grown = np.zeros(land.m)
-            grown[idx], grown[new] = lam, np.max(lam)
-            rows = rows | new
-            idx = np.flatnonzero(rows)
-            sub = land.restricted(idx)
-            lam = grown[idx] / np.sum(grown)
-            lows, growths, it = [], growths + 1, it + 1
-            continue
         lam = lam * gv
         lam[lam < 1e-12 * np.max(lam)] = 0.0
         lam /= np.sum(lam)
         it += 1
-    _log.debug("certificate: %s after %d updates, %d growth rounds, on %d of %d region samples",
-               outcome, it, growths, *land.counts(rows))
+    _log.debug("certificate: %s after %d updates on %d of %d region samples",
+               outcome, it, *land.counts(rows))
     return proof
 
 
@@ -815,14 +791,11 @@ def _lobe_stride(geometry: ArrayGeometry, u: np.ndarray) -> int:
     return max(1, int(1.0 / (aperture * spacing * _EXCHANGE_PER_LOBE)))
 
 
-def _peak_windows(ratio: np.ndarray, level: float, among: np.ndarray | None = None) -> np.ndarray:
-    """
-    The samples within _EXCHANGE_WINDOW of a local maximum of ratio at or above
-    level, counting only the maxima in the mask among when it is given.
-    """
+def _peak_windows(ratio: np.ndarray, level: float) -> np.ndarray:
+    """The samples within _EXCHANGE_WINDOW of a local maximum of ratio at or above level."""
     padded = np.concatenate([[-np.inf], ratio, [-np.inf]])
     peak = (ratio >= padded[:-2]) & (ratio >= padded[2:]) & (ratio >= level)
-    peaks = np.flatnonzero(peak if among is None else peak & among)
+    peaks = np.flatnonzero(peak)
     near = np.zeros(ratio.size, dtype=bool)
     for k in range(-_EXCHANGE_WINDOW, _EXCHANGE_WINDOW + 1):
         near[np.clip(peaks + k, 0, ratio.size - 1)] = True

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from arraymend import (
+    BudgetExceededError,
     InfeasibleError,
+    NumericalFailureError,
     apply_failures,
     beamwidth,
     dolph_chebyshev,
@@ -25,6 +27,7 @@ from arraymend.bench import (
     scale_failure_scenario,
     tradeoff_sweep,
 )
+from arraymend import cli
 from arraymend.cli import main as cli_main
 from conftest import SCENARIO_DIR, load_spec
 
@@ -53,6 +56,10 @@ MALFORMED = {
     "non_object_metric": ({"metric": 5}, "metric"),
     "null_n_elements": ({"n_elements": None}, "n_elements"),
     "null_taper_level": ({"taper": {"dolph_chebyshev": {"sll_db": None}}}, "sll_db"),
+    "fractional_n_elements": ({"n_elements": 4.9}, "n_elements"),
+    "string_n_elements": ({"n_elements": "4"}, "n_elements"),
+    "fractional_faulty_index": ({"faulty_indices": [2.7]}, "faulty_indices"),
+    "boolean_faulty_index": ({"faulty_indices": [True]}, "faulty_indices"),
 }
 
 
@@ -60,6 +67,11 @@ class TestScenarioSpec:
     def test_round_trip(self):
         spec = ScenarioSpec.from_dict(toy_spec_dict())
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+
+    def test_numpy_integers_are_accepted(self):
+        spec = ScenarioSpec.from_dict(toy_spec_dict(n_elements=np.int64(4), faulty_indices=[np.int32(2)]))
+        assert spec == ScenarioSpec.from_dict(toy_spec_dict())
+        assert type(spec.n_elements) is int and type(spec.faulty_indices[0]) is int
 
     def test_rejects_unknown_fields(self):
         with pytest.raises(ValueError):
@@ -361,6 +373,25 @@ class TestCli:
         assert cli_main(["run", str(spec_path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and MALFORMED[case][1] in err
+
+    def test_non_object_file_exit_code(self, tmp_path, capsys):
+        spec_path = tmp_path / "five.json"
+        spec_path.write_text("5")
+        assert cli_main(["run", str(spec_path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "JSON object" in err
+
+    @pytest.mark.parametrize("command, runner, error", [
+        ("oracle", "run_oracle", BudgetExceededError("the oracle's support budget is spent")),
+        ("run", "run_scenario", NumericalFailureError("the cone IPM left the constraint violated")),
+    ])
+    def test_solver_failures_exit_with_an_error_line(self, tmp_path, capsys, monkeypatch,
+                                                     command, runner, error):
+        def fail(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(cli, runner, fail)
+        assert cli_main([command, str(SCENARIO_DIR / "toy.json"), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_constraint_tol_reaches_the_solve(self, tmp_path, capsys):
         # the faulty toy sits at -2.45 dB, within 3.1 dB of its -5.5 dB target

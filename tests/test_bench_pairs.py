@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -128,3 +129,16 @@ def test_a_stopped_run_is_recorded_and_the_file_still_written(tmp_path, monkeypa
     assert all(s["returncode"] == 1 and s["stderr_tail"].endswith("the workload check failed")
                for s in stops["stopped"]["change"])
 
+
+
+def test_commit_is_reported_only_at_the_top_of_a_checkout(tmp_path):
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "root"], check=True)
+    head = subprocess.run(git + ["rev-parse", "--short", "HEAD"], capture_output=True, text=True,
+                          check=True).stdout.strip()
+    nested = tmp_path / "extracted"
+    nested.mkdir()
+    assert bench_pairs._commit(tmp_path) == head
+    assert bench_pairs._commit(nested) is None
+    assert bench_pairs._commit(tmp_path / "missing") is None

@@ -607,8 +607,8 @@ class TestConeIpm:
         messages = [r.getMessage() for r in caplog.records if r.getMessage().startswith("certificate")]
         assert len(messages) == 2                       # one record per search
         for message in messages:
-            assert re.search(r"after \d+ updates, \d+ growth rounds, on 4 of 4 region samples", message)
-        assert messages[0].startswith(("certificate: bound met on the region", "certificate: trend"))
+            assert re.search(r"after \d+ updates on 4 of 4 region samples", message)
+        assert messages[0].startswith(("certificate: bound met on the set", "certificate: trend"))
         assert messages[1].startswith("certificate: proof")
 
 
@@ -1046,15 +1046,6 @@ def _certify(geometry, metric, land, half=False):
     return None if lam is None else _mirror(lam, land.m)
 
 
-def _logged_certificate(caplog, land, rows):
-    """_certificate's weights and the growth rounds its DEBUG record reports."""
-    caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger="arraymend.solver"):
-        lam = _certificate(land, rows)
-    (message,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("certificate")]
-    return lam, int(re.search(r"(\d+) growth rounds", message).group(1))
-
-
 class TestCertificate:
     def test_every_small_support_of_test_case_1_is_certified(self, tc1_parts):
         geometry, weights, scenario, metric, _ = tc1_parts
@@ -1105,24 +1096,50 @@ class TestCertificate:
         winner = _support_landscape(geometry, w_faulty, metric, (0, 3, 15))   # elements 1, 4, 16
         assert _certify(geometry, metric, winner) is None
 
-    @pytest.mark.parametrize("below_db, proved", [(0.0, False), (0.1, True)])
-    def test_stride_only_start_grows_to_the_whole_region_verdict(self, tc1_parts, caplog,
-                                                                 below_db, proved):
-        # The minimum's support at the target (feasible) and 0.1 dB below it
-        # (infeasible, but only just: the proof needs the binding peaks).
+    @pytest.mark.parametrize("kind", ["stride", "start", "whole"])
+    def test_proof_is_zero_off_the_given_rows(self, tc1_parts, kind):
+        # Small supports are proven on any of these sets. The minimum's support
+        # 0.1 dB below its target is infeasible only just: its proof needs the
+        # binding peaks, which the stride and the zero correction's start leave
+        # out, so only the whole region proves it.
         geometry, weights, scenario, metric, _ = tc1_parts
         w_faulty = apply_failures(weights, scenario)
-        metric = MetricSpec(region=metric.region, target_db=metric.target_db - below_db)
-        land = _support_landscape(geometry, w_faulty, metric, (0, 3, 15))
-        rows = np.zeros(land.m, dtype=bool)
-        rows[::_lobe_stride(geometry, metric.region.samples)] = True
-        whole, _ = _logged_certificate(caplog, land, np.ones(land.m, dtype=bool))
-        lam, growths = _logged_certificate(caplog, land, rows)
-        assert (whole is not None) == (lam is not None) == proved
-        assert growths >= 1
-        if proved:
-            assert np.any(lam[~rows] > 0)
-            assert _certified_min_eig(geometry, w_faulty, metric, (0, 3, 15), lam) > 0
+        stride = _lobe_stride(geometry, metric.region.samples)
+        for support, below_db in [((0,), 0.0), ((4, 7), 0.0), ((0, 3, 15), 0.1)]:
+            tight = MetricSpec(region=metric.region, target_db=metric.target_db - below_db)
+            land = _support_landscape(geometry, w_faulty, tight, support)
+            rows = {"stride": np.arange(land.m) % stride == 0,
+                    "start": _start_rows(land.ratios(np.zeros(len(support), dtype=complex)), stride),
+                    "whole": np.ones(land.m, dtype=bool)}[kind]
+            lam = _certificate(land, rows)
+            assert (lam is not None) == (below_db == 0.0 or kind == "whole"), support
+            if lam is not None:
+                assert np.all(lam[~rows] == 0), support
+                assert _certified_min_eig(geometry, w_faulty, tight, support, lam) > 0, support
+
+    def test_minimum_support_meets_its_target(self, tc1_parts):
+        geometry, weights, scenario, metric, _ = tc1_parts
+        w_faulty = apply_failures(weights, scenario)
+        mask = np.ones(geometry.n, dtype=bool)
+        mask[[0, 3, 15]] = False                # elements 1, 4, 16
+        delta = solve_constrained_l1(geometry, w_faulty, metric, mask)
+        assert np.all(delta[mask] == 0) and np.any(delta != 0)
+        land = _Landscape(geometry, w_faulty, metric, ~mask)
+        assert land.worst_ratio(delta[~mask]) <= 1.0 + 1e-7
+
+    def test_minimum_support_below_its_target_is_certified_by_the_exchange(self, tc1_parts):
+        # The up-front search on the start set cannot prove it (above); the
+        # exchange grows its set to the binding peaks and ends with no answer,
+        # and the second search, on that set, proves it.
+        geometry, weights, scenario, metric, _ = tc1_parts
+        w_faulty = apply_failures(weights, scenario)
+        metric = MetricSpec(region=metric.region, target_db=metric.target_db - 0.1)
+        mask = np.ones(geometry.n, dtype=bool)
+        mask[[0, 3, 15]] = False
+        with pytest.raises(InfeasibleError) as err:
+            solve_constrained_l1(geometry, w_faulty, metric, mask)
+        assert err.value.certified
+        assert _certified_min_eig(geometry, w_faulty, metric, (0, 3, 15), err.value.weights) > 0
 
     def test_unreachable_target_is_certified_on_the_homogeneous_form(self):
         geometry, w_faulty, metric, support = _unreachable()

@@ -3,7 +3,10 @@ Paired benchmark runs of two arraymend source trees.
 
     python3 tools/bench_pairs.py PARENT_ROOT CHANGE_ROOT --seed S --pairs N --tag T
 
-Each root is a source checkout, such as a clean archive of a commit. For
+Each root is a source tree. Make it a clone of a commit or a
+`git worktree add --detach` of it, so that the file records the commit: a
+root that is not itself the top of a git checkout (an extracted archive,
+even one inside another checkout) records none. For
 every workload that CHANGE_ROOT's BENCHMARK.json declares, the script runs
 
     python3 benchmark/run.py --workload W --seed S --seconds SECONDS --trace 0
@@ -81,13 +84,17 @@ def workload_summary(pairs: list) -> dict:
 
 
 def _commit(root: Path) -> str | None:
-    """The root's short HEAD commit, or None when it is not a git checkout."""
+    """
+    The root's short HEAD commit, or None unless the root is the top of a git
+    checkout (a directory nested in another checkout would report that one's).
+    """
     try:
-        done = subprocess.run(["git", "-C", str(root), "rev-parse", "--short", "HEAD"],
+        done = subprocess.run(["git", "-C", str(root), "rev-parse", "--show-toplevel", "--short", "HEAD"],
                               capture_output=True, text=True, check=True)
     except (OSError, subprocess.CalledProcessError):
         return None
-    return done.stdout.strip() or None
+    top, commit = done.stdout.splitlines()
+    return commit if Path(top).resolve() == Path(root).resolve() else None
 
 
 def _run(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
