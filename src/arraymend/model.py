@@ -204,7 +204,13 @@ def steering_matrix(geometry: ArrayGeometry, u) -> np.ndarray:
     memo = geometry._steering  # read once: a concurrent replacement only costs a rebuild
     if memo is not None and memo[0] is u:
         return memo[1]
-    a = np.exp(2j * np.pi * np.outer(u, geometry.positions))
+    # exp(j*phase) as cos and sin written into the result's two parts: one
+    # real temporary, the phase, scaled in place
+    phase = np.outer(u, geometry.positions)
+    phase *= 2.0 * np.pi
+    a = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=a.real)
+    np.sin(phase, out=a.imag)
     if not u.flags.writeable and u.flags.owndata:
         object.__setattr__(geometry, "_steering", (u, _readonly(a)))
     return a

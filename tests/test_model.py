@@ -29,6 +29,8 @@ from arraymend import (
     uniform_grid,
     uniform_positions,
 )
+from arraymend.bench import ScenarioSpec, resolve_scenario
+from conftest import SCENARIO_DIR
 
 
 def brute_factor(positions, weights, u):
@@ -318,6 +320,23 @@ class TestSteeringMemo:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert wrong == []
+
+
+class TestSteeringBuild:
+    def test_matches_the_exponential_form(self):
+        # The matrix is built as cos and sin of the phase, written into its two
+        # parts; it must stay the phasors exp(j*2*pi*x*u) to within 2 ulps, on
+        # every catalog scenario's region, the metric grid and random samples.
+        rng = np.random.default_rng(72)
+        cases = []
+        for path in sorted(SCENARIO_DIR.glob("*.json")):
+            res = resolve_scenario(ScenarioSpec.from_file(path))
+            cases += [(res.geometry, res.metric.region.samples), (res.geometry, uniform_grid(4001))]
+        cases += [(uniform_positions(n, d), rng.uniform(-1.0, 1.0, 777)) for n, d in ((20, 0.5), (100, 0.45))]
+        for geometry, u in cases:
+            got, ref = steering_matrix(geometry, u), phasors(geometry, u)
+            np.testing.assert_array_max_ulp(got.real, ref.real, maxulp=2)
+            np.testing.assert_array_max_ulp(got.imag, ref.imag, maxulp=2)
 
 
 class TestScenarioAndMetric:
