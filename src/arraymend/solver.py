@@ -35,7 +35,7 @@ below mean the same whatever the weights' units. A solve takes four steps:
   widens its set (the exchange is the one loop that grows a set of region
   samples): a proof's weights are zero off it, and as they still weight
   the region, a proof found there holds for the whole region. Its weighted
-  Gram matrix is the cone phase's Toeplitz gather on a lattice. Each search
+  Gram matrix is a Toeplitz gather on a lattice (_gram). Each search
   is logged at DEBUG, with its outcome, updates and working set.
 * cone phase: a primal-dual interior-point method in the homogeneous
   self-dual model (Ye, Todd & Mizuno, Math. Oper. Res. 1994; for second-order
@@ -63,14 +63,19 @@ below mean the same whatever the weights' units. A solve takes four steps:
   Each iteration builds one normal matrix G^T W^-2 G: a Hermitian Gram
   A^H diag(alpha) A (a Toeplitz gather of a single matrix-vector product when
   the elements sit on a lattice x_n = x_0 + n*d, a dense real product
-  otherwise), one symmetric product B^T B accumulated over row blocks,
-  rank-one terms, and the l1 cones' 3x3 blocks with t eliminated. Its
+  otherwise) and one symmetric product B^T B accumulated over row blocks, or
+  for a real z two real products over [Re A; Im A] in their place,
+  rank-one terms, and each l1 cone's W^-2 (a 3x3 matrix per cone, held as a
+  (3, 3, f + m) array) with t eliminated. Its
   inverse serves three KKT solves per iteration (the tau column, the
   predictor and the corrector), each refined twice against the assembled
   normal matrix itself, not against the operator form (_newton_solver). The
   scaling is carried from step to step in the scaled frame, where the
-  iterates stay well inside the cones. Entries at or below ZERO_THRESHOLD,
-  in the solve's units, are returned as exact zeros.
+  iterates stay well inside the cones. Every cone quantity (h, s, the dual
+  iterate, the scaled point lam, the directions and the scaling) is a
+  (3, f + m) array, one contiguous row per cone component, so each per-cone
+  product is a few operations on whole rows. Entries at or below
+  ZERO_THRESHOLD, in the solve's units, are returned as exact zeros.
 
   The IPM runs inside an exchange loop (Hettich & Kortanek, "Semi-infinite
   programming", SIAM Review 1993): an optimum meets the bound at a few dozen
@@ -224,6 +229,7 @@ class _Landscape:
         # half() (the module docstring has the argument).
         self.mirrored = not np.any(np.imag(w_faulty)) and _mirrored(metric.region.samples)
         self.whole = None           # on half(), the whole region's sample count
+        self._stacked = None        # stacked(), once built
 
     @property
     def real(self) -> bool:
@@ -235,7 +241,7 @@ class _Landscape:
         k0 = self.m // 2
         sub = copy.copy(self)
         sub.A, sub.F_base, sub.full = self.A[k0:], self.F_base[k0:], self.full[k0:]
-        sub.m, sub.whole = self.m - k0, self.m
+        sub.m, sub.whole, sub._stacked = self.m - k0, self.m, None
         return sub
 
     def counts(self, rows: np.ndarray):
@@ -249,9 +255,15 @@ class _Landscape:
         if rows.size == self.m:
             return self
         sub = copy.copy(self)
-        sub.A, sub.F_base, sub.m = self.A[rows], self.F_base[rows], int(rows.size)
+        sub.A, sub.F_base, sub.m, sub._stacked = self.A[rows], self.F_base[rows], int(rows.size), None
         sub.full = self.full[rows] if self.lags is not None else None   # read by the lattice Gram only
         return sub
+
+    def stacked(self) -> np.ndarray:
+        """[Re A; Im A] as one real (2m, f) array, built on first use: A's products with a real z."""
+        if self._stacked is None:
+            self._stacked = np.concatenate([self.A.real, self.A.imag])
+        return self._stacked
 
     def fields(self, z: np.ndarray):
         return self.F_base + self.A @ z, self.F0_base + np.sum(z)
@@ -327,9 +339,11 @@ def proves(p: np.ndarray, h: np.ndarray, tau: float, m: int) -> bool:
     """
     d = p.shape[0]
     inv = 1.0 / np.sqrt(np.diag(p).real)
-    bound = tau * (1.0 + _CERT_MARGIN) * np.outer(np.conj(h), h)
-    guard = 4.0 * d * m * np.finfo(float).eps * np.eye(d)
-    return _positive_definite((p - bound) * np.outer(inv, inv) - guard)
+    if tau:
+        p = p - tau * (1.0 + _CERT_MARGIN) * (np.conj(h)[:, None] * h)
+    scaled = p * (inv[:, None] * inv)
+    scaled.reshape(-1)[::d + 1] -= 4.0 * d * m * np.finfo(float).eps    # the guard, on the diagonal
+    return _positive_definite(scaled)
 
 
 def _certificate(land: _Landscape, rows: np.ndarray,
@@ -416,56 +430,68 @@ def _certificate(land: _Landscape, rows: np.ndarray,
 #
 # its dual is to maximize -h^T z subject to G^T z + c = 0 and z in K.
 # K is f + m three-dimensional second-order cones {(s0, s1, s2): s0 >= |(s1, s2)|},
-# held as rows of (f + m, 3) arrays: the l1 cones (t_n, Re z_n, Im z_n) first,
-# then one cone (sqrt(tau) Re F(0), Re F(u), Im F(u)) per region sample. The map
-# -G x is _lin, and h is _lin's value at x = 0 plus the faulty fields.
+# held as the columns of (3, f + m) arrays, one contiguous row per cone
+# component, so that a per-cone product is a few operations on whole rows: the
+# l1 cones (t_n, Re z_n, Im z_n) first, then one cone
+# (sqrt(tau) Re F(0), Re F(u), Im F(u)) per region sample. The map -G x is
+# _lin, and h is _lin's value at x = 0 plus the faulty fields.
 
 _J = np.array([1.0, -1.0, -1.0])
+_JCOL = _J[:, None]     # J on the rows of a (3, k) array
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x^T y of each cone (column)."""
+    return np.add.reduce(x * y)
+
+
+def _jdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x^T J y of each cone; y may stack directions as (3, j, k)."""
+    return x[0] * y[0] - x[1] * y[1] - x[2] * y[2]
 
 
 def _jnorm(x: np.ndarray) -> np.ndarray:
-    """sqrt(x^T J x) of each cone row, for rows inside the cone."""
-    r = np.hypot(x[:, 1], x[:, 2])
-    return np.sqrt((x[:, 0] - r) * (x[:, 0] + r))
+    """sqrt(x^T J x) of each cone, for cones inside it."""
+    r = np.hypot(x[1], x[2])
+    return np.sqrt((x[0] - r) * (x[0] + r))
 
 
 def _jprod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Jordan product x o y = (x^T y, x0 y1 + y0 x1) of each cone row."""
-    out = x[:, :1] * y + y[:, :1] * x
-    out[:, 0] = np.sum(x * y, axis=1)
+    """Jordan product x o y = (x^T y, x0 y1 + y0 x1) of each cone."""
+    out = x[0] * y + y[0] * x
+    out[0] = _dot(x, y)
     return out
 
 
 def _jdiv(lam: np.ndarray, lam_j: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The u with lam o u = x, for each cone row; lam_j is lam^T J lam."""
+    """The u with lam o u = x, for each cone; lam_j is lam^T J lam."""
     u = np.empty_like(x)
-    u[:, 0] = (lam[:, 0] * x[:, 0] - lam[:, 1] * x[:, 1] - lam[:, 2] * x[:, 2]) / lam_j
-    u[:, 1:] = (x[:, 1:] - u[:, :1] * lam[:, 1:]) / lam[:, :1]
+    u[0] = _jdot(lam, x) / lam_j
+    u[1:] = (x[1:] - u[0] * lam[1:]) / lam[0]
     return u
 
 
 def _max_step(lam: np.ndarray, lam_j: np.ndarray, d: np.ndarray) -> float:
-    """Largest a with every row of lam + a*d in the cone, for lam inside it (inf if none)."""
-    c = lam_j
-    b = 2.0 * np.sum(lam * d * _J, axis=1)
-    a = np.sum(d * d * _J, axis=1)
-    root = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
-    # the first positive root of c + b a + a a^2, written to avoid cancellation
-    hit = (b * b >= 4.0 * a * c) & (root > b)
-    return float(np.min(2.0 * c[hit] / (root[hit] - b[hit]), initial=np.inf))
-
-
-def _unit_pair(s: np.ndarray, z: np.ndarray):
-    """s and z scaled to unit J-norm, their J-norms, and g = sqrt((1 + s'^T z') / 2)."""
-    sn, zn = _jnorm(s), _jnorm(z)
-    s1, z1 = s / sn[:, None], z / zn[:, None]
-    return s1, z1, sn, zn, np.sqrt(0.5 * (1.0 + np.sum(s1 * z1, axis=1)))
+    """
+    Largest a with every cone of lam + a*d inside, for lam inside (inf if
+    none); d is one direction (3, k) or a stack of them (3, j, k).
+    """
+    b = 2.0 * _jdot(lam, d)
+    a = _jdot(d, d)
+    disc = b * b - 4.0 * a * lam_j
+    # the first positive root of c + b a + a a^2 (c = lam_j), written to avoid
+    # cancellation: 2 c / (sqrt(disc) - b), where disc >= 0 and that is positive
+    den = np.sqrt(np.maximum(disc, 0.0)) - b
+    den[disc < 0.0] = 0.0
+    steps = np.full(den.shape, np.inf)
+    np.divide(2.0 * lam_j, den, out=steps, where=den > 0.0)
+    return float(np.min(steps))
 
 
 class _Scaling:
     """
-    Nesterov-Todd scaling of each cone row: W = beta (2 v v^T - J) with
-    W z = W^-1 s = lam.
+    Nesterov-Todd scaling of each cone: W = beta (2 v v^T - J) with
+    W z = W^-1 s = lam, v a (3, f + m) array and beta one entry per cone.
 
     With s' = s / sqrt(s^T J s) and z' = z / sqrt(z^T J z),
     g = sqrt((1 + z'^T s') / 2), w = (s' + J z') / (2 g),
@@ -476,128 +502,152 @@ class _Scaling:
     """
 
     def __init__(self, s: np.ndarray, z: np.ndarray):
-        s1, z1, sn, zn, g = _unit_pair(s, z)
-        w = (s1 + z1 * _J) / (2.0 * g)[:, None]
-        self._set_v(w)
-        self.beta = np.sqrt(sn / zn)[:, None]
+        sn, zn = _jnorm(s), _jnorm(z)
+        s1, z1 = s / sn, z / zn
+        g = np.sqrt(0.5 * (1.0 + _dot(s1, z1)))
+        w = (s1 + z1 * _JCOL) / (2.0 * g)
+        w[0] += 1.0
+        self.v = w / np.sqrt(2.0 * w[0])
+        self.beta = np.sqrt(sn / zn)
         self.lam = self.apply(z)
         self.lam_j = sn * zn    # lam^T J lam, exact where lam's own entries would cancel
 
-    def _set_v(self, w: np.ndarray):
-        v = w.copy()
-        v[:, 0] += 1.0
-        self.v = v / np.sqrt(2.0 * (w[:, 0] + 1.0))[:, None]
-
-    def step(self, ds: np.ndarray, dz: np.ndarray, a: float):
-        """Rescale for s + a W ds and z + a W^-1 dz, given the scaled directions ds, dz."""
-        s, z, sn, zn, g = _unit_pair(self.lam + a * ds, self.lam + a * dz)
+    def step(self, dirs: np.ndarray, a: float):
+        """
+        Rescale for s + a W ds and z + a W^-1 dz, given the scaled directions
+        stacked as dirs = (ds, dz) along axis 1, a (3, 2, f + m) array.
+        """
+        x = a * dirs
+        x += self.lam[:, None]                  # lam + a ds and lam + a dz
+        norms = _jnorm(x)
+        x /= norms
+        (sn, zn), s, z = norms, x[:, 0], x[:, 1]
+        g = np.sqrt(0.5 * (1.0 + _dot(s, z)))
         v = self.v
-        vs, vz = np.sum(v * s, axis=1), np.sum(v * z * _J, axis=1)
-        vq, vu = (vs + vz) / (2.0 * g), vs - vz
-        w0 = 2.0 * v[:, 0] * vq - (s[:, 0] + z[:, 0]) / (2.0 * g)
-        d = (v[:, 0] * vu - 0.5 * s[:, 0] + 0.5 * z[:, 0]) / (w0 + 1.0)
-        lam = np.empty_like(s)
-        lam[:, 0] = g
-        lam[:, 1:] = ((vu - 2.0 * d * vq)[:, None] * v[:, 1:] + (0.5 - 0.5 * d / g)[:, None] * s[:, 1:]
-                      + (0.5 + 0.5 * d / g)[:, None] * z[:, 1:])
-        self.lam = lam * np.sqrt(sn * zn)[:, None]
+        vs, vz = _dot(v, s), _jdot(v, z)
+        g2 = 2.0 * g
+        vq, vu = (vs + vz) / g2, vs - vz
+        w1 = 2.0 * v[0] * vq - (s[0] + z[0]) / g2 + 1.0
+        d = (v[0] * vu - 0.5 * s[0] + 0.5 * z[0]) / w1
+        dg = 0.5 * d / g
         self.lam_j = sn * zn
-        w = np.empty_like(s)
-        w[:, 0] = w0
-        w[:, 1:] = 2.0 * vq[:, None] * v[:, 1:] + (s[:, 1:] - z[:, 1:]) / (2.0 * g)[:, None]
-        self._set_v(w)
-        self.beta = self.beta * np.sqrt(sn / zn)[:, None]
+        lam = np.empty_like(s)
+        lam[0] = g
+        lam[1:] = (vu - 2.0 * d * vq) * v[1:] + (0.5 - dg) * s[1:] + (0.5 + dg) * z[1:]
+        lam *= np.sqrt(self.lam_j)
+        self.lam = lam
+        w = np.empty_like(s)        # w + e, then v
+        w[0] = w1
+        w[1:] = 2.0 * vq * v[1:] + (s[1:] - z[1:]) / g2
+        w /= np.sqrt(2.0 * w1)
+        self.v = w
+        self.beta = self.beta * np.sqrt(sn / zn)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """W x."""
         v = self.v
-        return self.beta * (2.0 * v * np.sum(v * x, axis=1)[:, None] - x * _J)
+        return self.beta * (2.0 * v * _dot(v, x) - x * _JCOL)
 
     def apply_inverse(self, x: np.ndarray) -> np.ndarray:
         """W^-1 x = (2 Jv (Jv)^T - J) x / beta."""
-        u = self.v * _J
-        return (2.0 * u * np.sum(u * x, axis=1)[:, None] - x * _J) / self.beta
+        u = self.v * _JCOL
+        return (2.0 * u * _dot(u, x) - x * _JCOL) / self.beta
 
     def weights(self) -> np.ndarray:
         """
-        W^-2 of each row as an (f + m, 3, 3) array.
+        W^-2 of each cone as a (3, 3, f + m) array, entry (i, j) of cone k at [i, j, k].
 
         With n = 4 v^T v: M_ij = ((n + 4) v_i v_j + d_ij) / beta^2 for i, j >= 1,
         M_0j = -n v_0 v_j / beta^2 and M_00 = ((n - 4) v_0^2 + 1) / beta^2.
         """
         v = self.v
-        n = 4.0 * np.sum(v * v, axis=1)
-        mm = np.empty((v.shape[0], 3, 3))
-        np.multiply(((n + 4.0) * v[:, 1])[:, None], v[:, 1:], out=mm[:, 1, 1:])
-        np.multiply(((n + 4.0) * v[:, 2])[:, None], v[:, 1:], out=mm[:, 2, 1:])
-        np.multiply((-n * v[:, 0])[:, None], v[:, 1:], out=mm[:, 0, 1:])
-        mm[:, 1:, 0] = mm[:, 0, 1:]
-        mm[:, 0, 0] = (n - 4.0) * v[:, 0] ** 2
-        mm[:, [0, 1, 2], [0, 1, 2]] += 1.0
-        mm /= (self.beta ** 2)[:, :, None]
+        n = 4.0 * _dot(v, v)
+        n4 = n + 4.0
+        mm = np.empty((3,) + v.shape)
+        np.multiply(n4 * v[1], v[1:], out=mm[1, 1:])
+        np.multiply(n4 * v[2], v[1:], out=mm[2, 1:])
+        np.multiply(-n * v[0], v[1:], out=mm[0, 1:])
+        mm[1:, 0] = mm[0, 1:]
+        mm[0, 0] = (n - 4.0) * v[0] ** 2
+        mm.reshape(9, -1)[::4] += 1.0           # the diagonal (0, 0), (1, 1), (2, 2)
+        mm /= self.beta ** 2
         return mm
 
 
 def _lin(land: _Landscape, t: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """-G x for x = (t, z): the cone rows that x alone contributes."""
+    """-G x for x = (t, z): the cones that x alone contributes, as a (3, f + m) array."""
     f = t.size
-    az = land.A @ z
-    out = np.empty((f + az.size, 3))
-    out[:f, 0], out[:f, 1], out[:f, 2] = t, z.real, z.imag
-    out[f:, 0] = np.sqrt(land.tau) * np.sum(z).real
-    out[f:, 1], out[f:, 2] = az.real, az.imag
+    out = np.empty((3, f + land.m))
+    out[0, :f], out[1, :f], out[2, :f] = t, z.real, z.imag
+    out[0, f:] = np.sqrt(land.tau) * np.add.reduce(z).real
+    if land.real:
+        out[1:, f:] = (land.stacked() @ z).reshape(2, land.m)
+    else:
+        az = land.A @ z
+        out[1, f:], out[2, f:] = az.real, az.imag
     return out
 
 
 def _lin_adjoint(land: _Landscape, y: np.ndarray):
     """(-G)^T y as (t part, z part packed as d/dRe + i d/dIm; d/dRe alone for a real z)."""
     f = land.A.shape[1]
-    yl, yu = y[:f], y[f:]
-    field = _adjoint(land.A, yu[:, 1] + 1j * yu[:, 2])
-    if land.real:
-        return yl[:, 0], yl[:, 1] + np.sqrt(land.tau) * np.sum(yu[:, 0]) + field.real
-    zpart = yl[:, 1] + 1j * yl[:, 2] + np.sqrt(land.tau) * np.sum(yu[:, 0])
-    return yl[:, 0], zpart + field
+    if land.real:       # Re(A^H y) = (Re A)^T y1 + (Im A)^T y2
+        field = land.stacked().T @ y[1:, f:].reshape(-1)
+        return y[0, :f], y[1, :f] + np.sqrt(land.tau) * np.add.reduce(y[0, f:]) + field
+    field = _adjoint(land.A, y[1, f:] + 1j * y[2, f:])
+    zpart = y[1, :f] + 1j * y[2, :f] + np.sqrt(land.tau) * np.add.reduce(y[0, f:])
+    return y[0, :f], zpart + field
 
 
 def _apply_weights(mm: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum("kij,kj->ki", mm, y)
+    """W^-2 y, cone by cone."""
+    return np.einsum("ijk,jk->ik", mm, y)
 
 
 def _normal_matrix(land: _Landscape, mm: np.ndarray) -> np.ndarray:
     """
     G^T W^-2 G over (Re z, Im z), t eliminated: the IPM's normal matrix.
 
-    mm holds W^-2 of each cone row. A sample's cone contributes, with
+    mm holds W^-2 of each cone (_Scaling.weights). A sample's cone contributes, with
     alpha = (M11 + M22)/2, kappa = (M11 - M22)/2 - i M12 and
     q = A^T (M01 - i M02), the Hermitian Gram P = A^H diag(alpha) A and the
     symmetric S = A^T diag(kappa) A as [[Re P + Re S, -Im P - Im S],
     [Im P - Im S, Re P - Re S]], plus sqrt(tau) (a0 b^T + b a0^T) with
     a0 = (1, 0), b = (Re q, -Im q), plus tau sum(M00) a0 a0^T. P is a Toeplitz
     gather on a lattice (_gram), and S is one symmetric rank-m product B^T B,
-    B = diag(sqrt(kappa)) A. The l1 cones add a 3x3 block on each
-    (t_n, Re z_n, Im z_n); eliminating t_n leaves their Schur complements.
-    For a real z only the Re z block is built: the l1 cones' third components
-    stay 0, so they add M11 - M10 M01 / M00 to its diagonal.
+    B = diag(sqrt(kappa)) A. The l1 cones' W^-2 couple each
+    (t_n, Re z_n, Im z_n) only; eliminating t_n leaves their Schur complements.
+    For a real z only the Re z block Re P + Re S is built, as real products
+    over the stacked [Re A; Im A] (_Landscape.stacked) in place of the
+    complex P and S; the l1 cones' third components stay 0, so they add
+    M11 - M10 M01 / M00 to its diagonal.
     """
     f = land.A.shape[1]
-    ml, mu = mm[:f], mm[f:]
-    p = _gram(land, 0.5 * (mu[:, 1, 1] + mu[:, 2, 2]))
-    root = np.sqrt(0.5 * (mu[:, 1, 1] - mu[:, 2, 2]) - 1j * mu[:, 1, 2])
+    ml, mu = mm[:, :, :f], mm[:, :, f:]
+    i = np.arange(f)
+    if land.real:
+        # with A = Ar + i Ai: Re P + Re S = Ar^T diag(M11) Ar + Ai^T diag(M22) Ai
+        # + C + C^T for C = Ar^T diag(M12) Ai, and Re q = Ar^T M01 + Ai^T M02
+        ar, m = land.stacked(), land.m
+        v = ar * np.sqrt(mu[1:, 1:].diagonal().T.reshape(-1))[:, None]
+        h = v.T @ v                      # a symmetric product (syrk)
+        c = ar[:m].T @ (mu[1, 2][:, None] * ar[m:])
+        h += c
+        h += c.T
+        h += land.tau * np.add.reduce(mu[0, 0])
+        bq = np.sqrt(land.tau) * (mu[0, 1:].reshape(-1) @ ar)
+        h += bq
+        h += bq[:, None]
+        h[i, i] += ml[1, 1] - ml[1, 0] * ml[0, 1] / ml[0, 0]
+        return h
+    p = _gram(land, 0.5 * (mu[1, 1] + mu[2, 2]))
+    root = np.sqrt(0.5 * (mu[1, 1] - mu[2, 2]) - 1j * mu[1, 2])
     sym = np.zeros((f, f), dtype=complex)
     step = max(1, _SYRK_BLOCK // f)
     for r in range(0, land.m, step):     # row blocks keep the temporary small
         b = land.A[r:r + step] * root[r:r + step, None]
         sym += b.T @ b                   # a symmetric product (syrk)
-    q = land.A.T @ (mu[:, 0, 1] - 1j * mu[:, 0, 2])
-    i = np.arange(f)
-    if land.real:
-        h = p.real + sym.real + land.tau * np.sum(mu[:, 0, 0])
-        bq = np.sqrt(land.tau) * q.real
-        h += bq
-        h += bq[:, None]
-        h[i, i] += ml[:, 1, 1] - ml[:, 1, 0] * ml[:, 0, 1] / ml[:, 0, 0]
-        return h
+    q = land.A.T @ (mu[0, 1] - 1j * mu[0, 2])
     h = np.empty((2 * f, 2 * f))
     h[:f, :f] = p.real + sym.real
     h[:f, f:] = -p.imag - sym.imag
@@ -606,21 +656,21 @@ def _normal_matrix(land: _Landscape, mm: np.ndarray) -> np.ndarray:
     bq = np.sqrt(land.tau) * np.concatenate([q.real, -q.imag])
     h[:f] += bq
     h[:, :f] += bq[:, None]
-    h[:f, :f] += land.tau * np.sum(mu[:, 0, 0])
-    schur = ml[:, 1:, 1:] - ml[:, 1:, :1] * ml[:, :1, 1:] / ml[:, :1, :1]
-    h[i, i] += schur[:, 0, 0]
-    h[i, f + i] += schur[:, 0, 1]
-    h[f + i, i] += schur[:, 1, 0]
-    h[f + i, f + i] += schur[:, 1, 1]
+    h[:f, :f] += land.tau * np.add.reduce(mu[0, 0])
+    schur = ml[1:, 1:] - ml[1:, :1] * ml[:1, 1:] / ml[0, 0]
+    h[i, i] += schur[0, 0]
+    h[i, f + i] += schur[0, 1]
+    h[f + i, i] += schur[1, 0]
+    h[f + i, f + i] += schur[1, 1]
     return h
 
 
 def _newton_solver(land: _Landscape, mm: np.ndarray):
     """
     The solve (bt, bz) -> (dt, dz) of H dx = (bt, bz), with H = G^T W^-2 G
-    over x = (t, z) and mm holding W^-2 of each cone row.
+    over x = (t, z) and mm holding W^-2 of each cone.
 
-    t_n enters only its own l1 cone, so it is eliminated row by row, leaving
+    t_n enters only its own l1 cone, so it is eliminated cone by cone, leaving
     the normal matrix's system hm d = r over (Re z, Im z), or Re z alone for
     a real z (_normal_matrix). hm is inverted once, equilibrated by its
     diagonal, which spans many decades; each solve refines d
@@ -633,20 +683,19 @@ def _newton_solver(land: _Landscape, mm: np.ndarray):
     unit = 1.0 / np.sqrt(np.diag(hm))
     scale = np.outer(unit, unit)
     kinv = np.linalg.inv(hm * scale) * scale
-    ml = mm[:f]
+    m00, m01, m02 = mm[0, :, :f]
 
     def solve(bt, bz):
         if land.real:
-            r = bz - ml[:, 0, 1] / ml[:, 0, 0] * bt
+            r = bz - m01 / m00 * bt
         else:
-            r = np.concatenate([bz.real - ml[:, 0, 1] / ml[:, 0, 0] * bt,
-                                bz.imag - ml[:, 0, 2] / ml[:, 0, 0] * bt])
+            r = np.concatenate([bz.real - m01 / m00 * bt, bz.imag - m02 / m00 * bt])
         d = kinv @ r
         for _ in range(_IPM_REFINEMENTS):
             d += kinv @ (r - hm @ d)
         if land.real:
-            return (bt - ml[:, 0, 1] * d) / ml[:, 0, 0], d
-        dt = (bt - ml[:, 0, 1] * d[:f] - ml[:, 0, 2] * d[f:]) / ml[:, 0, 0]
+            return (bt - m01 * d) / m00, d
+        dt = (bt - m01 * d[:f] - m02 * d[f:]) / m00
         return dt, d[:f] + 1j * d[f:]
 
     return solve
@@ -671,14 +720,14 @@ def _cone_ipm(land: _Landscape):
     on a ray the weights it puts on each sample.
     """
     f = land.A.shape[1]
-    h = np.zeros((f + land.m, 3))
-    h[f:, 0] = np.sqrt(land.tau) * land.F0_base.real
-    h[f:, 1], h[f:, 2] = land.F_base.real, land.F_base.imag
+    h = np.zeros((3, f + land.m))
+    h[0, f:] = np.sqrt(land.tau) * land.F0_base.real
+    h[1, f:], h[2, f:] = land.F_base.real, land.F_base.imag
     h_norm = max(1.0, float(np.linalg.norm(h)))
 
     t, z, tau, kappa = np.zeros(f), np.zeros(f, dtype=float if land.real else complex), 1.0, 1.0
     s = np.zeros_like(h)
-    s[:, 0] = 1.0
+    s[0] = 1.0
     dual = s.copy()
     w = _Scaling(s, dual)
     degree = f + land.m + 1
@@ -687,20 +736,20 @@ def _cone_ipm(land: _Landscape):
         rz = s - tau * h - _lin(land, t, z)              # G x + s - h tau
         ray_t, ray_z = (-a for a in _lin_adjoint(land, dual))   # G^T z
         rx_t, rx_z = ray_t + tau, ray_z                   # G^T z + c tau
-        hz = float(np.sum(h * dual))                      # h^T z
-        pobj = float(np.sum(t))                           # c^T x
+        hz = float(np.vdot(h, dual))                      # h^T z
+        pobj = float(np.add.reduce(t))                    # c^T x
         rt = kappa + pobj + hz
         lam, lam_j = w.lam, w.lam_j
-        gap = float(np.sum(lam * lam))                    # s^T z
-        ray_norm = float(np.sqrt(np.sum(ray_t ** 2) + np.sum(np.abs(ray_z) ** 2)))
+        gap = float(np.vdot(lam, lam))                    # s^T z
         now = {"gap": gap / (tau * max(tau, abs(pobj), abs(hz))),
                "primal": float(np.linalg.norm(rz)) / (tau * h_norm),
-               "dual": float(np.sqrt(np.sum(rx_t ** 2) + np.sum(np.abs(rx_z) ** 2))) / (tau * np.sqrt(f)),
+               "dual": float(np.sqrt(rx_t @ rx_t + np.vdot(rx_z, rx_z).real)) / (tau * np.sqrt(f)),
                "tau": tau, "kappa": kappa}
         residual = max(now["primal"], now["dual"]) / _IPM_RESIDUAL
         score = max(now["gap"] / _IPM_GAP, residual)
-        inside = bool(np.all(dual[:, 0] > np.hypot(dual[:, 1], dual[:, 2])))
-        ray = ray_norm / (-hz * _IPM_RAY) if hz < 0.0 and inside else np.inf
+        ray = np.inf
+        if hz < 0.0 and np.all(dual[0] > np.hypot(dual[1], dual[2])):
+            ray = float(np.sqrt(ray_t @ ray_t + np.vdot(ray_z, ray_z).real)) / (-hz * _IPM_RAY)
         if not np.isfinite(score):
             break
         if score < best_score:
@@ -735,51 +784,57 @@ def _cone_ipm(land: _Landscape):
 
         # the tau column: (dx, dz) per unit of dtau
         col = kkt(-np.ones(f), np.zeros_like(z), _apply_weights(mm, h))
-        col_c = float(np.sum(col[0])) + float(np.sum(h * col[2]))   # c^T dx + h^T dz
+        col_c = float(np.add.reduce(col[0])) + float(np.vdot(h, col[2]))   # c^T dx + h^T dz
 
         def direction(eta, wl, xi):
             # Newton direction with residuals scaled by eta, scaled complementarity
             # lam o (W dz + W^-1 ds) = xi given as wl = W^-1 (lam \ xi), and
             # kappa dtau + tau dkappa = xi.
             dt, dz, dd = kkt(-eta * rx_t, -eta * rx_z, -eta * _apply_weights(mm, rz) - wl)
-            c1 = float(np.sum(dt)) + float(np.sum(h * dd))
+            c1 = float(np.add.reduce(dt)) + float(np.vdot(h, dd))
             dtau = (-eta * rt - xi / tau - c1) / (col_c - kappa / tau)
             dt, dz, dd = dt + dtau * col[0], dz + dtau * col[1], dd + dtau * col[2]
             ds = _lin(land, dt, dz) + dtau * h - eta * rz
             return dt, dz, dtau, (xi - kappa * dtau) / tau, ds, dd
 
-        def max_step(ds_s, dd_s, dtau, dkappa):
-            # the longest step keeping the scaled cone rows, tau and kappa inside their cones
-            pair = [-tau / dtau if dtau < 0 else np.inf, -kappa / dkappa if dkappa < 0 else np.inf]
-            return min(_max_step(lam, lam_j, ds_s), _max_step(lam, lam_j, dd_s), *pair)
+        def scaled(ds, dd):
+            # W^-1 ds and W dd, stacked as (3, 2, f + m)
+            pair = np.empty((3, 2, f + land.m))
+            pair[:, 0], pair[:, 1] = w.apply_inverse(ds), w.apply(dd)
+            return pair
+
+        def max_step(pair, dtau, dkappa):
+            # the longest step keeping the scaled cones, tau and kappa inside their cones
+            ends = [-tau / dtau if dtau < 0 else np.inf, -kappa / dkappa if dkappa < 0 else np.inf]
+            return min(_max_step(lam, lam_j, pair), *ends)
 
         # affine predictor, xi = -lam o lam, seen in the scaled frame
         _, _, dtau, dkappa, ds, dd = direction(1.0, -dual, -tau * kappa)
-        ds, dd = w.apply_inverse(ds), w.apply(dd)
-        step = min(1.0, max_step(ds, dd, dtau, dkappa))
+        pair = scaled(ds, dd)
+        step = min(1.0, max_step(pair, dtau, dkappa))
         mu = (gap + tau * kappa) / degree
-        sigma = min(1.0, max(0.0, 1.0 - step + (float(np.sum(ds * dd)) + dtau * dkappa)
+        sigma = min(1.0, max(0.0, 1.0 - step + (float(np.vdot(pair[:, 0], pair[:, 1])) + dtau * dkappa)
                              / (mu * degree) * step ** 2)) ** 3
-        centre = -_jprod(ds, dd)
-        centre[:, 0] += sigma * mu
-        del ds, dd
+        centre = -_jprod(pair[:, 0], pair[:, 1])
+        centre[0] += sigma * mu
+        del ds, dd, pair
         # combined direction: centring plus the predictor's second-order term
         dt, dz, dtau, dkappa, ds, dd = direction(
             1.0 - sigma, w.apply_inverse(_jdiv(lam, lam_j, centre)) - dual,
             -tau * kappa - dtau * dkappa + sigma * mu)
         del centre
-        ds_s, dd_s = w.apply_inverse(ds), w.apply(dd)
-        step = min(1.0, _IPM_STEP * max_step(ds_s, dd_s, dtau, dkappa))
+        pair = scaled(ds, dd)
+        step = min(1.0, _IPM_STEP * max_step(pair, dtau, dkappa))
         t, z = t + step * dt, z + step * dz
         tau, kappa = tau + step * dtau, kappa + step * dkappa
         s += step * ds
         dual += step * dd
         del ds, dd
-        w.step(ds_s, dd_s, step)
-        del ds_s, dd_s
+        w.step(pair, step)
+        del pair
 
     z, now = best
-    return z, {"iterations": it, **now, "verdict": verdict, "weights": dual[f:, 0]}
+    return z, {"iterations": it, **now, "verdict": verdict, "weights": dual[0, f:]}
 
 
 def _lobe_stride(geometry: ArrayGeometry, u: np.ndarray) -> int:

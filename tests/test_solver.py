@@ -38,10 +38,14 @@ from arraymend.solver import (
     _certificate,
     _cone_ipm,
     _exchange,
+    _jdiv,
+    _jnorm,
+    _jprod,
     _Landscape,
     _lin,
     _lin_adjoint,
     _lobe_stride,
+    _max_step,
     _mirrored,
     _newton_solver,
     _normal_matrix,
@@ -258,15 +262,15 @@ def _mirror(lam, m):
 
 
 def _cone_points(k, seed):
-    """k random points strictly inside the three-dimensional second-order cone."""
+    """k random points strictly inside the three-dimensional second-order cone, as a (3, k) array."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((k, 3))
-    x[:, 0] = np.hypot(x[:, 1], x[:, 2]) + rng.uniform(0.05, 2.0, k)
+    x = rng.standard_normal((3, k))
+    x[0] = np.hypot(x[1], x[2]) + rng.uniform(0.05, 2.0, k)
     return x
 
 
 def _random_weights(land):
-    """W^-2 of each cone row for a scaling between random points inside the cones."""
+    """W^-2 of each cone for a scaling between random points inside the cones."""
     k = land.A.shape[1] + land.m
     return _Scaling(_cone_points(k, 1), _cone_points(k, 2)).weights()
 
@@ -283,7 +287,7 @@ def _dense_system(land, mm):
     g[rows + 2, f:2 * f], g[rows + 2, 2 * f:] = -land.A.imag, -land.A.real
     blocks = np.zeros((3 * (f + m), 3 * (f + m)))
     for k in range(f + m):
-        blocks[3 * k:3 * k + 3, 3 * k:3 * k + 3] = mm[k]
+        blocks[3 * k:3 * k + 3, 3 * k:3 * k + 3] = mm[:, :, k]
     return g, blocks
 
 
@@ -383,14 +387,14 @@ class TestKernels:
     def test_stage_hessian_matches_gradient_differences(self, name):
         land, z = _landscape(PROBLEMS[name](), 3.0)
         mm = _random_weights(land)
-        ml = mm[:z.size]
+        m00, m01, m02 = mm[0, :, :z.size]
         n = z.size
         step = 1e-3
 
         def real_grad(x):
             # t at the minimum of the quadratic for this z, as the IPM eliminates it
             zx = x[:n] + 1j * x[n:]
-            t = -(ml[:, 0, 1] * zx.real + ml[:, 0, 2] * zx.imag) / ml[:, 0, 0]
+            t = -(m01 * zx.real + m02 * zx.imag) / m00
             g = _lin_adjoint(land, _apply_weights(mm, _lin(land, t, zx)))[1]
             return np.concatenate([g.real, g.imag])
 
@@ -427,33 +431,104 @@ class TestKernels:
 
 
 class TestScaling:
-    """The Nesterov-Todd scaling of each cone row, and its update along a step."""
+    """The Nesterov-Todd scaling of each cone, and its update along a step."""
 
     @staticmethod
     def _dense(w):
-        return [b * (2.0 * np.outer(v, v) - np.diag(_J)) for b, v in zip(w.beta[:, 0], w.v)]
+        return [b * (2.0 * np.outer(v, v) - np.diag(_J)) for b, v in zip(w.beta, w.v.T)]
 
     def test_maps_z_and_s_to_the_same_point(self):
         s, z = _cone_points(200, 3), _cone_points(200, 4)
         w = _Scaling(s, z)
         for k, wk in enumerate(self._dense(w)):
-            np.testing.assert_allclose(wk @ z[k], w.lam[k], rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(np.linalg.solve(wk, s[k]), w.lam[k], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(wk @ z[:, k], w.lam[:, k], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(np.linalg.solve(wk, s[:, k]), w.lam[:, k], rtol=1e-12, atol=1e-12)
             inv = np.linalg.inv(wk)
-            np.testing.assert_allclose(w.weights()[k], inv @ inv, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(w.lam_j, np.sum(w.lam * w.lam * _J, axis=1), rtol=1e-10)
+            np.testing.assert_allclose(w.weights()[:, :, k], inv @ inv, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(w.lam_j, _J @ (w.lam * w.lam), rtol=1e-10)
 
     def test_step_matches_a_fresh_scaling(self):
         s, z = _cone_points(200, 5), _cone_points(200, 6)
         w = _Scaling(s, z)
         rng = np.random.default_rng(7)
-        ds, dz = rng.standard_normal((2, 200, 3)) * 0.1 * np.abs(w.lam[:, :1])
+        ds, dz = rng.standard_normal((2, 200, 3)).transpose(0, 2, 1) * 0.1 * np.abs(w.lam[0])
         a = 0.5
         s_new, z_new = s + a * w.apply(ds), z + a * w.apply_inverse(dz)
-        w.step(ds, dz, a)
+        w.step(np.stack([ds, dz], axis=1), a)
         fresh = _Scaling(s_new, z_new)
         for name in ("v", "beta", "lam", "lam_j"):
             np.testing.assert_allclose(getattr(w, name), getattr(fresh, name), rtol=1e-10, atol=1e-12)
+
+
+CONE_RTOL = 1e-12      # relative agreement of each cone kernel with its per-cone loop
+
+
+def _first_exit(lam, d):
+    """Smallest a > 0 with (lam + a d)^T J (lam + a d) = 0 for one cone's 3-vectors, inf when none."""
+    qa, qb, qc = d @ (_J * d), 2.0 * lam @ (_J * d), lam @ (_J * lam)
+    if qa == 0.0:
+        roots = [-qc / qb] if qb != 0.0 else []
+    else:
+        disc = qb * qb - 4.0 * qa * qc
+        if disc < 0.0:
+            return np.inf
+        q = -0.5 * (qb + np.copysign(np.sqrt(disc), qb))     # the quadratic's stable form
+        roots = [q / qa, qc / q]
+    return min([r for r in roots if r > 0.0], default=np.inf)
+
+
+def _close(got, ref):
+    return np.max(np.abs(np.asarray(got) - ref)) <= CONE_RTOL * np.max(np.abs(ref))
+
+
+class TestConeKernels:
+    """The (3, k) cone kernels against a plain loop over the cones' 3-vectors."""
+
+    def test_jordan_norm_product_and_division(self):
+        x, y = _cone_points(300, 11), _cone_points(300, 12)
+        y[:, ::3] = np.random.default_rng(13).standard_normal((3, 100))   # any y for the product
+        lam_j = _jnorm(x) ** 2
+        prod, div = _jprod(x, y), _jdiv(x, lam_j, y)
+        for k in range(x.shape[1]):
+            xk, yk = x[:, k], y[:, k]
+            assert _close(_jnorm(x)[k], np.sqrt(xk[0] ** 2 - xk[1] ** 2 - xk[2] ** 2))
+            assert _close(prod[:, k], np.concatenate([[xk @ yk], xk[0] * yk[1:] + yk[0] * xk[1:]]))
+            arrow = np.array([[xk[0], xk[1], xk[2]], [xk[1], xk[0], 0.0], [xk[2], 0.0, xk[0]]])
+            assert _close(div[:, k], np.linalg.solve(arrow, yk))      # x o u = y
+
+    def test_max_step_single_and_stacked(self):
+        rng = np.random.default_rng(14)
+        lam = _cone_points(200, 15)
+        lam_j = _jnorm(lam) ** 2
+        ds, dd = rng.standard_normal((2, 3, 200))
+        ds[:, ::4] = _cone_points(50, 16)       # directions into the cone never reach its boundary
+        dd[:, 1::4] = 0.5 * lam[:, 1::4]
+        for d in (ds, dd):
+            steps = [_first_exit(lam[:, k], d[:, k]) for k in range(200)]
+            assert np.isinf(steps[::4] if d is ds else steps[1::4]).all()
+            for k in range(200):
+                got = _max_step(lam[:, [k]], lam_j[[k]], d[:, [k]])
+                assert got == steps[k] if np.isinf(steps[k]) else _close(got, steps[k])
+            assert _close(_max_step(lam, lam_j, d), min(steps))
+        # stacked as (3, 2, k): the step of whichever direction exits first
+        far = _cone_points(200, 17)
+        for first, other in ((ds, far), (far, dd)):
+            ref = min(_first_exit(lam[:, k], d[:, k]) for d in (first, other) for k in range(200))
+            assert _close(_max_step(lam, lam_j, np.stack([first, other], axis=1)), ref)
+        assert _max_step(lam, lam_j, np.stack([far, far], axis=1)) == np.inf
+
+    def test_scaling_apply_and_weights(self):
+        s, z = _cone_points(200, 18), _cone_points(200, 19)
+        x = np.random.default_rng(20).standard_normal((3, 200))
+        w = _Scaling(s, z)
+        applied, inverse, mm = w.apply(x), w.apply_inverse(x), w.weights()
+        for k in range(200):
+            v = w.v[:, k]
+            wk = w.beta[k] * (2.0 * np.outer(v, v) - np.diag(_J))
+            inv = np.linalg.inv(wk)
+            assert _close(applied[:, k], wk @ x[:, k])
+            assert _close(inverse[:, k], inv @ x[:, k])
+            assert _close(mm[:, :, k], inv @ inv)
 
 
 def _polygon_lp_l1(optimize, land, sides, inner):
