@@ -57,6 +57,20 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """value as a float, with a ValueError naming the field unless it is a real number (not a bool or a string)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"scenario field {name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _file_name(value, name: str) -> str:
+    """value, with a ValueError naming the field unless it is a non-empty string usable as one path component."""
+    if not isinstance(value, str) or value in ("", ".", "..") or "/" in value or "\\" in value:
+        raise ValueError(f"scenario field {name} must be a non-empty file name without a path, got {value!r}")
+    return value
+
+
 @dataclass
 class ScenarioSpec:
     """One correction problem: array, taper, failures, and metric target."""
@@ -82,14 +96,13 @@ class ScenarioSpec:
         if missing:
             raise ValueError(f"scenario is missing fields: {sorted(missing)}")
         return cls(
-            name=str(data["name"]),
+            name=_file_name(data["name"], "name"),
             n_elements=_integer(data["n_elements"], "n_elements"),
             faulty_indices=[_integer(i, "faulty_indices")
                             for i in _converted(list, data["faulty_indices"], "faulty_indices")],
             taper=data["taper"],
             metric=_converted(dict, data.get("metric", {}), "metric"),
-            spacing_wavelengths=_converted(float, data.get("spacing_wavelengths", 0.5),
-                                           "spacing_wavelengths"),
+            spacing_wavelengths=_real(data.get("spacing_wavelengths", 0.5), "spacing_wavelengths"),
             solver=_converted(dict, data.get("solver", {}), "solver"),
         )
 

@@ -60,6 +60,13 @@ MALFORMED = {
     "string_n_elements": ({"n_elements": "4"}, "n_elements"),
     "fractional_faulty_index": ({"faulty_indices": [2.7]}, "faulty_indices"),
     "boolean_faulty_index": ({"faulty_indices": [True]}, "faulty_indices"),
+    "null_name": ({"name": None}, "name"),
+    "numeric_name": ({"name": 5}, "name"),
+    "empty_name": ({"name": ""}, "name"),
+    "parent_name": ({"name": ".."}, "name"),
+    "path_name": ({"name": "../escaped_toy"}, "name"),
+    "boolean_spacing": ({"spacing_wavelengths": True}, "spacing_wavelengths"),
+    "string_spacing": ({"spacing_wavelengths": "0.5"}, "spacing_wavelengths"),
 }
 
 
