@@ -487,11 +487,11 @@ class TestConeKernels:
     def test_jordan_norm_product_and_division(self):
         x, y = _cone_points(300, 11), _cone_points(300, 12)
         y[:, ::3] = np.random.default_rng(13).standard_normal((3, 100))   # any y for the product
-        lam_j = _jnorm(x) ** 2
-        prod, div = _jprod(x, y), _jdiv(x, lam_j, y)
+        norm = _jnorm(x)
+        prod, div = _jprod(x, y), _jdiv(x, norm ** 2, y)
         for k in range(x.shape[1]):
             xk, yk = x[:, k], y[:, k]
-            assert _close(_jnorm(x)[k], np.sqrt(xk[0] ** 2 - xk[1] ** 2 - xk[2] ** 2))
+            assert _close(norm[k], np.sqrt(xk[0] ** 2 - xk[1] ** 2 - xk[2] ** 2))
             assert _close(prod[:, k], np.concatenate([[xk @ yk], xk[0] * yk[1:] + yk[0] * xk[1:]]))
             arrow = np.array([[xk[0], xk[1], xk[2]], [xk[1], xk[0], 0.0], [xk[2], 0.0, xk[0]]])
             assert _close(div[:, k], np.linalg.solve(arrow, yk))      # x o u = y
@@ -1033,9 +1033,9 @@ class TestMirror:
 
 class TestCarriedFields:
     """
-    The cone IPM carries its cone rows s, whose sample rows are
+    The cone IPM carries its cone array s, whose sample cones are
     (sqrt(tau) Re F(0), Re F, Im F) at the embedding's scale tau, along its
-    steps, and its primal residual is their distance from rows computed
+    steps, and its primal residual is their distance from cones computed
     afresh. It must stay exact.
     """
 
