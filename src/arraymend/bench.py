@@ -32,7 +32,6 @@ from .model import (
     beamwidth,
     dynamic_range,
     max_sll,
-    pattern_db,
     sidelobe_region,
     uniform_grid,
     uniform_positions,
@@ -170,6 +169,12 @@ def resolve_scenario(spec: ScenarioSpec, grid_density: int | None = None) -> Res
     bw_target = metric.pop("bw_target_deg", None)
     samples = metric.pop("region_samples", None)
     density = metric.pop("region_density", None)
+    if target is not None:
+        target = _real(target, "target_db")
+    if bw_target is not None:
+        bw_target = _real(bw_target, "bw_target_deg")
+    if density is not None:
+        density = _integer(density, "region_density")
     if metric:
         raise ValueError(f"unknown metric fields: {sorted(metric)}")
     if grid_density is not None:
@@ -181,7 +186,6 @@ def resolve_scenario(spec: ScenarioSpec, grid_density: int | None = None) -> Res
         if design_sll is None:
             raise ValueError("explicit tapers need an explicit metric target_db")
         target = design_sll
-    target = float(target)
 
     if samples is not None:
         region = AngularRegion(np.asarray(samples, dtype=float))
@@ -256,18 +260,18 @@ def _safe_dr(weights) -> float | None:
         return None
 
 
-def _base_record(res: ResolvedScenario, grid: np.ndarray) -> tuple[dict, list[np.ndarray]]:
+def _base_record(res: ResolvedScenario) -> tuple[dict, list[np.ndarray]]:
     """
-    The record of one run before its correction, and the original and faulty
-    dB patterns on the grid, built in one pass over its blocks. The patterns
-    come after the region's levels, whose steering matrix stays shared: with
-    the grid blocks built first, the process's peak RSS was about 0.5 MB higher.
+    The record of one run before its correction, less the export grid's
+    beamwidths (_grid_patterns), and the original and faulty excitations.
+    Its region levels build the region's shared steering matrix before any
+    export-grid block: with the grid blocks built first, the process's peak
+    RSS was about 0.5 MB higher.
     """
     spec = res.spec
     scenario = res.scenario
     w = res.weights
     w_faulty = apply_failures(w, scenario)
-    target = res.metric.target_db
     record = {
         "name": spec.name,
         "n_elements": spec.n_elements,
@@ -276,39 +280,46 @@ def _base_record(res: ResolvedScenario, grid: np.ndarray) -> tuple[dict, list[np
         "n_failed": scenario.n_failed,
         "n_controllable": scenario.n_controllable,
         "eta_f_pct": 100.0 * scenario.n_failed / spec.n_elements,
-        "target_db": target,
+        "target_db": res.metric.target_db,
         "bw_target_deg": res.bw_target_deg,
         "region_size": res.metric.region.size,
         "sll_original_db": max_sll(res.geometry, w, res.metric.region),
         "sll_faulty_db": max_sll(res.geometry, w_faulty, res.metric.region),
-    }
-    patterns = _patterns_db(res.geometry, [w, w_faulty], grid)
-    record.update({
-        "bw_original_deg": _safe_beamwidth(grid, patterns[0], target),
-        "bw_faulty_deg": _safe_beamwidth(grid, patterns[1], target),
         "dr_original": _safe_dr(w),
         "dr_faulty": _safe_dr(w_faulty),
-    })
-    return record, patterns
+    }
+    return record, [w, w_faulty]
+
+
+def _grid_patterns(res: ResolvedScenario, grid, record: dict, weight_sets) -> list[np.ndarray]:
+    """
+    The dB patterns on the export grid of the original, faulty and, when
+    given, corrected excitations, in one pass over the grid's blocks; their
+    beamwidths go into the record.
+    """
+    patterns = _patterns_db(res.geometry, weight_sets, grid)
+    for key, p_db in zip(("original", "faulty", "corrected"), patterns):
+        record[f"bw_{key}_deg"] = _safe_beamwidth(grid, p_db, res.metric.target_db)
+    return patterns
 
 
 def _start(spec: ScenarioSpec, out_dir, grid_density: int | None):
     """
     Output directory, resolved scenario, export grid, base record, and the
-    original and faulty dB patterns on the grid of one run.
+    original and faulty excitations of one run.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     res = resolve_scenario(spec, grid_density)
     grid = uniform_grid(DEFAULT_GRID_DENSITY if grid_density is None else grid_density)
-    record, patterns = _base_record(res, grid)
-    return out, res, grid, record, patterns
+    record, weight_sets = _base_record(res)
+    return out, res, grid, record, weight_sets
 
 
-def _correct(res: ResolvedScenario, grid, record: dict) -> tuple[CorrectionResult, np.ndarray]:
+def _correct(res: ResolvedScenario, record: dict) -> tuple[CorrectionResult, np.ndarray]:
     """
     Minimize the corrections and fill in the record, on InfeasibleError before
-    re-raising; returns the result and the corrected dB pattern on the grid.
+    re-raising; returns the result and the corrected excitations.
     """
     try:
         result = minimize_corrections(res.geometry, res.weights, res.scenario,
@@ -318,11 +329,9 @@ def _correct(res: ResolvedScenario, grid, record: dict) -> tuple[CorrectionResul
         raise
 
     w_corrected = apply_failures(res.weights, res.scenario) + result.delta
-    corrected_db = pattern_db(res.geometry, w_corrected, grid)
     record.update({
         "status": "ok",
         "sll_corrected_db": max_sll(res.geometry, w_corrected, res.metric.region),
-        "bw_corrected_deg": _safe_beamwidth(grid, corrected_db, res.metric.target_db),
         "dr_corrected": _safe_dr(w_corrected),
         "n_corrections": result.n_corrections,
         "eta_c_hat_pct": 100.0 * result.n_corrections / res.scenario.n_controllable,
@@ -332,7 +341,7 @@ def _correct(res: ResolvedScenario, grid, record: dict) -> tuple[CorrectionResul
         "corrected_elements": result.corrected_elements,
         "elapsed_s": result.elapsed_s,
     })
-    return result, corrected_db
+    return result, w_corrected
 
 
 def run_scenario(spec: ScenarioSpec, out_dir,
@@ -344,18 +353,20 @@ def run_scenario(spec: ScenarioSpec, out_dir,
     out_dir. On an infeasible scenario the diagnostic record is written
     before InfeasibleError is re-raised.
     """
-    out, res, grid, record, (original_db, faulty_db) = _start(spec, out_dir, grid_density)
+    out, res, grid, record, weight_sets = _start(spec, out_dir, grid_density)
     try:
-        result, corrected_db = _correct(res, grid, record)
+        result, w_corrected = _correct(res, record)
     except InfeasibleError:
+        _grid_patterns(res, grid, record, weight_sets)
         _write_json(out / f"{spec.name}_result.json", record)
         raise
+    patterns = _grid_patterns(res, grid, record, weight_sets + [w_corrected])
     _write_json(out / f"{spec.name}_result.json", record)
 
     # all floats, for which "%.6g" % x is _fmt(x)
     _write_csv(out / f"{spec.name}_pattern.csv",
                ["u", "original_db", "faulty_db", "corrected_db"],
-               zip(grid.tolist(), original_db.tolist(), faulty_db.tolist(), corrected_db.tolist()),
+               zip(grid.tolist(), *(p_db.tolist() for p_db in patterns)),
                template="%.6g,%.6g,%.6g,%.6g")
 
     _write_csv(out / f"{spec.name}_trace.csv",
@@ -367,7 +378,8 @@ def run_scenario(spec: ScenarioSpec, out_dir,
 def run_oracle(spec: ScenarioSpec, out_dir, max_support: int | None = None,
                grid_density: int | None = None) -> tuple[dict, OracleResult]:
     """Exhaustive minimum search for one scenario, serialized like run_scenario."""
-    out, res, grid, record, _ = _start(spec, out_dir, grid_density)
+    out, res, grid, record, weight_sets = _start(spec, out_dir, grid_density)
+    _grid_patterns(res, grid, record, weight_sets)
     result = exhaustive_min(res.geometry, res.weights, res.scenario, res.metric,
                             res.config, max_support=max_support)
     record.update({
@@ -408,10 +420,10 @@ def tradeoff_sweep(spec: ScenarioSpec, targets, out_dir,
     header = ["target_db", "status", "n_corrections", "achieved_sll_db", "l1"]
     rows: list[dict] = []
     for target in targets:
-        _, res, grid, record, _ = _start(replace(spec, metric={**spec.metric, "target_db": target}),
-                                         out, grid_density)
+        _, res, _, record, _ = _start(replace(spec, metric={**spec.metric, "target_db": target}),
+                                      out, grid_density)
         with suppress(InfeasibleError):
-            _correct(res, grid, record)
+            _correct(res, record)
         rows.append({"target_db": target, "status": record["status"],
                      "n_corrections": record.get("n_corrections"),
                      "achieved_sll_db": record.get("sll_corrected_db"), "l1": record.get("l1")})
@@ -460,33 +472,49 @@ def batch_run(spec_dir, out_dir, parallelism: int = 1,
     Run every scenario file in a directory and write one summary table.
 
     Scenario failures (parse errors, infeasible targets) become rows in the
-    summary rather than aborting the batch. Rows follow the sorted file
-    order regardless of the completion order. Raises ValueError when
-    parallelism is below 1.
+    summary rather than aborting the batch. A file whose scenario name an
+    earlier file in sorted order already uses is an error row naming that
+    file, and writes nothing. Rows follow the sorted file order regardless
+    of the completion order. Raises ValueError when parallelism is below 1.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be at least 1, got {parallelism}")
     spec_dir = Path(spec_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = sorted(spec_dir.glob("*.json"))
 
-    def one(path: Path) -> dict:
+    # each file with its scenario, or with the error that rules it out
+    jobs: list[tuple[Path, ScenarioSpec | Exception]] = []
+    first: dict[str, Path] = {}             # the file that claimed each scenario name
+    for path in sorted(spec_dir.glob("*.json")):
         try:
             spec = ScenarioSpec.from_file(path)
+        except Exception as err:  # parse problem: keep the batch going
+            jobs.append((path, err))
+            continue
+        owner = first.setdefault(spec.name, path)
+        if owner != path:
+            spec = ValueError(f"scenario name {spec.name!r} is already used by {owner.name}")
+        jobs.append((path, spec))
+
+    def one(job) -> dict:
+        path, spec = job
+        if isinstance(spec, Exception):
+            return {"name": path.stem, "status": f"error: {spec}"}
+        try:
             return run_scenario(spec, out, grid_density)[0]
         except InfeasibleError:
             # run_scenario wrote the diagnostic record before raising.
             with open(out / f"{spec.name}_result.json", "r", encoding="utf-8") as fh:
                 return json.load(fh)
-        except Exception as err:  # parse or validation problem: keep the batch going
+        except Exception as err:  # validation problem: keep the batch going
             return {"name": path.stem, "status": f"error: {err}"}
 
     if parallelism > 1:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            records = list(pool.map(one, paths))
+            records = list(pool.map(one, jobs))
     else:
-        records = [one(p) for p in paths]
+        records = [one(job) for job in jobs]
 
     rows = [[r.get(c) for c in _SUMMARY_COLUMNS] for r in records]
     _write_csv(out / "summary.csv", _SUMMARY_COLUMNS, rows)

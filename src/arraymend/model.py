@@ -22,6 +22,7 @@ DEFAULT_GRID_DENSITY = 4001
 """Default number of uniform u samples over [-1, 1] for metric evaluation."""
 
 _PATTERN_BLOCK = 1024   # u samples per block when a pattern is evaluated over a grid
+_BEAM_WINDOW = 16       # grid samples on each side of broadside in beamwidth's first window
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -275,10 +276,17 @@ def sll_db(geometry: ArrayGeometry, weights, u: float) -> float:
 
 
 def max_sll(geometry: ArrayGeometry, weights, region: AngularRegion) -> float:
-    """Maximum sidelobe level over the region samples, in dB."""
+    """
+    Maximum sidelobe level over the region samples, in dB: the largest power
+    ratio, converted alone (the dB map is monotone, so it is the largest
+    level of pattern_db).
+    """
     if region.size == 0:
         raise ValueError("region must be non-empty")
-    return float(np.max(pattern_db(geometry, weights, region.samples)))
+    w = as_weights(weights, geometry.n)
+    p0 = _broadside_power(geometry, w)
+    power = np.abs(steering_matrix(geometry, region.samples) @ w) ** 2
+    return float(_power_db(np.max(power) / p0))
 
 
 def evaluate_metric(metric: MetricSpec, geometry: ArrayGeometry, weights) -> float:
@@ -300,12 +308,25 @@ def beamwidth(geometry: ArrayGeometry, weights, threshold_db: float, grid: np.nd
 
     The contiguous interval around u = 0 with pattern >= threshold_db is
     located on the grid; both boundaries are refined by linear interpolation
-    of the dB values, then converted through theta = asin(u).
+    of the dB values, then converted through theta = asin(u). The pattern is
+    evaluated on a window of the grid around broadside, _BEAM_WINDOW samples
+    on each side and grown fourfold until it holds a sample below the
+    threshold on each side of broadside or reaches the grid's ends. A
+    pattern row does not depend on the rows evaluated with it, so the width
+    is the one the whole grid's pattern gives.
     """
     if threshold_db >= 0:       # checked before the pattern is built
         raise ValueError("threshold must be negative dB")
     u = uniform_grid() if grid is None else np.asarray(grid, dtype=float)
-    return _mainlobe_width(u, pattern_db(geometry, weights, u), threshold_db)
+    center = int(np.argmin(np.abs(u)))
+    reach = _BEAM_WINDOW
+    while True:
+        lo, hi = max(center - reach, 0), min(center + reach + 1, u.size)
+        p = pattern_db(geometry, weights, u[lo:hi])
+        below, c = p < threshold_db, center - lo
+        if below[c] or ((lo == 0 or below[:c].any()) and (hi == u.size or below[c + 1:].any())):
+            return _mainlobe_width(u[lo:hi], p, threshold_db)
+        reach *= 4
 
 
 def _mainlobe_width(u: np.ndarray, p: np.ndarray, threshold_db: float) -> float:

@@ -210,15 +210,26 @@ def _mirrored(u: np.ndarray) -> bool:
 
 
 class _Landscape:
-    """Pattern pieces of one solve: fixed faulty fields plus free-column steering."""
+    """
+    Pattern pieces of one solve: fixed faulty fields plus free-column steering.
+
+    full holds the landscape's rows of the region's steering matrix: the
+    geometry's shared matrix on the whole region, a view of its rows on
+    half(), and a gathered copy of the working set's rows on restricted(),
+    kept there only for the lattice Gram. cols indexes the free elements.
+    A, the free columns of full, is gathered once per landscape: eagerly by
+    restricted(), which the IPM and the certificate read, and on first use
+    on the whole (or half) region, which reads it only when a working set
+    widens to all of it. The fields of the whole or half region are one
+    product with full, so neither needs A.
+    """
 
     def __init__(self, geometry: ArrayGeometry, w_faulty: np.ndarray,
                  metric: MetricSpec, free: np.ndarray):
-        full = steering_matrix(geometry, metric.region.samples)
-        self.A = full[:, free]
-        self.full = full            # the geometry's shared matrix, not a copy
+        self.full = steering_matrix(geometry, metric.region.samples)   # shared, not a copy
+        self.cols = np.flatnonzero(free)
         self.lags = _lattice_lags(geometry.positions, free)
-        self.F_base = full @ w_faulty
+        self.F_base = self.full @ w_faulty
         self.F0_base = complex(np.sum(w_faulty))
         self.tau = 10.0 ** (metric.target_db / 10.0)
         self.m = int(metric.region.samples.size)
@@ -229,6 +240,7 @@ class _Landscape:
         # half() (the module docstring has the argument).
         self.mirrored = not np.any(np.imag(w_faulty)) and _mirrored(metric.region.samples)
         self.whole = None           # on half(), the whole region's sample count
+        self._A = None              # A, once gathered
         self._stacked = None        # stacked(), once built
 
     @property
@@ -236,11 +248,18 @@ class _Landscape:
         """Whether the unknowns are Re z only: the u >= 0 half of a mirrored region."""
         return self.whole is not None
 
+    @property
+    def A(self) -> np.ndarray:
+        """The free columns of full, an (m, f) complex array gathered on first use."""
+        if self._A is None:
+            self._A = self.full[:, self.cols]
+        return self._A
+
     def half(self) -> _Landscape:
         """The u >= 0 half of a mirrored region (samples m // 2 on, as views), for a real z."""
         k0 = self.m // 2
         sub = copy.copy(self)
-        sub.A, sub.F_base, sub.full = self.A[k0:], self.F_base[k0:], self.full[k0:]
+        sub.F_base, sub.full, sub._A = self.F_base[k0:], self.full[k0:], None
         sub.m, sub.whole, sub._stacked = self.m - k0, self.m, None
         return sub
 
@@ -255,7 +274,8 @@ class _Landscape:
         if rows.size == self.m:
             return self
         sub = copy.copy(self)
-        sub.A, sub.F_base, sub.m, sub._stacked = self.A[rows], self.F_base[rows], int(rows.size), None
+        sub._A = self.full[np.ix_(rows, self.cols)]
+        sub.F_base, sub.m, sub._stacked = self.F_base[rows], int(rows.size), None
         sub.full = self.full[rows] if self.lags is not None else None   # read by the lattice Gram only
         return sub
 
@@ -266,7 +286,10 @@ class _Landscape:
         return self._stacked
 
     def fields(self, z: np.ndarray):
-        return self.F_base + self.A @ z, self.F0_base + np.sum(z)
+        """F(u) on the landscape's samples and F(0), for the correction z of the free elements."""
+        x = np.zeros(self.full.shape[1], dtype=complex)
+        x[self.cols] = z
+        return self.F_base + self.full @ x, self.F0_base + np.sum(z)
 
     def ratios(self, z: np.ndarray) -> np.ndarray:
         """|F(u)|^2 / (ratio * |F(0)|^2) on every sample, inf where F(0) = 0."""
@@ -312,7 +335,7 @@ def _weighted_gram(land: _Landscape, lam: np.ndarray) -> np.ndarray:
     if land.homogeneous:
         p = _gram(land, lam)
     else:
-        f = land.A.shape[1]
+        f = land.cols.size
         p = np.empty((f + 1, f + 1), dtype=complex)
         p[:f, :f] = _gram(land, lam)
         p[:f, f] = _adjoint(land.A, lam * land.F_base)
@@ -382,7 +405,7 @@ def _certificate(land: _Landscape, rows: np.ndarray,
     the whole region. proves counts m as the whole region's samples, on
     half() too. Each search is logged at DEBUG.
     """
-    f = land.A.shape[1]
+    f = land.cols.size
     d = f if land.homogeneous else f + 1
     h = np.ones(d, dtype=float if land.real else complex)
     if not land.homogeneous:
@@ -590,7 +613,7 @@ def _lin(land: _Landscape, t: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _lin_adjoint(land: _Landscape, y: np.ndarray):
     """(-G)^T y as (t part, z part packed as d/dRe + i d/dIm; d/dRe alone for a real z)."""
-    f = land.A.shape[1]
+    f = land.cols.size
     if land.real:       # Re(A^H y) = (Re A)^T y1 + (Im A)^T y2
         field = land.stacked().T @ y[1:, f:].reshape(-1)
         return y[0, :f], y[1, :f] + np.sqrt(land.tau) * np.add.reduce(y[0, f:]) + field
@@ -622,7 +645,7 @@ def _normal_matrix(land: _Landscape, mm: np.ndarray) -> np.ndarray:
     complex P and S; the l1 cones' third components stay 0, so they add
     M11 - M10 M01 / M00 to its diagonal.
     """
-    f = land.A.shape[1]
+    f = land.cols.size
     ml, mu = mm[:, :, :f], mm[:, :, f:]
     i = np.arange(f)
     if land.real:
@@ -678,7 +701,7 @@ def _newton_solver(land: _Landscape, mm: np.ndarray):
     then recovers t; without the refinements most solves stall short of
     their targets. Raises LinAlgError when hm is singular.
     """
-    f = land.A.shape[1]
+    f = land.cols.size
     hm = _normal_matrix(land, mm)
     unit = 1.0 / np.sqrt(np.diag(hm))
     scale = np.outer(unit, unit)
@@ -719,7 +742,7 @@ def _cone_ipm(land: _Landscape):
     info["weights"] holds the final dual iterate's sample-cone weights z_u0,
     on a ray the weights it puts on each sample.
     """
-    f = land.A.shape[1]
+    f = land.cols.size
     h = np.zeros((3, f + land.m))
     h[0, f:] = np.sqrt(land.tau) * land.F0_base.real
     h[1, f:], h[2, f:] = land.F_base.real, land.F_base.imag

@@ -1,6 +1,8 @@
 import gc
+import importlib.util
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,11 @@ from arraymend import cli
 from arraymend.cli import main as cli_main
 from conftest import SCENARIO_DIR, load_spec
 
+_spec = importlib.util.spec_from_file_location(
+    "same_results", Path(__file__).resolve().parent.parent / "tools" / "same_results.py")
+same_results = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_results)
+
 
 def toy_spec_dict(**overrides):
     data = {
@@ -44,6 +51,11 @@ def toy_spec_dict(**overrides):
     }
     data.update(overrides)
     return data
+
+
+def toy_metric(**fields):
+    """An override of the toy's metric: its target on a 60-degree mainlobe exclusion, then fields."""
+    return {"metric": {"target_db": -5.5, "bw_target_deg": 60.0, **fields}}
 
 
 # Malformed scenario fields, with a word the error must name.
@@ -67,6 +79,13 @@ MALFORMED = {
     "path_name": ({"name": "../escaped_toy"}, "name"),
     "boolean_spacing": ({"spacing_wavelengths": True}, "spacing_wavelengths"),
     "string_spacing": ({"spacing_wavelengths": "0.5"}, "spacing_wavelengths"),
+    "list_target": (toy_metric(target_db=[1]), "target_db"),
+    "string_target": (toy_metric(target_db="-20"), "target_db"),
+    "boolean_target": (toy_metric(target_db=True), "target_db"),
+    "list_bw_target": (toy_metric(bw_target_deg=[10]), "bw_target_deg"),
+    "string_bw_target": (toy_metric(bw_target_deg="10"), "bw_target_deg"),
+    "list_region_density": (toy_metric(region_density=[5]), "region_density"),
+    "fractional_region_density": (toy_metric(region_density=801.7), "region_density"),
 }
 
 
@@ -189,10 +208,10 @@ class TestRunScenario:
         # independent re-verification of the constraint from the emitted samples
         assert data[outside, 3].max() <= record["target_db"] + 0.02 + 1e-6
 
-    def test_export_grid_blocks_are_built_at_most_twice(self, tmp_path, monkeypatch):
-        # Original and faulty share one pass over the grid's blocks and the
-        # corrected pattern takes one more; the beamwidths and the pattern file
-        # reuse those dB arrays, which match the public functions' values.
+    def test_export_grid_blocks_are_built_once(self, tmp_path, monkeypatch):
+        # Original, faulty and corrected share one pass over the grid's blocks;
+        # the beamwidths and the pattern file reuse those dB arrays, which
+        # match the public functions' values.
         builds = Counter()
         steering_matrix = model.steering_matrix
 
@@ -205,7 +224,7 @@ class TestRunScenario:
         monkeypatch.setattr(model, "steering_matrix", counted)
         record, result = run_scenario(load_spec("test_case_1"), tmp_path)
         monkeypatch.undo()
-        assert [c for (n, _, _), c in builds.items() if n == 16] == [2, 2, 2, 2]
+        assert [c for (n, _, _), c in builds.items() if n == 16] == [1, 1, 1, 1]
 
         res = resolve_scenario(load_spec("test_case_1"))
         grid = uniform_grid()
@@ -343,6 +362,46 @@ class TestBatch:
         spec_dir.mkdir()
         assert batch_run(spec_dir, tmp_path / "out") == []
         assert (tmp_path / "out" / "summary.csv").read_text().splitlines()[0].startswith("name")
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_reused_name_is_an_error_row(self, tmp_path, parallelism):
+        # b.json reuses a.json's name: it is refused and writes nothing, so
+        # every toy_* file is a.json's run, however the threads interleave.
+        spec_dir = tmp_path / "specs"
+        spec_dir.mkdir()
+        (spec_dir / "a.json").write_text(json.dumps(toy_spec_dict()))
+        unreachable = toy_spec_dict()
+        unreachable["metric"] = {**unreachable["metric"], "target_db": -100.0}
+        (spec_dir / "b.json").write_text(json.dumps(unreachable))
+        out = tmp_path / "out"
+        records = batch_run(spec_dir, out, parallelism=parallelism)
+        assert [(r["name"], r["status"]) for r in records] == [
+            ("toy", "ok"), ("b", "error: scenario name 'toy' is already used by a.json")]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "summary.csv", "toy_pattern.csv", "toy_result.json", "toy_trace.csv"]
+        assert json.loads((out / "toy_result.json").read_text())["status"] == "ok"
+        assert [line.split(",")[:2] for line in (out / "summary.csv").read_text().splitlines()[1:]] == [
+            ["toy", "ok"], ["b", "error: scenario name 'toy' is already used by a.json"]]
+
+    def test_parallel_batch_writes_the_same_files(self, tmp_path):
+        # The batch of the result check (tools/same_results.py), run serially
+        # and on two threads: every written file is the same, compared as
+        # that check does (elapsed_s dropped).
+        spec_dir = tmp_path / "specs"
+        spec_dir.mkdir()
+        unreachable = load_spec("test_case_2_sll22").to_dict()
+        unreachable.update(name="test_case_2_unreachable", metric={"kind": "max_sll", "target_db": -30.0})
+        for data in [load_spec(name).to_dict() for name in ("toy", "test_case_1")] + [unreachable]:
+            (spec_dir / f"{data['name']}.json").write_text(json.dumps(data))
+        (spec_dir / "malformed.json").write_text('{"name": "malformed", "n_elements": ')
+        written = {}
+        for parallelism in (1, 2):
+            out = tmp_path / f"out{parallelism}"
+            statuses = [r["status"].split(":")[0] for r in batch_run(spec_dir, out, parallelism=parallelism)]
+            assert statuses == ["error", "ok", "infeasible", "ok"]
+            written[parallelism] = {p.name: same_results.read_output(p) for p in sorted(out.iterdir())}
+        assert len(written[1]) == 8
+        assert written[1] == written[2]
 
 
 class TestCli:

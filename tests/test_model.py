@@ -20,17 +20,21 @@ from arraymend import (
     beamwidth,
     dolph_chebyshev,
     dynamic_range,
+    evaluate_metric,
     hpbw,
     max_sll,
+    model,
     pattern_db,
     sidelobe_region,
     sll_db,
+    solve_constrained_l1,
     steering_matrix,
     uniform_grid,
     uniform_positions,
 )
 from arraymend.bench import ScenarioSpec, resolve_scenario
-from conftest import SCENARIO_DIR
+from arraymend.model import _mainlobe_width
+from conftest import SCENARIO_DIR, load_spec
 
 
 def brute_factor(positions, weights, u):
@@ -190,6 +194,38 @@ class TestBeamwidth:
         with pytest.raises(NoMainlobeError):
             beamwidth(g, w, -3.01, grid=np.linspace(0.4, 0.9, 101))
 
+    def test_window_gives_the_whole_grid_width(self, monkeypatch):
+        # beamwidth evaluates the pattern on a window around broadside, grown
+        # until both crossings are inside it. The width must be the whole
+        # grid's, exactly: on every catalog scenario's reference taper (as
+        # default_bw_target measures it), on the toy at its target, and on the
+        # toy at -200 dB, whose window grows to the whole grid.
+        grid = uniform_grid()
+        cases = []
+        for path in sorted(SCENARIO_DIR.glob("*.json")):
+            spec = ScenarioSpec.from_file(path)
+            if isinstance(spec.taper, dict) and "dolph_chebyshev" in spec.taper:
+                n, sll = spec.n_elements - len(spec.faulty_indices), spec.taper["dolph_chebyshev"]["sll_db"]
+                cases.append((uniform_positions(n, spec.spacing_wavelengths), dolph_chebyshev(n, sll), sll))
+        assert len(cases) == 23
+        toy = resolve_scenario(load_spec("toy"))
+        cases += [(toy.geometry, toy.weights, toy.metric.target_db), (toy.geometry, toy.weights, -200.0)]
+        windows = []
+        evaluate = model.pattern_db
+
+        def counted(geometry, weights, u):
+            windows.append(np.size(u))
+            return evaluate(geometry, weights, u)
+
+        for geometry, weights, threshold in cases:
+            monkeypatch.setattr(model, "pattern_db", counted)
+            windows.clear()
+            width = beamwidth(geometry, weights, threshold)
+            monkeypatch.undo()
+            assert max(windows) < grid.size or threshold == -200.0
+            assert width == _mainlobe_width(grid, pattern_db(geometry, weights, grid), threshold)
+        assert windows[-1] == grid.size
+
     def test_threshold_is_checked_before_the_pattern(self):
         # [1, -1] is zero at broadside, so building its pattern would raise
         # DegenerateBroadsideError (itself a ValueError) first.
@@ -337,6 +373,21 @@ class TestSteeringBuild:
             got, ref = steering_matrix(geometry, u), phasors(geometry, u)
             np.testing.assert_array_max_ulp(got.real, ref.real, maxulp=2)
             np.testing.assert_array_max_ulp(got.imag, ref.imag, maxulp=2)
+
+
+class TestMetricLevel:
+    def test_largest_ratio_converted_alone_is_the_largest_level(self):
+        # evaluate_metric converts only the largest power ratio to dB; it must
+        # equal the largest level of pattern_db exactly, on every catalog
+        # scenario's faulty excitations and its first solve's corrected ones.
+        for path in sorted(SCENARIO_DIR.glob("*.json")):
+            res = resolve_scenario(ScenarioSpec.from_file(path))
+            w_faulty = apply_failures(res.weights, res.scenario)
+            delta = solve_constrained_l1(res.geometry, w_faulty, res.metric, res.scenario.mask,
+                                         config=res.config)
+            for w in (w_faulty, w_faulty + delta):
+                level = float(np.max(pattern_db(res.geometry, w, res.metric.region.samples)))
+                assert evaluate_metric(res.metric, res.geometry, w) == level
 
 
 class TestScenarioAndMetric:

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import logging
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from arraymend import (
     minimize_corrections,
     sidelobe_region,
     solve_constrained_l1,
+    steering_matrix,
     uniform_positions,
 )
 from arraymend import solver
@@ -934,8 +936,9 @@ class TestMirror:
         half = land.half()
         assert half.real and half.whole == land.m and half.m == land.m - land.m // 2
         assert np.all(u[land.m - half.m:] > 0)
-        for name in ("A", "F_base", "full"):    # slices of the whole region's arrays, not copies
+        for name in ("F_base", "full"):    # slices of the whole region's arrays, not copies
             assert np.shares_memory(getattr(half, name), getattr(land, name))
+        assert land._A is None and half._A is None      # neither has gathered its free columns
 
     def test_asymmetric_region_runs_the_complex_path(self, toy, monkeypatch, caplog):
         geometry, w_faulty, metric, mask = toy
@@ -1029,6 +1032,26 @@ class TestMirror:
             diagonals.clear()
             assert _certificate(form, np.ones(form.m, dtype=bool)) is None
             assert 1.0 - diagonals[1] == pytest.approx(np.full(land.A.shape[1], guard), rel=1e-3)
+
+
+class TestLandscapeMemory:
+    @pytest.mark.parametrize("name", ["fail_rate_n50_row1", "size_scan_n100_row3"])
+    def test_first_solve_holds_less_than_the_region_columns(self, name):
+        # A solve gathers the free columns of the region's steering matrix only
+        # on the rows its working sets read. With the region's shared matrix
+        # built beforehand, its traced peak stays below one m x f complex copy
+        # of those columns.
+        res = resolve_scenario(load_spec(name))
+        w_faulty = apply_failures(res.weights, res.scenario)
+        steering_matrix(res.geometry, res.metric.region.samples)    # kept on the geometry
+        columns = res.metric.region.size * res.scenario.n_controllable * 16
+        tracemalloc.start()
+        try:
+            solve_constrained_l1(res.geometry, w_faulty, res.metric, res.scenario.mask, config=res.config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < columns
 
 
 class TestCarriedFields:
