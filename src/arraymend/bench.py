@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -471,11 +470,17 @@ def batch_run(spec_dir, out_dir, parallelism: int = 1,
     """
     Run every scenario file in a directory and write one summary table.
 
-    Scenario failures (parse errors, infeasible targets) become rows in the
-    summary rather than aborting the batch. A file whose scenario name an
-    earlier file in sorted order already uses is an error row naming that
-    file, and writes nothing. Rows follow the sorted file order regardless
-    of the completion order. Raises ValueError when parallelism is below 1.
+    Scenarios run one at a time, in sorted file order, in the calling
+    thread. Scenario failures (parse errors, infeasible targets) become rows
+    in the summary rather than aborting the batch. A file whose scenario
+    name an earlier file in sorted order already uses is an error row naming
+    that file, and writes nothing. Rows follow the sorted file order.
+
+    parallelism is checked (ValueError below 1) but does not change how the
+    batch runs. Two threads were slower than one: they hand the interpreter
+    lock back and forth around each of a solve's microsecond numpy calls,
+    and they hold two scenarios' region steering matrices at once. A process
+    pool is the planned meaning of a value above 1.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be at least 1, got {parallelism}")
@@ -510,12 +515,7 @@ def batch_run(spec_dir, out_dir, parallelism: int = 1,
         except Exception as err:  # validation problem: keep the batch going
             return {"name": path.stem, "status": f"error: {err}"}
 
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            records = list(pool.map(one, jobs))
-    else:
-        records = [one(job) for job in jobs]
-
+    records = [one(job) for job in jobs]
     rows = [[r.get(c) for c in _SUMMARY_COLUMNS] for r in records]
     _write_csv(out / "summary.csv", _SUMMARY_COLUMNS, rows)
     return records

@@ -55,7 +55,9 @@ def _parse_args(argv):
     p_batch.add_argument("spec_dir", help="directory of scenario JSON files")
     p_batch.add_argument("--out", default="out")
     p_batch.add_argument("--grid", type=int, default=None, metavar="POINTS")
-    p_batch.add_argument("--parallel", type=int, default=1, metavar="K")
+    p_batch.add_argument("--parallel", type=int, default=1, metavar="K",
+                         help="checked (at least 1), but scenarios run one at a time: "
+                              "threads were slower than one and held twice the memory")
 
     return parser.parse_args(argv)
 

@@ -1,6 +1,8 @@
 import gc
 import importlib.util
 import json
+import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -29,7 +31,7 @@ from arraymend.bench import (
     scale_failure_scenario,
     tradeoff_sweep,
 )
-from arraymend import cli
+from arraymend import bench, cli
 from arraymend.cli import main as cli_main
 from conftest import SCENARIO_DIR, load_spec
 
@@ -402,6 +404,35 @@ class TestBatch:
             written[parallelism] = {p.name: same_results.read_output(p) for p in sorted(out.iterdir())}
         assert len(written[1]) == 8
         assert written[1] == written[2]
+
+    def test_one_scenario_in_flight(self, tmp_path, monkeypatch):
+        # parallelism=2 still runs one scenario at a time. The wrapper counts
+        # the run_scenario calls in progress; its sleep makes any two calls
+        # that run at once overlap for certain.
+        spec_dir = tmp_path / "specs"
+        spec_dir.mkdir()
+        for name in ("a", "b", "c"):
+            (spec_dir / f"{name}.json").write_text(json.dumps(toy_spec_dict(name=name)))
+        lock = threading.Lock()
+        calls, in_flight, most = 0, 0, 0
+        original = bench.run_scenario
+
+        def counted(*args, **kwargs):
+            nonlocal calls, in_flight, most
+            with lock:
+                calls, in_flight = calls + 1, in_flight + 1
+                most = max(most, in_flight)
+            try:
+                time.sleep(0.05)
+                return original(*args, **kwargs)
+            finally:
+                with lock:
+                    in_flight -= 1
+
+        monkeypatch.setattr(bench, "run_scenario", counted)
+        records = batch_run(spec_dir, tmp_path / "out", parallelism=2)
+        assert [(r["name"], r["status"]) for r in records] == [("a", "ok"), ("b", "ok"), ("c", "ok")]
+        assert calls == 3 and most == 1
 
 
 class TestCli:
