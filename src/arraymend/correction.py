@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
-from .model import ArrayGeometry, FailureScenario, MetricSpec, as_weights, evaluate_metric
-from .solver import ZERO_THRESHOLD, SolverConfig, l0_norm, l1_norm, solve_constrained_l1
+from .model import ArrayGeometry, FailureScenario, MetricSpec, as_weights, peak_level_db, steering_matrix
+from .solver import _EXCHANGE_SLACK, ZERO_THRESHOLD, SolverConfig, l0_norm, l1_norm, solve_constrained_l1
 from .taper import apply_failures
 
 
@@ -104,23 +104,32 @@ def minimize_corrections(geometry: ArrayGeometry, original, scenario: FailureSce
     w_faulty = apply_failures(w, scenario)
     omega = scenario.mask
 
-    def phi_of(delta: np.ndarray) -> float:
-        return evaluate_metric(metric, geometry, w_faulty + delta)
+    # The metric's region field F = A(w_faulty + delta) and broadside field
+    # F(0) of the current correction: a removal trial updates them by one
+    # column, and only an accepted re-solve takes a product.
+    a = steering_matrix(geometry, metric.region.samples)
 
-    feasible_db = metric.target_db + cfg.constraint_tol_db
+    def field_of(delta: np.ndarray) -> tuple[np.ndarray, complex]:
+        w = w_faulty + delta
+        return a @ w, np.sum(w)
+
+    # The bound that every solve and certificate answers, within the
+    # exchange's slack: a trial accepted without a re-solve meets it too.
+    feasible_db = metric.target_db + 10.0 * np.log10(1.0 + _EXCHANGE_SLACK)
     required = np.zeros(geometry.n, dtype=bool)
     non_required = np.zeros(geometry.n, dtype=bool)
     trace: list[TraceEntry] = []
 
     best = solve_constrained_l1(geometry, w_faulty, metric, mask=omega, config=cfg)
-    best_phi = phi_of(best)
+    field = field_of(best)
+    best_phi = peak_level_db(*field)
     non_required[(best == 0) & ~omega] = True
     trace.append(TraceEntry(k=0, step=0, event="accepted",
                             l0=l0_norm(best, ZERO_THRESHOLD), l1=l1_norm(best), phi_db=best_phi))
 
-    def accept(k: int, n: int, delta: np.ndarray, phi: float) -> None:
-        nonlocal best, best_phi
-        best, best_phi = delta, phi
+    def accept(k: int, n: int, delta: np.ndarray, delta_field, phi: float) -> None:
+        nonlocal best, field, best_phi
+        best, field, best_phi = delta, delta_field, phi
         required[:] = False
         non_required[(delta == 0) & ~omega] = True
         trace.append(TraceEntry(k=k, step=2, event="accepted", n_least=n,
@@ -140,10 +149,12 @@ def minimize_corrections(geometry: ArrayGeometry, original, scenario: FailureSce
             break
         non_required[n - 1] = True
         trial = make_trial(best, n)
-        trial_phi = phi_of(trial)
+        removed = best[n - 1]
+        trial_field = (field[0] - removed * a[:, n - 1], field[1] - removed)
+        trial_phi = peak_level_db(*trial_field)
         if trial_phi <= feasible_db:
             # Removal already holds; no re-solve needed.
-            accept(k, n, trial, trial_phi)
+            accept(k, n, trial, trial_field, trial_phi)
             continue
         try:
             solved = solve_constrained_l1(geometry, w_faulty, metric,
@@ -153,7 +164,8 @@ def minimize_corrections(geometry: ArrayGeometry, original, scenario: FailureSce
             required[n - 1] = True
             trace.append(TraceEntry(k=k, step=3, event="backtracked", n_least=n))
             continue
-        accept(k, n, solved, phi_of(solved))
+        solved_field = field_of(solved)
+        accept(k, n, solved, solved_field, peak_level_db(*solved_field))
 
     return CorrectionResult(
         delta=best,

@@ -237,8 +237,9 @@ def _power_db(power_ratio: np.ndarray) -> np.ndarray:
     out[positive] *= 10.0
     return np.maximum(out, DB_FLOOR)
 
-def _broadside_power(geometry: ArrayGeometry, w: np.ndarray) -> float:
-    p0 = abs(np.sum(w)) ** 2
+def _broadside_power(f0) -> float:
+    """|F(0)|^2 of the broadside field F(0) = sum of the excitations."""
+    p0 = abs(f0) ** 2
     if p0 == 0.0:
         raise DegenerateBroadsideError("pattern is zero at broadside")
     return p0
@@ -250,7 +251,7 @@ def _patterns_db(geometry: ArrayGeometry, weight_sets, u) -> list[np.ndarray]:
     samples, building each block of the steering matrix once for all of them.
     """
     ws = [as_weights(w, geometry.n) for w in weight_sets]
-    p0 = [_broadside_power(geometry, w) for w in ws]
+    p0 = [_broadside_power(np.sum(w)) for w in ws]
     u = np.atleast_1d(np.asarray(u, dtype=float))
     fields = [np.empty(u.size, dtype=complex) for _ in ws]
     if u.size <= _PATTERN_BLOCK or (not u.flags.writeable and u.flags.owndata):
@@ -275,6 +276,15 @@ def sll_db(geometry: ArrayGeometry, weights, u: float) -> float:
     return float(pattern_db(geometry, weights, [float(u)])[0])
 
 
+def peak_level_db(field: np.ndarray, f0) -> float:
+    """
+    Largest level of a sampled field relative to its broadside field F(0),
+    in dB: max |F|^2 / |F(0)|^2, converted alone. Raises
+    DegenerateBroadsideError when F(0) is zero.
+    """
+    return float(_power_db(np.max(np.abs(field) ** 2) / _broadside_power(f0)))
+
+
 def max_sll(geometry: ArrayGeometry, weights, region: AngularRegion) -> float:
     """
     Maximum sidelobe level over the region samples, in dB: the largest power
@@ -284,9 +294,7 @@ def max_sll(geometry: ArrayGeometry, weights, region: AngularRegion) -> float:
     if region.size == 0:
         raise ValueError("region must be non-empty")
     w = as_weights(weights, geometry.n)
-    p0 = _broadside_power(geometry, w)
-    power = np.abs(steering_matrix(geometry, region.samples) @ w) ** 2
-    return float(_power_db(np.max(power) / p0))
+    return peak_level_db(steering_matrix(geometry, region.samples) @ w, np.sum(w))
 
 
 def evaluate_metric(metric: MetricSpec, geometry: ArrayGeometry, weights) -> float:

@@ -14,9 +14,13 @@ from arraymend import (
     InfeasibleError,
     MetricSpec,
     apply_failures,
+    evaluate_metric,
+    exhaustive_min,
     minimize_corrections,
     uniform_positions,
 )
+from arraymend.bench import ScenarioSpec, resolve_scenario
+from arraymend import correction
 from arraymend.correction import least_important, make_trial
 from conftest import SCENARIO_DIR, check_trace_invariants
 
@@ -125,6 +129,52 @@ class TestTc1Loop:
         assert result.l1 == pytest.approx(1.31, abs=0.1)
         w_faulty = apply_failures(weights, scenario)
         check_trace_invariants(result, metric, geometry, scenario, w_faulty)
+
+
+@pytest.mark.parametrize("name", ["test_case_1", "fail_rate_n50_row1", "test_case_2_sll24"])
+def test_every_trial_level_is_the_metric_of_the_trial(name, monkeypatch):
+    # The loop updates the region field by one column per removal trial; the
+    # level it reads for each trial must be the metric of the trial itself.
+    res = resolve_scenario(ScenarioSpec.from_file(SCENARIO_DIR / f"{name}.json"))
+    w_faulty = apply_failures(res.weights, res.scenario)
+    make, level = correction.make_trial, correction.peak_level_db
+    pending, errors = [], []
+
+    def make_trial(delta, n):
+        pending.append(make(delta, n))
+        return pending[-1]
+
+    def peak_level_db(field, f0):
+        got = level(field, f0)
+        if pending:    # the level read right after a trial is made is the trial's
+            errors.append(got - evaluate_metric(res.metric, res.geometry, w_faulty + pending.pop()))
+        return got
+
+    monkeypatch.setattr(correction, "make_trial", make_trial)
+    monkeypatch.setattr(correction, "peak_level_db", peak_level_db)
+    result = minimize_corrections(res.geometry, res.weights, res.scenario, res.metric, res.config)
+    assert len(errors) == result.k_opt - 1          # every trial, none left unread
+    assert np.max(np.abs(errors)) <= 1e-9
+    assert result.achieved_phi_db == pytest.approx(
+        evaluate_metric(res.metric, res.geometry, w_faulty + result.delta), abs=1e-9)
+
+
+def test_loop_count_is_at_least_the_oracle_minimum_on_random_s179_0():
+    # The benchmark's oracle_certify instance random_s179_0 (seed 179,
+    # instance 0). Accepting a removal trial within constraint_tol_db of the
+    # target let the loop end at 3 corrections, {1, 13, 16}, at -16.5697 dB,
+    # though no support of up to 3 elements meets the target itself.
+    res = resolve_scenario(ScenarioSpec.from_dict({
+        "name": "random_s179_0", "n_elements": 16, "faulty_indices": [4],
+        "taper": {"dolph_chebyshev": {"sll_db": -16.753}},
+        "metric": {"kind": "max_sll", "target_db": -16.577, "region_density": 1001}}))
+    result = minimize_corrections(res.geometry, res.weights, res.scenario, res.metric, res.config)
+    oracle = exhaustive_min(res.geometry, res.weights, res.scenario, res.metric, res.config,
+                            max_support=3)
+    minimum = oracle.min_support if oracle.feasible else oracle.searched_up_to + 1
+    assert result.n_corrections >= minimum
+    check_trace_invariants(result, res.metric, res.geometry, res.scenario,
+                           apply_failures(res.weights, res.scenario), res.config)
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
