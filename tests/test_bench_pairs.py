@@ -43,6 +43,28 @@ def test_summary_of_one_pair_and_a_zero_median():
     assert got["change_lower_in"] == "0/1" and got["median_change"] is None
 
 
+def test_summary_reports_the_minima_and_a_change_beyond_the_parent_iqr():
+    # parent quartiles 0.9 / 2.0 / 4.0 (exclusive method), an IQR of 3.1:
+    # the change's median 0.5 lies 1.5 below the parent's, within that spread
+    within = bench_pairs.summarize([3.0, 1.0, 2.0, 5.0, 0.8], [0.4, 0.5, 2.0, 0.3, 1.0])
+    assert (within["parent"]["q1"], within["parent"]["q3"]) == (0.9, 4.0)
+    assert within["parent_min"] == 0.8 and within["change_min"] == 0.3
+    assert within["min_change"] == -0.625
+    assert within["median_change"] == -0.75
+    assert within["change_lower_in"] == "3/5"
+    assert within["beyond_parent_iqr"] is False
+
+    beyond = bench_pairs.summarize([2.0, 2.1, 1.9, 2.0], [1.0, 1.1, 0.9, 1.0])
+    assert beyond["parent_min"] == 1.9 and beyond["change_min"] == 0.9
+    assert beyond["beyond_parent_iqr"] is True and beyond["change_lower_in"] == "4/4"
+
+
+def test_summary_of_equal_sides_is_not_beyond_the_parent_iqr():
+    got = bench_pairs.summarize([0.0, 0.0], [0.0, 0.0])
+    assert got["min_change"] is None and got["median_change"] is None
+    assert got["beyond_parent_iqr"] is False
+
+
 def test_summary_rejects_unpaired_runs():
     with pytest.raises(ValueError):
         bench_pairs.summarize([1.0, 2.0], [1.0])

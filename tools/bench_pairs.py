@@ -17,7 +17,10 @@ BENCH_<tag>.json at the root of this checkout: for each workload the
 attempted and failed operations summed over the runs, and for each
 end-to-end metric each side's runs with their quartiles, the pairs in which
 the change read lower, and the relative change of the medians (the schema of
-the earlier BENCH_*.json files). A run that exits non-zero, such as one whose
+the earlier BENCH_*.json files), then each side's minimum, the relative
+change of the minima, and whether the medians differ by more than the
+parent's interquartile range (`beyond_parent_iqr`). A reading that is not
+beyond it cannot be told from run-to-run spread. A run that exits non-zero, such as one whose
 workload check stops it, is listed under its workload's "stopped" with its
 exit code and the tail of its stderr; its pair is left out of the metrics,
 the remaining pairs are still measured, the file is still written, and the
@@ -45,6 +48,9 @@ def summarize(parent: list, change: list) -> dict:
     quartiles and median (statistics.quantiles' default exclusive method),
     the pairs in which the change read lower, as "k/n", and the change of the
     medians relative to the parent's, to 4 decimals (None when that is 0).
+    Beside those: each side's minimum, the change of the minima relative to
+    the parent's (likewise), and beyond_parent_iqr, whether the medians
+    differ by more than the parent's q3 - q1.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of parent and change runs")
@@ -53,11 +59,16 @@ def summarize(parent: list, change: list) -> dict:
         q1, median, q3 = statistics.quantiles(runs, n=4) if len(runs) > 1 else [runs[0]] * 3
         return {"q1": q1, "median": median, "q3": q3, "runs": list(runs)}
 
+    def relative(new, base):
+        return round((new - base) / base, 4) if base else None
+
     p, c = side(parent), side(change)
     lower = sum(b < a for a, b in zip(parent, change))
-    base = p["median"]
     return {"parent": p, "change": c, "change_lower_in": f"{lower}/{len(parent)}",
-            "median_change": round((c["median"] - base) / base, 4) if base else None}
+            "median_change": relative(c["median"], p["median"]),
+            "parent_min": min(parent), "change_min": min(change),
+            "min_change": relative(min(change), min(parent)),
+            "beyond_parent_iqr": abs(c["median"] - p["median"]) > p["q3"] - p["q1"]}
 
 
 def workload_summary(pairs: list) -> dict:
