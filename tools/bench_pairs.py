@@ -20,12 +20,12 @@ the change read lower, and the relative change of the medians (the schema of
 the earlier BENCH_*.json files), then each side's minimum, the relative
 change of the minima, and whether the medians differ by more than the
 parent's interquartile range (`beyond_parent_iqr`). A reading that is not
-beyond it cannot be told from run-to-run spread. A run that exits non-zero, such as one whose
-workload check stops it, is listed under its workload's "stopped" with its
-exit code and the tail of its stderr; its pair is left out of the metrics,
-the remaining pairs are still measured, the file is still written, and the
-script exits 1. --what and --claim fill in the file's description of the
-change and of what it claims.
+beyond it cannot be told from run-to-run spread. A run that exits
+non-zero, such as one whose workload check stops it, is listed under its
+workload's "stopped" with its exit code and the tail of its stderr; its
+pair is left out of the metrics, the remaining pairs are still measured,
+the file is still written, and the script exits 1. --what and --claim fill
+in the file's description of the change and of what it claims.
 """
 
 from __future__ import annotations
