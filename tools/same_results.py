@@ -9,7 +9,9 @@ one BLAS thread, pinned before numpy loads, because the thread count changes
 results. Both run `minimize_corrections` on every catalog scenario under
 scenarios/ (read from this checkout), on the batch's unreachable row
 (`BATCH_UNREACHABLE` of benchmark/bench_workloads.py: test_case_2_sll22 at
--30 dB), and the test_case_1 oracle up to support 3. The script compares each
+-30 dB), on test_case_1 and fail_rate_n50_row1 with their tapers times
+e^{0.3j} (items complex:<name>: no catalog scenario reaches the cone program
+over (Re z, Im z), and these do), and the test_case_1 oracle up to support 3. The script compares each
 correction vector exactly, plus the correction count, l1, k_opt, the
 removal trace and the removal loop's backtracks tallied by the certified
 flag of the InfeasibleError behind each (a proof, as against a ray or a
@@ -35,8 +37,9 @@ under each item that differs, or whose reported counts moved, a second
 line gives parent -> change for the correction count, k_opt, the
 backtrack, verdict, iteration, round and certificate tallies and the
 oracle's support, solve and proven-rejection counts, and the relative
-change of l1. Two lines sum those counts, parent -> change: one over the
-correction items, one over the generated instances.
+change of l1. Three lines sum those counts, parent -> change: one over the
+real correction items, one over the complex ones and one over the generated
+instances.
 
 Each tree then runs the runners and writes their files: `run_scenario` on
 toy and test_case_1, `run_oracle` on toy up to support 2, `tradeoff_sweep`
@@ -63,6 +66,8 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 ORACLE_PROBLEM = "test_case_1"
 ORACLE_MAX_SUPPORT = 3
 INSTANCE_SEEDS = range(1, 11)                         # of the benchmark's instance generator
+COMPLEX = ("test_case_1", "fail_rate_n50_row1")       # run again with their tapers times e^{j PHASE}
+PHASE = 0.3
 RUN_PROBLEMS = ("toy", "test_case_1")
 RUNNER_ORACLE = ("toy", 2)                            # problem, largest support
 SWEEP = ("fail_rate_n50_row1", (-20.0, -22.0, -40.0))  # problem, targets loosest first
@@ -126,7 +131,7 @@ def runner_files(bw, unreachable: dict) -> dict:
 def collect() -> dict:
     """Results of every item and written file in this interpreter, as exact JSON values."""
     sys.path.insert(0, str(ROOT / "benchmark"))
-    from dataclasses import asdict
+    from dataclasses import asdict, replace
 
     import bench_workloads as bw
     from arraymend import correction, solver
@@ -141,6 +146,9 @@ def collect() -> dict:
     problems = {p.stem: resolved(p.stem) for p in sorted((ROOT / "scenarios").glob("*.json"))}
     problems[bw.BATCH_UNREACHABLE] = bw.am_bench.resolve_scenario(
         bw.am_bench.ScenarioSpec.from_dict(unreachable))
+    for name in COMPLEX:
+        res = problems[name]
+        problems[f"complex:{name}"] = replace(res, weights=res.weights * np.exp(1j * PHASE))
 
     raised = []  # certified flags of the InfeasibleErrors that the removal loop's solves raise
     solve = correction.solve_constrained_l1
@@ -244,7 +252,7 @@ def moved(a: dict, b: dict) -> str:
 
 
 def totals(items: dict, kind: str = "") -> dict:
-    """Each MOVED count summed over the correction items (kind "") or the generated instances ("instance")."""
+    """Each MOVED count summed over the items of one kind: "" (real corrections), "complex" or "instance"."""
     rows = [v for k, v in items.items() if k.rpartition(":")[0] == kind]
     return {k: sum(r.get(k, 0) for r in rows) for k in MOVED if any(k in r for r in rows)}
 
@@ -280,7 +288,7 @@ def main(argv) -> int:
         if diff or any(a.get(k) != b.get(k) for k in MOVED):
             print(f"{'':28s} {moved(a, b)}")
     print(f"{bad} of {len(names)} items differ")
-    for kind in ("", "instance"):
+    for kind in ("", "complex", "instance"):
         sums = [totals(parent, kind), totals(change, kind)]
         print(f"{kind or 'correction'} totals: " + ", ".join(f"{k} {sums[0].get(k)} -> {sums[1].get(k)}"
                                                             for k in MOVED if k in sums[0] or k in sums[1]))
