@@ -60,13 +60,11 @@ below mean the same whatever the weights' units. A solve takes four steps:
     proves only the restriction infeasible.
   - undecided: the solve stalled or reached its iteration cap; its point is
     its best iterate.
-  Each iteration builds one normal matrix G^T W^-2 G: a Hermitian Gram
-  A^H diag(alpha) A (a Toeplitz gather of a single matrix-vector product when
-  the elements sit on a lattice x_n = x_0 + n*d, a dense real product
-  otherwise) and one symmetric product B^T B accumulated over row blocks, or
-  for a real z two real products over [Re A; Im A] in their place,
-  rank-one terms, and each l1 cone's W^-2 (a 3x3 matrix per cone, held as a
-  (3, 3, f + m) array) with t eliminated. Its
+  Each iteration builds one normal matrix G^T W^-2 G: two real products
+  over one stacked real operator from the unknowns to (Re F, Im F)
+  (_Landscape.stacked; a complex program is the same real program over
+  (Re z, Im z)), rank-one terms, and each l1 cone's W^-2 (a 3x3 matrix per
+  cone, held as a (3, 3, f + m) array) with t eliminated. Its
   inverse serves three KKT solves per iteration (the tau column, the
   predictor and the corrector), each refined twice against the assembled
   normal matrix itself, not against the operator form (_newton_solver). The
@@ -126,8 +124,8 @@ below mean the same whatever the weights' units. A solve takes four steps:
   sample, or the solve raises NumericalFailureError.
 
 SolverConfig holds the one setting callers change, constraint_tol_db. The
-rest are module constants: _CERT_*, _IPM_*, _EXCHANGE_*, _SYRK_BLOCK,
-_LATTICE_ULPS and ZERO_THRESHOLD.
+rest are module constants: _CERT_*, _IPM_*, _EXCHANGE_*, _LATTICE_ULPS and
+ZERO_THRESHOLD.
 """
 
 from __future__ import annotations
@@ -146,7 +144,6 @@ _log = logging.getLogger(__name__)
 _CERT_MARGIN = 1e-6     # a certificate bounds the sidelobe power this far above the target
 _CERT_ITERATIONS = 200  # weight updates before the certificate search gives up
 _CERT_TREND = 10        # updates over which the search's progress is extrapolated
-_SYRK_BLOCK = 32768     # entries (samples x unknowns) per block of the normal matrix's B^T B
 _LATTICE_ULPS = 16     # relative position error, in ulps, that a lattice Gram or a mirrored region tolerates
 _IPM_GAP = 1e-8            # relative duality gap at which the cone IPM stops
 _IPM_RESIDUAL = 1e-8       # relative primal and dual residuals it must reach too
@@ -280,9 +277,18 @@ class _Landscape:
         return sub
 
     def stacked(self) -> np.ndarray:
-        """[Re A; Im A] as one real (2m, f) array, built on first use: A's products with a real z."""
+        """
+        A as one real operator from the unknowns to (Re Az, Im Az), built on
+        first use: [Re A; Im A], a (2m, f) array, for a real z, and
+        [Re A, -Im A; Im A, Re A], a (2m, 2f) array over (Re z, Im z), for a
+        complex one.
+        """
         if self._stacked is None:
-            self._stacked = np.concatenate([self.A.real, self.A.imag])
+            a = self.A
+            if self.real:
+                self._stacked = np.concatenate([a.real, a.imag])
+            else:
+                self._stacked = np.block([[a.real, -a.imag], [a.imag, a.real]])
         return self._stacked
 
     def fields(self, z: np.ndarray):
@@ -310,7 +316,10 @@ def _adjoint(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _gram(land: _Landscape, w: np.ndarray) -> np.ndarray:
-    """A^H diag(w) A for real w >= 0: a Toeplitz gather on a lattice, else a real syrk."""
+    """
+    A^H diag(w) A for real w >= 0, the certificate's Gram: a Toeplitz gather
+    of one matrix-vector product on a lattice, else a real syrk.
+    """
     if land.lags is not None:
         lag = (w * np.conj(land.full[:, 0])) @ land.full    # lags 0 .. N-1
         return np.concatenate([np.conj(lag[:0:-1]), lag])[land.lags]
@@ -603,23 +612,19 @@ def _lin(land: _Landscape, t: np.ndarray, z: np.ndarray) -> np.ndarray:
     out = np.empty((3, f + land.m))
     out[0, :f], out[1, :f], out[2, :f] = t, z.real, z.imag
     out[0, f:] = np.sqrt(land.tau) * np.add.reduce(z).real
-    if land.real:
-        out[1:, f:] = (land.stacked() @ z).reshape(2, land.m)
-    else:
-        az = land.A @ z
-        out[1, f:], out[2, f:] = az.real, az.imag
+    x = z if land.real else np.concatenate([z.real, z.imag])
+    out[1:, f:] = (land.stacked() @ x).reshape(2, land.m)
     return out
 
 
 def _lin_adjoint(land: _Landscape, y: np.ndarray):
     """(-G)^T y as (t part, z part packed as d/dRe + i d/dIm; d/dRe alone for a real z)."""
     f = land.cols.size
-    if land.real:       # Re(A^H y) = (Re A)^T y1 + (Im A)^T y2
-        field = land.stacked().T @ y[1:, f:].reshape(-1)
-        return y[0, :f], y[1, :f] + np.sqrt(land.tau) * np.add.reduce(y[0, f:]) + field
-    field = _adjoint(land.A, y[1, f:] + 1j * y[2, f:])
-    zpart = y[1, :f] + 1j * y[2, :f] + np.sqrt(land.tau) * np.add.reduce(y[0, f:])
-    return y[0, :f], zpart + field
+    field = land.stacked().T @ y[1:, f:].reshape(-1)    # (Re, Im) of A^H (y1 + i y2), Re alone for a real z
+    re = y[1, :f] + np.sqrt(land.tau) * np.add.reduce(y[0, f:]) + field[:f]
+    if land.real:
+        return y[0, :f], re
+    return y[0, :f], re + 1j * (y[2, :f] + field[f:])
 
 
 def _apply_weights(mm: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -629,62 +634,37 @@ def _apply_weights(mm: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _normal_matrix(land: _Landscape, mm: np.ndarray) -> np.ndarray:
     """
-    G^T W^-2 G over (Re z, Im z), t eliminated: the IPM's normal matrix.
+    G^T W^-2 G over (Re z, Im z), or Re z alone for a real z, t eliminated:
+    the IPM's normal matrix.
 
-    mm holds W^-2 of each cone (_Scaling.weights). A sample's cone contributes, with
-    alpha = (M11 + M22)/2, kappa = (M11 - M22)/2 - i M12 and
-    q = A^T (M01 - i M02), the Hermitian Gram P = A^H diag(alpha) A and the
-    symmetric S = A^T diag(kappa) A as [[Re P + Re S, -Im P - Im S],
-    [Im P - Im S, Re P - Re S]], plus sqrt(tau) (a0 b^T + b a0^T) with
-    a0 = (1, 0), b = (Re q, -Im q), plus tau sum(M00) a0 a0^T. P is a Toeplitz
-    gather on a lattice (_gram), and S is one symmetric rank-m product B^T B,
-    B = diag(sqrt(kappa)) A. The l1 cones' W^-2 couple each
-    (t_n, Re z_n, Im z_n) only; eliminating t_n leaves their Schur complements.
-    For a real z only the Re z block Re P + Re S is built, as real products
-    over the stacked [Re A; Im A] (_Landscape.stacked) in place of the
-    complex P and S; the l1 cones' third components stay 0, so they add
-    M11 - M10 M01 / M00 to its diagonal.
+    mm holds W^-2 of each cone (_Scaling.weights). With B = _Landscape.stacked,
+    whose rows map the unknowns to Re F(u) and then Im F(u), and M its
+    sample rows' W^-2, the sample cones give Br^T diag(M11) Br +
+    Bi^T diag(M22) Bi + C + C^T for C = Br^T diag(M12) Bi, plus
+    sqrt(tau) (a0 b^T + b a0^T) with b = Br^T M01 + Bi^T M02, plus
+    tau sum(M00) a0 a0^T, where a0 is 1 on Re z and 0 on Im z (the rows and
+    columns :f). The l1 cones' W^-2 couple each (t_n, Re z_n, Im z_n) only;
+    eliminating t_n leaves a 2x2 Schur complement on (Re z_n, Im z_n), of
+    which a real z keeps the Re z entry (the third components stay 0).
     """
     f = land.cols.size
     ml, mu = mm[:, :, :f], mm[:, :, f:]
-    i = np.arange(f)
-    if land.real:
-        # with A = Ar + i Ai: Re P + Re S = Ar^T diag(M11) Ar + Ai^T diag(M22) Ai
-        # + C + C^T for C = Ar^T diag(M12) Ai, and Re q = Ar^T M01 + Ai^T M02
-        ar, m = land.stacked(), land.m
-        v = ar * np.sqrt(mu[1:, 1:].diagonal().T.reshape(-1))[:, None]
-        h = v.T @ v                      # a symmetric product (syrk)
-        c = ar[:m].T @ (mu[1, 2][:, None] * ar[m:])
-        h += c
-        h += c.T
-        h += land.tau * np.add.reduce(mu[0, 0])
-        bq = np.sqrt(land.tau) * (mu[0, 1:].reshape(-1) @ ar)
-        h += bq
-        h += bq[:, None]
-        h[i, i] += ml[1, 1] - ml[1, 0] * ml[0, 1] / ml[0, 0]
-        return h
-    p = _gram(land, 0.5 * (mu[1, 1] + mu[2, 2]))
-    root = np.sqrt(0.5 * (mu[1, 1] - mu[2, 2]) - 1j * mu[1, 2])
-    sym = np.zeros((f, f), dtype=complex)
-    step = max(1, _SYRK_BLOCK // f)
-    for r in range(0, land.m, step):     # row blocks keep the temporary small
-        b = land.A[r:r + step] * root[r:r + step, None]
-        sym += b.T @ b                   # a symmetric product (syrk)
-    q = land.A.T @ (mu[0, 1] - 1j * mu[0, 2])
-    h = np.empty((2 * f, 2 * f))
-    h[:f, :f] = p.real + sym.real
-    h[:f, f:] = -p.imag - sym.imag
-    h[f:, :f] = p.imag - sym.imag
-    h[f:, f:] = p.real - sym.real
-    bq = np.sqrt(land.tau) * np.concatenate([q.real, -q.imag])
+    b, m = land.stacked(), land.m
+    v = b * np.sqrt(mu[1:, 1:].diagonal().T.reshape(-1))[:, None]
+    h = v.T @ v                          # a symmetric product (syrk)
+    c = b[:m].T @ (mu[1, 2][:, None] * b[m:])
+    h += c
+    h += c.T
+    h[:f, :f] += land.tau * np.add.reduce(mu[0, 0])
+    bq = np.sqrt(land.tau) * (mu[0, 1:].reshape(-1) @ b)
     h[:f] += bq
     h[:, :f] += bq[:, None]
-    h[:f, :f] += land.tau * np.add.reduce(mu[0, 0])
     schur = ml[1:, 1:] - ml[1:, :1] * ml[:1, 1:] / ml[0, 0]
-    h[i, i] += schur[0, 0]
-    h[i, f + i] += schur[0, 1]
-    h[f + i, i] += schur[1, 0]
-    h[f + i, f + i] += schur[1, 1]
+    i = np.arange(f)
+    k = h.shape[0] // f                 # 1 for a real z, 2 over (Re z, Im z)
+    for r in range(k):
+        for s in range(k):
+            h[r * f + i, s * f + i] += schur[r, s]
     return h
 
 

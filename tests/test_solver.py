@@ -277,6 +277,10 @@ def _random_weights(land):
     return _Scaling(_cone_points(k, 1), _cone_points(k, 2)).weights()
 
 
+def _assert_close(got, ref):
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def _dense_system(land, mm):
     """An explicit G over x = (t, Re z, Im z), with -G x = _lin, and blockdiag(mm)."""
     f, m = land.A.shape[1], land.m
@@ -326,6 +330,22 @@ class TestKernels:
                 ref = (g.conj().T * weights) @ g
                 assert np.max(np.abs(_weighted_gram(form, lam) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    def test_stacked_operator_is_a_over_re_and_im(self, name):
+        # stacked() is A as a real operator: over (Re z, Im z) on a complex
+        # landscape, over Re z alone on half(); its transpose maps (y1, y2) to
+        # (Re, Im) of A^H (y1 + i y2), or to the Re part alone.
+        land, z = _landscape(PROBLEMS[name](), 3.0)
+        rng = np.random.default_rng(11)
+        for sub, x in ((land, z), (land.half(), z.real)):
+            b, a, m, f = sub.stacked(), sub.A, sub.m, z.size
+            assert b.shape == (2 * m, f if sub.real else 2 * f)
+            ax = a @ x
+            unknowns = x if sub.real else np.concatenate([x.real, x.imag])
+            _assert_close(b @ unknowns, np.concatenate([ax.real, ax.imag]))
+            y = rng.standard_normal(2 * m)
+            ahy = a.conj().T @ (y[:m] + 1j * y[m:])
+            _assert_close(b.T @ y, ahy.real if sub.real else np.concatenate([ahy.real, ahy.imag]))
+
     # Each IPM step solves a Newton system with the Hessian G^T W^-2 G of the
     # quadratic x^T G^T W^-2 G x / 2 (the normal matrix, t eliminated). The
     # step refines against the assembled normal matrix; its gradient in
@@ -344,7 +364,7 @@ class TestKernels:
 
     def test_stage_hessian_matches_reference(self, name):
         land, _ = _landscape(PROBLEMS[name](), 3.0)
-        assert (land.lags is not None) == ON_LATTICE[name]    # Toeplitz gather or dense syrk
+        assert (land.lags is not None) == ON_LATTICE[name]    # on a lattice or not, as named
         mm = _random_weights(land)
         h = _normal_matrix(land, mm)
         ref = _dense_normal_matrix(land, mm)
