@@ -55,11 +55,26 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+_REAL = (int, float, np.integer, np.floating)
+
+
+def _is_number(value, kinds=_REAL) -> bool:
+    """Whether value is one of kinds and not a bool (a string or a list never is)."""
+    return not isinstance(value, bool) and isinstance(value, kinds)
+
+
 def _real(value, name: str) -> float:
     """value as a float, with a ValueError naming the field unless it is a real number (not a bool or a string)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+    if not _is_number(value):
         raise ValueError(f"scenario field {name} must be a real number, got {value!r}")
     return float(value)
+
+
+def _numbers(value, name: str, kinds=_REAL) -> list:
+    """value, with a ValueError naming the field unless it is a flat list of numbers of kinds (no bools)."""
+    if not isinstance(value, (list, tuple)) or not all(_is_number(v, kinds) for v in value):
+        raise ValueError(f"scenario field {name} must be a flat list of numbers, got {value!r}")
+    return list(value)
 
 
 def _file_name(value, name: str) -> str:
@@ -138,12 +153,12 @@ def _resolve_taper(spec: ScenarioSpec) -> tuple[np.ndarray, float | None]:
     taper = spec.taper
     design = taper.get("dolph_chebyshev") if isinstance(taper, dict) else None
     if isinstance(design, dict) and "sll_db" in design:
-        sll = _converted(float, design["sll_db"], "sll_db")
+        sll = _real(design["sll_db"], "sll_db")
         return dolph_chebyshev(spec.n_elements, sll), sll
     if isinstance(taper, dict) and "weights" in taper:
         taper = taper["weights"]
     if isinstance(taper, (list, tuple)):
-        w = np.asarray(taper, dtype=complex)
+        w = np.asarray(_numbers(taper, "taper", (*_REAL, complex, np.number)), dtype=complex)
         if w.size != spec.n_elements:
             raise ValueError("explicit taper length must equal n_elements")
         return w, None
@@ -174,6 +189,8 @@ def resolve_scenario(spec: ScenarioSpec, grid_density: int | None = None) -> Res
         bw_target = _real(bw_target, "bw_target_deg")
     if density is not None:
         density = _integer(density, "region_density")
+    if samples is not None:
+        samples = _numbers(samples, "region_samples")
     if metric:
         raise ValueError(f"unknown metric fields: {sorted(metric)}")
     if grid_density is not None:

@@ -88,6 +88,14 @@ MALFORMED = {
     "string_bw_target": (toy_metric(bw_target_deg="10"), "bw_target_deg"),
     "list_region_density": (toy_metric(region_density=[5]), "region_density"),
     "fractional_region_density": (toy_metric(region_density=801.7), "region_density"),
+    "string_taper_level": ({"taper": {"dolph_chebyshev": {"sll_db": "-20"}}}, "sll_db"),
+    "string_region_samples": (toy_metric(region_samples=["0.5", "0.7"]), "region_samples"),
+    "boolean_region_samples": (toy_metric(region_samples=True), "region_samples"),
+    "scalar_region_samples": (toy_metric(region_samples=0.6), "region_samples"),
+    "nested_region_samples": (toy_metric(region_samples=[[0.5, 0.7], [0.8, 0.9]]), "region_samples"),
+    "string_taper_weights": ({"taper": ["1", "0.5", "0.5", "1"]}, "taper"),
+    "boolean_taper_weights": ({"taper": [True, 1, 1, True]}, "taper"),
+    "nested_taper_weights": ({"taper": [[1.0, 0.5], [0.5, 1.0]]}, "taper"),
 }
 
 
