@@ -660,11 +660,9 @@ def _normal_matrix(land: _Landscape, mm: np.ndarray) -> np.ndarray:
     h[:f] += bq
     h[:, :f] += bq[:, None]
     schur = ml[1:, 1:] - ml[1:, :1] * ml[:1, 1:] / ml[0, 0]
-    i = np.arange(f)
-    k = h.shape[0] // f                 # 1 for a real z, 2 over (Re z, Im z)
-    for r in range(k):
-        for s in range(k):
-            h[r * f + i, s * f + i] += schur[r, s]
+    n = np.arange(h.shape[0]).reshape(-1, f)    # the Re z_n rows, then on a complex z the Im z_n rows
+    k = n.shape[0]
+    h[n[:, None], n] += schur[:k, :k]
     return h
 
 
