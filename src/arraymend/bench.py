@@ -40,41 +40,29 @@ from .solver import SolverConfig
 from .taper import apply_failures, dolph_chebyshev
 
 
-def _converted(kind, value, name: str):
-    """kind(value), with a ValueError naming the field when the value does not convert."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"scenario field {name} must be a {kind.__name__}, got {value!r}") from None
+_REAL = (int, float, np.integer, np.floating)
+
+
+def _checked(value, name: str, kinds, what: str):
+    """value, with a ValueError naming the field unless it is an instance of kinds (a bool never is)."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"scenario field {name} must be {what}, got {value!r}")
+    return value
+
+
+def _listed(value, name: str, kinds, what: str) -> list:
+    """value as a list, with a ValueError naming the field unless it is a flat list of instances of kinds."""
+    return [_checked(v, name, kinds, what) for v in _checked(value, name, (list, tuple), what)]
 
 
 def _integer(value, name: str) -> int:
     """value as an int, with a ValueError naming the field unless it is a Python or numpy integer."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"scenario field {name} must be an integer, got {value!r}")
-    return int(value)
-
-
-_REAL = (int, float, np.integer, np.floating)
-
-
-def _is_number(value, kinds=_REAL) -> bool:
-    """Whether value is one of kinds and not a bool (a string or a list never is)."""
-    return not isinstance(value, bool) and isinstance(value, kinds)
+    return int(_checked(value, name, (int, np.integer), "an integer"))
 
 
 def _real(value, name: str) -> float:
     """value as a float, with a ValueError naming the field unless it is a real number (not a bool or a string)."""
-    if not _is_number(value):
-        raise ValueError(f"scenario field {name} must be a real number, got {value!r}")
-    return float(value)
-
-
-def _numbers(value, name: str, kinds=_REAL) -> list:
-    """value, with a ValueError naming the field unless it is a flat list of numbers of kinds (no bools)."""
-    if not isinstance(value, (list, tuple)) or not all(_is_number(v, kinds) for v in value):
-        raise ValueError(f"scenario field {name} must be a flat list of numbers, got {value!r}")
-    return list(value)
+    return float(_checked(value, name, _REAL, "a real number"))
 
 
 def _file_name(value, name: str) -> str:
@@ -111,12 +99,12 @@ class ScenarioSpec:
         return cls(
             name=_file_name(data["name"], "name"),
             n_elements=_integer(data["n_elements"], "n_elements"),
-            faulty_indices=[_integer(i, "faulty_indices")
-                            for i in _converted(list, data["faulty_indices"], "faulty_indices")],
+            faulty_indices=[int(i) for i in _listed(data["faulty_indices"], "faulty_indices",
+                                                    (int, np.integer), "a list of integers")],
             taper=data["taper"],
-            metric=_converted(dict, data.get("metric", {}), "metric"),
+            metric=_checked(data.get("metric", {}), "metric", dict, "an object"),
             spacing_wavelengths=_real(data.get("spacing_wavelengths", 0.5), "spacing_wavelengths"),
-            solver=_converted(dict, data.get("solver", {}), "solver"),
+            solver=_checked(data.get("solver", {}), "solver", dict, "an object"),
         )
 
     @classmethod
@@ -158,7 +146,8 @@ def _resolve_taper(spec: ScenarioSpec) -> tuple[np.ndarray, float | None]:
     if isinstance(taper, dict) and "weights" in taper:
         taper = taper["weights"]
     if isinstance(taper, (list, tuple)):
-        w = np.asarray(_numbers(taper, "taper", (*_REAL, complex, np.number)), dtype=complex)
+        weights = _listed(taper, "taper", (int, float, complex, np.number), "a flat list of numbers")
+        w = np.asarray(weights, dtype=complex)
         if w.size != spec.n_elements:
             raise ValueError("explicit taper length must equal n_elements")
         return w, None
@@ -190,7 +179,7 @@ def resolve_scenario(spec: ScenarioSpec, grid_density: int | None = None) -> Res
     if density is not None:
         density = _integer(density, "region_density")
     if samples is not None:
-        samples = _numbers(samples, "region_samples")
+        samples = _listed(samples, "region_samples", _REAL, "a flat list of real numbers")
     if metric:
         raise ValueError(f"unknown metric fields: {sorted(metric)}")
     if grid_density is not None:

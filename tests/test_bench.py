@@ -96,6 +96,8 @@ MALFORMED = {
     "string_taper_weights": ({"taper": ["1", "0.5", "0.5", "1"]}, "taper"),
     "boolean_taper_weights": ({"taper": [True, 1, 1, True]}, "taper"),
     "nested_taper_weights": ({"taper": [[1.0, 0.5], [0.5, 1.0]]}, "taper"),
+    "pair_list_metric": ({"metric": [["target_db", -5.5]]}, "metric"),
+    "pair_list_solver": ({"solver": [["constraint_tol_db", 0.1]]}, "solver"),
 }
 
 
