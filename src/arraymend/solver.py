@@ -659,10 +659,10 @@ def _normal_matrix(land: _Landscape, mm: np.ndarray) -> np.ndarray:
     bq = np.sqrt(land.tau) * (mu[0, 1:].reshape(-1) @ b)
     h[:f] += bq
     h[:, :f] += bq[:, None]
-    schur = ml[1:, 1:] - ml[1:, :1] * ml[:1, 1:] / ml[0, 0]
-    n = np.arange(h.shape[0]).reshape(-1, f)    # the Re z_n rows, then on a complex z the Im z_n rows
-    k = n.shape[0]
-    h[n[:, None], n] += schur[:k, :k]
+    k = h.shape[0] // f                 # 1 for a real z, 2 over (Re z, Im z)
+    schur = ml[1:k + 1, 1:k + 1] - ml[1:k + 1, :1] * ml[:1, 1:k + 1] / ml[0, 0]
+    n = np.arange(k * f).reshape(k, f)  # the Re z_n rows, then the Im z_n rows
+    h[n[:, None], n] += schur
     return h
 
 
