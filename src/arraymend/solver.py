@@ -638,8 +638,8 @@ def _normal_matrix(land: _Landscape, mm: np.ndarray) -> np.ndarray:
     the IPM's normal matrix.
 
     mm holds W^-2 of each cone (_Scaling.weights). With B = _Landscape.stacked,
-    whose rows map the unknowns to Re F(u) and then Im F(u), and M its
-    sample rows' W^-2, the sample cones give Br^T diag(M11) Br +
+    whose rows map the unknowns to Re F(u) and then Im F(u), and M the
+    sample cones' W^-2, those cones give Br^T diag(M11) Br +
     Bi^T diag(M22) Bi + C + C^T for C = Br^T diag(M12) Bi, plus
     sqrt(tau) (a0 b^T + b a0^T) with b = Br^T M01 + Bi^T M02, plus
     tau sum(M00) a0 a0^T, where a0 is 1 on Re z and 0 on Im z (the rows and
