@@ -11,7 +11,6 @@ harness for validating the heuristic.
 from .correction import CorrectionResult, TraceEntry, minimize_corrections
 from .errors import (
     BudgetExceededError,
-    CorrectionMaskError,
     DegenerateBroadsideError,
     EmptyRegionError,
     InfeasibleError,
@@ -19,27 +18,23 @@ from .errors import (
     NumericalFailureError,
 )
 from .model import (
-    DB_FLOOR,
     AngularRegion,
     ArrayGeometry,
     FailureScenario,
     MetricSpec,
-    array_factor,
     beamwidth,
     dynamic_range,
     evaluate_metric,
-    hpbw,
     max_sll,
     pattern_db,
     sidelobe_region,
-    sll_db,
     steering_matrix,
     uniform_grid,
     uniform_positions,
 )
 from .oracle import OracleResult, exhaustive_min
 from .solver import SolverConfig, l0_norm, l1_norm, solve_constrained_l1
-from .taper import apply_failures, corrected_weights, dolph_chebyshev
+from .taper import apply_failures, dolph_chebyshev
 
 __version__ = "0.1.0"
 
@@ -47,9 +42,7 @@ __all__ = [
     "AngularRegion",
     "ArrayGeometry",
     "BudgetExceededError",
-    "CorrectionMaskError",
     "CorrectionResult",
-    "DB_FLOOR",
     "DegenerateBroadsideError",
     "EmptyRegionError",
     "FailureScenario",
@@ -61,21 +54,17 @@ __all__ = [
     "SolverConfig",
     "TraceEntry",
     "apply_failures",
-    "array_factor",
     "beamwidth",
-    "corrected_weights",
     "dolph_chebyshev",
     "dynamic_range",
     "evaluate_metric",
     "exhaustive_min",
-    "hpbw",
     "l0_norm",
     "l1_norm",
     "max_sll",
     "minimize_corrections",
     "pattern_db",
     "sidelobe_region",
-    "sll_db",
     "solve_constrained_l1",
     "steering_matrix",
     "uniform_grid",

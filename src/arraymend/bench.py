@@ -168,6 +168,8 @@ def resolve_scenario(spec: ScenarioSpec, grid_density: int | None = None) -> Res
 
     metric = dict(spec.metric)
     kind = metric.pop("kind", "max_sll")
+    if kind != "max_sll":
+        raise ValueError(f"scenario field kind must be \"max_sll\", got {kind!r}")
     target = metric.pop("target_db", None)
     bw_target = metric.pop("bw_target_deg", None)
     samples = metric.pop("region_samples", None)
@@ -211,7 +213,7 @@ def resolve_scenario(spec: ScenarioSpec, grid_density: int | None = None) -> Res
 
     return ResolvedScenario(
         spec=spec, geometry=geometry, weights=weights, scenario=scenario,
-        metric=MetricSpec(region=region, target_db=target, kind=kind),
+        metric=MetricSpec(region=region, target_db=target),
         config=config, bw_target_deg=bw_val,
     )
 

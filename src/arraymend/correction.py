@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
-from .model import ArrayGeometry, FailureScenario, MetricSpec, as_weights, peak_level_db, steering_matrix
-from .solver import _EXCHANGE_SLACK, ZERO_THRESHOLD, SolverConfig, l0_norm, l1_norm, solve_constrained_l1
+from .model import (ZERO_THRESHOLD, ArrayGeometry, FailureScenario, MetricSpec, as_weights, peak_level_db,
+                    steering_matrix)
+from .solver import _EXCHANGE_SLACK, SolverConfig, l0_norm, l1_norm, solve_constrained_l1
 from .taper import apply_failures
 
 
@@ -59,11 +60,11 @@ class CorrectionResult:
         return [int(i) + 1 for i in np.flatnonzero(self.delta != 0)]
 
 
-def least_important(delta, required, zero_threshold: float) -> int | None:
+def least_important(delta, required) -> int | None:
     """
     1-based position of the smallest correction still worth trying to drop.
 
-    Considers entries above the zero threshold that are not marked required;
+    Considers entries above ZERO_THRESHOLD that are not marked required;
     ties go to the lowest index. None means every remaining correction is
     required (or zero), which is the convergence signal.
     """
@@ -71,7 +72,7 @@ def least_important(delta, required, zero_threshold: float) -> int | None:
     req = np.asarray(required, dtype=bool)
     if req.shape != mag.shape:
         raise ValueError("required mask length must match the correction vector")
-    candidates = np.flatnonzero((mag > zero_threshold) & ~req)
+    candidates = np.flatnonzero((mag > ZERO_THRESHOLD) & ~req)
     if candidates.size == 0:
         return None
     return int(candidates[np.argmin(mag[candidates])]) + 1
@@ -125,7 +126,7 @@ def minimize_corrections(geometry: ArrayGeometry, original, scenario: FailureSce
     best_phi = peak_level_db(*field)
     non_required[(best == 0) & ~omega] = True
     trace.append(TraceEntry(k=0, step=0, event="accepted",
-                            l0=l0_norm(best, ZERO_THRESHOLD), l1=l1_norm(best), phi_db=best_phi))
+                            l0=l0_norm(best), l1=l1_norm(best), phi_db=best_phi))
 
     def accept(k: int, n: int, delta: np.ndarray, delta_field, phi: float) -> None:
         nonlocal best, field, best_phi
@@ -133,7 +134,7 @@ def minimize_corrections(geometry: ArrayGeometry, original, scenario: FailureSce
         required[:] = False
         non_required[(delta == 0) & ~omega] = True
         trace.append(TraceEntry(k=k, step=2, event="accepted", n_least=n,
-                                l0=l0_norm(delta, ZERO_THRESHOLD), l1=l1_norm(delta), phi_db=phi))
+                                l0=l0_norm(delta), l1=l1_norm(delta), phi_db=phi))
 
     k = 0
     hard_cap = 4 * geometry.n * geometry.n + 64
@@ -141,11 +142,10 @@ def minimize_corrections(geometry: ArrayGeometry, original, scenario: FailureSce
         k += 1
         if k > hard_cap:
             raise RuntimeError("removal loop exceeded its iteration guard")
-        n = least_important(best, required, ZERO_THRESHOLD)
+        n = least_important(best, required)
         if n is None:
             trace.append(TraceEntry(k=k, step=1, event="converged",
-                                    l0=l0_norm(best, ZERO_THRESHOLD), l1=l1_norm(best),
-                                    phi_db=best_phi))
+                                    l0=l0_norm(best), l1=l1_norm(best), phi_db=best_phi))
             break
         non_required[n - 1] = True
         trial = make_trial(best, n)
@@ -169,7 +169,7 @@ def minimize_corrections(geometry: ArrayGeometry, original, scenario: FailureSce
 
     return CorrectionResult(
         delta=best,
-        n_corrections=l0_norm(best, ZERO_THRESHOLD),
+        n_corrections=l0_norm(best),
         l1=l1_norm(best),
         achieved_phi_db=best_phi,
         k_opt=k,

@@ -39,7 +39,3 @@ class NoMainlobeError(ValueError):
 
 class EmptyRegionError(ValueError):
     """The requested mainlobe exclusion leaves no sidelobe samples."""
-
-
-class CorrectionMaskError(ValueError):
-    """A correction vector carries a nonzero entry at a forbidden element."""

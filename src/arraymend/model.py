@@ -3,8 +3,11 @@ Linear-array geometry, far-field evaluation, and pattern metrics.
 
 Positions are expressed in wavelengths, so the phase of element n seen
 from direction u = sin(theta) is 2*pi*x_n*u and no explicit wavenumber is
-carried around. All level metrics are power ratios in dB relative to
-broadside (u = 0).
+carried around; the far field over u samples is steering_matrix(g, u) @ w.
+All level metrics are power ratios in dB relative to broadside (u = 0):
+pattern_db over any samples, max_sll over a region, beamwidth at a dB
+threshold. ZERO_THRESHOLD, the magnitude at or below which an excitation or
+a correction entry counts as zero, is defined here for every module.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ DB_FLOOR = -300.0
 
 DEFAULT_GRID_DENSITY = 4001
 """Default number of uniform u samples over [-1, 1] for metric evaluation."""
+
+ZERO_THRESHOLD = 1e-12  # magnitudes at or below this count as zero: a dead element, an unchanged entry
 
 _PATTERN_BLOCK = 1024   # u samples per block when a pattern is evaluated over a grid
 _BEAM_WINDOW = 16       # grid samples on each side of broadside in beamwidth's first window
@@ -177,15 +182,12 @@ def sidelobe_region(bw_target_deg: float, grid_density: int = DEFAULT_GRID_DENSI
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """Pattern-quality functional and its target level in dB."""
+    """The maximum sidelobe level over a region of u samples, and its target in dB."""
 
     region: AngularRegion
     target_db: float
-    kind: str = "max_sll"
 
     def __post_init__(self):
-        if self.kind != "max_sll":
-            raise ValueError(f"unknown metric kind {self.kind!r}")
         if not np.isfinite(self.target_db):
             raise ValueError("metric target must be finite")
         if self.region.size == 0:
@@ -215,18 +217,6 @@ def steering_matrix(geometry: ArrayGeometry, u) -> np.ndarray:
     if not u.flags.writeable and u.flags.owndata:
         object.__setattr__(geometry, "_steering", (u, _readonly(a)))
     return a
-
-
-def array_factor(geometry: ArrayGeometry, weights, u):
-    """
-    Far-field array factor F(u) = sum_n w_n exp(j*2*pi*x_n*u).
-
-    u may be a scalar or an array; the result matches its shape.
-    """
-    w = as_weights(weights, geometry.n)
-    scalar = np.isscalar(u) or np.ndim(u) == 0
-    f = steering_matrix(geometry, u) @ w
-    return complex(f[0]) if scalar else f
 
 
 def _power_db(power_ratio: np.ndarray) -> np.ndarray:
@@ -271,11 +261,6 @@ def pattern_db(geometry: ArrayGeometry, weights, u) -> np.ndarray:
     return _patterns_db(geometry, [weights], u)[0]
 
 
-def sll_db(geometry: ArrayGeometry, weights, u: float) -> float:
-    """Sidelobe level at a single direction, dB relative to broadside power."""
-    return float(pattern_db(geometry, weights, [float(u)])[0])
-
-
 def peak_level_db(field: np.ndarray, f0) -> float:
     """
     Largest level of a sampled field relative to its broadside field F(0),
@@ -309,13 +294,13 @@ def _crossing(u0: float, u1: float, p0: float, p1: float, threshold: float) -> f
     return u0 + (u1 - u0) * (p0 - threshold) / (p0 - p1)
 
 
-def beamwidth(geometry: ArrayGeometry, weights, threshold_db: float, grid: np.ndarray | None = None) -> float:
+def beamwidth(geometry: ArrayGeometry, weights, threshold_db: float) -> float:
     """
     Width in degrees of the mainlobe interval where the pattern stays above
-    a dB threshold.
+    a dB threshold (at -3.01 dB, the half-power beamwidth).
 
     The contiguous interval around u = 0 with pattern >= threshold_db is
-    located on the grid; both boundaries are refined by linear interpolation
+    located on the default metric grid, uniform_grid(); both boundaries are refined by linear interpolation
     of the dB values, then converted through theta = asin(u). The pattern is
     evaluated on a window of the grid around broadside, _BEAM_WINDOW samples
     on each side and grown fourfold until it holds a sample below the
@@ -325,7 +310,7 @@ def beamwidth(geometry: ArrayGeometry, weights, threshold_db: float, grid: np.nd
     """
     if threshold_db >= 0:       # checked before the pattern is built
         raise ValueError("threshold must be negative dB")
-    u = uniform_grid() if grid is None else np.asarray(grid, dtype=float)
+    u = uniform_grid()
     center = int(np.argmin(np.abs(u)))
     reach = _BEAM_WINDOW
     while True:
@@ -358,21 +343,17 @@ def _mainlobe_width(u: np.ndarray, p: np.ndarray, threshold_db: float) -> float:
     return float(np.rad2deg(np.arcsin(hi) - np.arcsin(lo)))
 
 
-def hpbw(geometry: ArrayGeometry, weights, grid: np.ndarray | None = None) -> float:
-    """Half-power beamwidth in degrees (beamwidth at the -3.01 dB threshold)."""
-    return beamwidth(geometry, weights, -3.01, grid)
-
-
-def dynamic_range(weights, zero_threshold: float = 1e-12) -> float:
+def dynamic_range(weights) -> float:
     """
     Largest adjacent-element excitation magnitude ratio.
 
-    Pairs containing a dead (zero-magnitude) element are skipped, and each
+    Pairs containing a dead element (magnitude at or below ZERO_THRESHOLD)
+    are skipped, and each
     surviving pair contributes max(|a|/|b|, |b|/|a|), so the result is
     always >= 1. Arrays whose active elements are never adjacent report 1.
     """
     mag = np.abs(as_weights(weights))
-    active = mag > zero_threshold
+    active = mag > ZERO_THRESHOLD
     if int(active.sum()) < 2:
         raise ValueError("need at least 2 active elements")
     both = active[:-1] & active[1:]

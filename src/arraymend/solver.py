@@ -124,8 +124,8 @@ below mean the same whatever the weights' units. A solve takes four steps:
   sample, or the solve raises NumericalFailureError.
 
 SolverConfig holds the one setting callers change, constraint_tol_db. The
-rest are module constants: _CERT_*, _IPM_*, _EXCHANGE_*, _LATTICE_ULPS and
-ZERO_THRESHOLD.
+rest are module constants: _CERT_*, _IPM_*, _EXCHANGE_* and _LATTICE_ULPS,
+and model's ZERO_THRESHOLD.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, NumericalFailureError
-from .model import ArrayGeometry, MetricSpec, as_weights, steering_matrix
+from .model import ZERO_THRESHOLD, ArrayGeometry, MetricSpec, as_weights, steering_matrix
 
 _log = logging.getLogger(__name__)
 
@@ -158,7 +158,6 @@ _EXCHANGE_PEAK = 0.5       # a peak gets a window from this share of the start's
 _EXCHANGE_SLACK = 1e-7     # ratio above 1 that marks a sample outside the working set violated
 _EXCHANGE_ROUNDS = 8       # rounds after which the working set becomes the whole region
 _EXCHANGE_NEAR = 100       # an undecided round within this factor of the IPM's targets may end the loop
-ZERO_THRESHOLD = 1e-12  # correction magnitudes at or below this do not count as changes
 
 
 @dataclass(frozen=True)
@@ -178,11 +177,9 @@ def l1_norm(delta) -> float:
     return float(np.sum(np.abs(as_weights(delta))))
 
 
-def l0_norm(delta, zero_threshold: float) -> int:
-    """Number of correction entries with magnitude above the threshold."""
-    if zero_threshold < 0:
-        raise ValueError("zero_threshold must be non-negative")
-    return int(np.count_nonzero(np.abs(as_weights(delta)) > zero_threshold))
+def l0_norm(delta) -> int:
+    """Number of correction entries with magnitude above ZERO_THRESHOLD."""
+    return int(np.count_nonzero(np.abs(as_weights(delta)) > ZERO_THRESHOLD))
 
 
 def _lattice_lags(positions: np.ndarray, free: np.ndarray) -> np.ndarray | None:

@@ -1,10 +1,9 @@
-"""Reference excitations and failure/correction composition."""
+"""Reference excitations and failure masking."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import CorrectionMaskError
 from .model import FailureScenario, as_weights
 
 
@@ -56,19 +55,3 @@ def apply_failures(weights, scenario: FailureScenario) -> np.ndarray:
     out = w.copy()
     out[scenario.mask] = 0.0
     return out
-
-
-def corrected_weights(w_faulty, delta, scenario: FailureScenario) -> np.ndarray:
-    """
-    Faulty excitations plus a correction vector.
-
-    The correction must leave failed elements untouched; a nonzero entry at
-    a failed index raises CorrectionMaskError.
-    """
-    w = as_weights(w_faulty, scenario.n)
-    d = as_weights(delta, scenario.n)
-    bad = scenario.mask & (d != 0)
-    if np.any(bad):
-        where = [int(i) + 1 for i in np.flatnonzero(bad)]
-        raise CorrectionMaskError(f"correction touches failed element(s) {where}")
-    return w + d

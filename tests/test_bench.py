@@ -98,6 +98,7 @@ MALFORMED = {
     "nested_taper_weights": ({"taper": [[1.0, 0.5], [0.5, 1.0]]}, "taper"),
     "pair_list_metric": ({"metric": [["target_db", -5.5]]}, "metric"),
     "pair_list_solver": ({"solver": [["constraint_tol_db", 0.1]]}, "solver"),
+    "unknown_metric_kind": (toy_metric(kind="directivity"), "kind"),
 }
 
 
@@ -245,7 +246,7 @@ class TestRunScenario:
         lines = (tmp_path / "test_case_1_pattern.csv").read_text().splitlines()
         columns = dict(zip(lines[0].split(","), zip(*(line.split(",") for line in lines[1:]))))
         for key, w in weights.items():
-            assert record[f"bw_{key}_deg"] == beamwidth(res.geometry, w, res.metric.target_db, grid)
+            assert record[f"bw_{key}_deg"] == beamwidth(res.geometry, w, res.metric.target_db)
             assert list(columns[f"{key}_db"]) == [f"{v:.6g}" for v in pattern_db(res.geometry, w, grid)]
 
     def test_deterministic_records(self, tmp_path):

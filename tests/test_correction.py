@@ -29,20 +29,20 @@ INITIAL_SOLVE_REF = np.array([-0.438, 0.0, 0.593, -9.72e-6])
 
 class TestLeastImportant:
     def test_picks_smallest_nonzero(self):
-        assert least_important(INITIAL_SOLVE_REF, np.zeros(4, dtype=bool), 1e-12) == 4
+        assert least_important(INITIAL_SOLVE_REF, np.zeros(4, dtype=bool)) == 4
 
     def test_skips_required(self):
         delta = np.array([0.0, 0.0, 1.09, 0.0])
         required = np.array([False, False, True, False])
-        assert least_important(delta, required, 1e-12) is None
+        assert least_important(delta, required) is None
 
     def test_tie_goes_to_lowest_index(self):
         delta = np.array([0.5, 0.0, 0.5, 0.9])
-        assert least_important(delta, np.zeros(4, dtype=bool), 1e-12) == 1
+        assert least_important(delta, np.zeros(4, dtype=bool)) == 1
 
     def test_threshold_excludes_dust(self):
         delta = np.array([1e-13, 0.7, 0.0, 0.0])
-        assert least_important(delta, np.zeros(4, dtype=bool), 1e-12) == 2
+        assert least_important(delta, np.zeros(4, dtype=bool)) == 2
 
 
 class TestMakeTrial:

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from arraymend import (
-    CorrectionMaskError,
     FailureScenario,
     apply_failures,
     beamwidth,
-    corrected_weights,
     dolph_chebyshev,
     dynamic_range,
     max_sll,
@@ -73,26 +71,24 @@ class TestApplyFailures:
 
 
 class TestCorrectedWeights:
+    # The corrected excitations are apply_failures(w, scenario) + delta, as
+    # the runners compose them.
     def test_toy_composition(self):
         sc = FailureScenario.from_indices(4, [2])
-        w_faulty = np.array([1.0, 0.0, 0.419, 1.0])
         delta = np.array([0.0, 0.0, 1.09, 0.0])
-        assert np.allclose(corrected_weights(w_faulty, delta, sc).real, [1.0, 0.0, 1.509, 1.0])
+        corrected = apply_failures([1.0, 0.419, 0.419, 1.0], sc) + delta
+        assert np.allclose(corrected.real, [1.0, 0.0, 1.509, 1.0])
 
     def test_zero_delta(self):
         sc = FailureScenario.from_indices(4, [2])
         w_faulty = np.array([1.0, 0.0, 0.419, 1.0])
-        assert np.array_equal(corrected_weights(w_faulty, np.zeros(4), sc), w_faulty)
-
-    def test_rejects_masked_entry(self):
-        sc = FailureScenario.from_indices(4, [2])
-        with pytest.raises(CorrectionMaskError):
-            corrected_weights(np.array([1.0, 0, 0.419, 1.0]), np.array([0, 1e-3, 0, 0]), sc)
+        assert np.array_equal(apply_failures([1.0, 0.419, 0.419, 1.0], sc) + np.zeros(4), w_faulty)
 
     def test_restores_working_elements(self):
         w = dolph_chebyshev(9, -17.0)
         sc = FailureScenario.from_indices(9, [4, 7])
         w_faulty = apply_failures(w, sc)
         delta = np.where(sc.mask, 0.0, w - w_faulty)
-        restored = corrected_weights(w_faulty, delta, sc)
+        restored = w_faulty + delta
         assert np.allclose(restored[~sc.mask], w[~sc.mask])
+        assert np.all(restored[sc.mask] == 0)
