@@ -16,8 +16,9 @@ InfeasibleError carries its proof, a certificate's weights on the whole
 region's samples and the free mask they were proved for, so that a caller
 can test the same weights on other supports (proves). The problem is
 homogeneous in the excitations, and a solve runs in units of the power of two
-nearest their largest magnitude (an exact rescaling), so the absolute floors
-below mean the same whatever the weights' units. A solve takes four steps:
+nearest their largest magnitude times the phase of their broadside field
+(an exact rescaling and rotation; below), so the absolute floors below mean
+the same whatever the weights' units. A solve takes four steps:
 
 * the zero correction is returned when it meets the toleranced target; with
   no free element left, a miss is certified infeasible.
@@ -47,8 +48,15 @@ below mean the same whatever the weights' units. A solve takes four steps:
       minimize    sum_n t_n
       subject to  |dw_n| <= t_n,  |F(u)| <= sqrt(ratio) Re F(0).
 
-  As Re F(0) <= |F(0)|, this is a convex restriction of the problem above
-  (Lebret & Boyd also fix the phase of F(0), which only shrinks it). The
+  As Re F(0) <= |F(0)|, this is a convex restriction of the problem above.
+  It fixes the phase of F(0) at 0, as Lebret & Boyd do, where the problem
+  above is invariant under a global phase of the excitations. So the solve's
+  units carry the phase of the faulty F(0): the restriction is taken about
+  the faulty pattern's own phase, and a taper times e^(j theta) gets the
+  real taper's answer times e^(j theta), to rounding. A real F(0) keeps the
+  phase exactly 1, or -1 when it is negative, so a real taper stays real.
+  Proofs need no rotation: rotating the faulty fields and F(0) together
+  turns P(lam) - tau' conj(h) h^T into a congruent matrix. The
   embedding adds the scalars tau and kappa: it starts from the central point
   (x = 0, s = z = e, tau = kappa = 1), needs no feasible point, and ends
   with one of three verdicts.
@@ -943,6 +951,13 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
     # answers independent of the weights' units.
     peak = float(np.max(np.abs(w)))
     unit = 2.0 ** np.round(np.log2(peak)) if peak > 0.0 else 1.0
+    # The unit carries the faulty F(0)'s phase too, so the cone program's
+    # Re F(0) is |F(0)| at the start (the module docstring has the argument).
+    f0 = complex(np.sum(w))
+    if f0.imag != 0.0:
+        unit = unit * np.exp(1j * np.angle(f0))
+    elif f0.real < 0.0:
+        unit = -unit
     land = _Landscape(geometry, w / unit, metric, free)
 
     tol_ratio = 10.0 ** (cfg.constraint_tol_db / 10.0)

@@ -471,6 +471,26 @@ class TestCli:
         spec_path.write_text(json.dumps(data))
         assert cli_main(["run", str(spec_path), "--out", str(tmp_path)]) == 2
 
+    def test_negated_taper_runs_like_the_real_one(self, tmp_path):
+        # test_case_1 with its Dolph-Chebyshev weights negated, as an explicit
+        # taper with the same target and region: the problem is the same, so
+        # the run must give test_case_1's corrections, negated. A solve that
+        # fixed F(0)'s phase at 0 found no answer and exited 2.
+        real = resolve_scenario(load_spec("test_case_1"))
+        data = {**load_spec("test_case_1").to_dict(), "name": "negated",
+                "taper": (-real.weights.real).tolist(),
+                "metric": {"target_db": -15.0, "bw_target_deg": real.bw_target_deg}}
+        spec_path = tmp_path / "negated.json"
+        spec_path.write_text(json.dumps(data))
+        assert cli_main(["run", str(spec_path), "--out", str(tmp_path)]) == 0
+        run_scenario(load_spec("test_case_1"), tmp_path)
+        negated, record = (json.loads((tmp_path / f"{name}_result.json").read_text())
+                           for name in ("negated", "test_case_1"))
+        assert negated["n_corrections"] == record["n_corrections"] == 3
+        assert negated["corrected_elements"] == record["corrected_elements"]
+        assert negated["sll_corrected_db"] == record["sll_corrected_db"]
+        assert negated["l1"] == record["l1"]
+
     def test_error_exit_code(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "missing.json")]) == 1
 

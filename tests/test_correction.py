@@ -1,7 +1,9 @@
+import functools
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +159,33 @@ def test_every_trial_level_is_the_metric_of_the_trial(name, monkeypatch):
     assert np.max(np.abs(errors)) <= 1e-9
     assert result.achieved_phi_db == pytest.approx(
         evaluate_metric(res.metric, res.geometry, w_faulty + result.delta), abs=1e-9)
+
+
+@functools.cache
+def _real_run(name):
+    res = resolve_scenario(ScenarioSpec.from_file(SCENARIO_DIR / f"{name}.json"))
+    return res, minimize_corrections(res.geometry, res.weights, res.scenario, res.metric, res.config)
+
+
+@pytest.mark.parametrize("theta", [0.3, np.pi / 2, np.pi])
+@pytest.mark.parametrize("name", ["test_case_1", "fail_rate_n50_row1"])
+def test_a_global_phase_of_the_taper_rotates_the_answer(name, theta):
+    # |F(u)|^2 <= ratio |F(0)|^2 does not change when every excitation is
+    # multiplied by e^(j theta), so neither may the loop's answer: the same
+    # count and support, the same l1, and the correction times e^(j theta).
+    # A solve that fixes F(0)'s phase at 0 needed 5 corrections instead of 4
+    # on fail_rate_n50_row1 at 0.3, 12 and 45 instead of 3 and 4 at pi/2,
+    # and found no answer at pi.
+    res, real = _real_run(name)
+    rot = np.exp(1j * theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = minimize_corrections(res.geometry, res.weights * rot, res.scenario, res.metric, res.config)
+    assert result.n_corrections == real.n_corrections
+    assert result.corrected_elements == real.corrected_elements
+    assert result.l1 == pytest.approx(real.l1, rel=1e-9)
+    if theta != 0.3:    # a taper times e^(j pi / 2) or -1 runs the real taper's program
+        assert np.allclose(result.delta, real.delta * rot, rtol=0.0, atol=1e-12)
 
 
 def test_loop_count_is_at_least_the_oracle_minimum_on_random_s179_0():
