@@ -26,7 +26,7 @@ class NumericalFailureError(RuntimeError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration hit its configured solve budget before finishing."""
+    """An enumeration hit its budget of supports before finishing."""
 
 
 class DegenerateBroadsideError(ValueError):

@@ -28,7 +28,7 @@ from .model import (ArrayGeometry, FailureScenario, MetricSpec, as_weights, eval
 from .solver import SolverConfig, l0_norm, l1_norm, proves, solve_constrained_l1
 from .taper import apply_failures
 
-DEFAULT_SOLVE_CAP = 2_000_000
+DEFAULT_SUPPORT_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ class _ProofPool:
 def exhaustive_min(geometry: ArrayGeometry, original, scenario: FailureScenario,
                    metric: MetricSpec, config: SolverConfig | None = None,
                    max_support: int | None = None,
-                   max_solves: int = DEFAULT_SOLVE_CAP) -> OracleResult:
+                   max_supports: int = DEFAULT_SUPPORT_CAP) -> OracleResult:
     """
     Smallest support size whose best correction meets the metric target.
 
@@ -100,7 +100,7 @@ def exhaustive_min(geometry: ArrayGeometry, original, scenario: FailureScenario,
     by lexicographic order; the correction returned for the winner is the
     inner solver's and may differ between solver configurations). When no
     subset up to max_support is feasible the result reports that bound with
-    feasible=False. Raises BudgetExceededError when more than max_solves
+    feasible=False. Raises BudgetExceededError when more than max_supports
     subsets would be examined, whether solved or rejected by the pool.
     """
     t0 = time.perf_counter()
@@ -120,8 +120,8 @@ def exhaustive_min(geometry: ArrayGeometry, original, scenario: FailureScenario,
     for m in range(limit + 1):
         for subset in itertools.combinations(working, m):
             supports += 1
-            if supports > max_solves:
-                raise BudgetExceededError(f"oracle examined more than {max_solves} supports")
+            if supports > max_supports:
+                raise BudgetExceededError(f"oracle examined more than {max_supports} supports")
             if pool.rejects(subset) is not None:
                 certified += 1
                 continue

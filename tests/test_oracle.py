@@ -70,7 +70,7 @@ class TestExhaustiveMin:
         geometry, weights, scenario, metric = toy
         hopeless = MetricSpec(region=AngularRegion(np.array(TOY_REGION)), target_db=-100.0)
         with pytest.raises(BudgetExceededError):
-            exhaustive_min(geometry, weights, scenario, hopeless, max_support=3, max_solves=2)
+            exhaustive_min(geometry, weights, scenario, hopeless, max_support=3, max_supports=2)
 
     def test_rejects_bad_max_support(self, toy):
         geometry, weights, scenario, metric = toy
