@@ -300,13 +300,13 @@ def beamwidth(geometry: ArrayGeometry, weights, threshold_db: float) -> float:
     a dB threshold (at -3.01 dB, the half-power beamwidth).
 
     The contiguous interval around u = 0 with pattern >= threshold_db is
-    located on the default metric grid, uniform_grid(); both boundaries are refined by linear interpolation
-    of the dB values, then converted through theta = asin(u). The pattern is
-    evaluated on a window of the grid around broadside, _BEAM_WINDOW samples
-    on each side and grown fourfold until it holds a sample below the
-    threshold on each side of broadside or reaches the grid's ends. A
-    pattern row does not depend on the rows evaluated with it, so the width
-    is the one the whole grid's pattern gives.
+    located on the default metric grid, uniform_grid(); both boundaries are
+    refined by linear interpolation of the dB values, then converted through
+    theta = asin(u). The pattern is evaluated on a window of the grid around
+    broadside, _BEAM_WINDOW samples on each side and grown fourfold until it
+    holds a sample below the threshold on each side of broadside or reaches
+    the grid's ends. A pattern row does not depend on the rows evaluated
+    with it, so the width is the one the whole grid's pattern gives.
     """
     if threshold_db >= 0:       # checked before the pattern is built
         raise ValueError("threshold must be negative dB")
@@ -348,9 +348,9 @@ def dynamic_range(weights) -> float:
     Largest adjacent-element excitation magnitude ratio.
 
     Pairs containing a dead element (magnitude at or below ZERO_THRESHOLD)
-    are skipped, and each
-    surviving pair contributes max(|a|/|b|, |b|/|a|), so the result is
-    always >= 1. Arrays whose active elements are never adjacent report 1.
+    are skipped, and each surviving pair contributes max(|a|/|b|, |b|/|a|),
+    so the result is always >= 1. Arrays whose active elements are never
+    adjacent report 1.
     """
     mag = np.abs(as_weights(weights))
     active = mag > ZERO_THRESHOLD

@@ -53,10 +53,11 @@ the same whatever the weights' units. A solve takes four steps:
   above is invariant under a global phase of the excitations. So the solve's
   units carry the phase of the faulty F(0): the restriction is taken about
   the faulty pattern's own phase, and a taper times e^(j theta) gets the
-  real taper's answer times e^(j theta), to rounding. A real F(0) keeps the
-  phase exactly 1, or -1 when it is negative, so a real taper stays real.
-  Proofs need no rotation: rotating the faulty fields and F(0) together
-  turns P(lam) - tau' conj(h) h^T into a congruent matrix. The
+  real taper's answer times e^(j theta), within the solve's tolerances (on
+  test_case_1 at theta = 0.3, l1 within 1e-10 relative). A real F(0) keeps
+  the phase exactly 1, or -1 when it is negative, so a real taper stays
+  real. Proofs need no rotation: rotating the faulty fields and F(0)
+  together turns P(lam) - tau' conj(h) h^T into a congruent matrix. The
   embedding adds the scalars tau and kappa: it starts from the central point
   (x = 0, s = z = e, tau = kappa = 1), needs no feasible point, and ends
   with one of three verdicts.
