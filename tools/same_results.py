@@ -13,7 +13,9 @@ scenarios/ (read from this checkout), on the batch's unreachable row
 e^{0.3j} (items complex:<name>: no catalog scenario reaches the cone program
 over (Re z, Im z), and these do), on test_case_1 with its taper times -1
 (item negated:test_case_1: a real taper whose broadside field is negative),
-and the test_case_1 oracle up to support 3. The script compares each
+on test_case_1 and test_case_2_sll22 with their tapers times 2^-10 (items
+scaled:<name>: an answer must not depend on the excitations' units), and
+the test_case_1 oracle up to support 3. The script compares each
 correction vector exactly, plus the correction count, l1, k_opt, the
 removal trace and the removal loop's backtracks tallied by the certified
 flag of the InfeasibleError behind each (a proof, as against a ray or a
@@ -39,9 +41,9 @@ under each item that differs, or whose reported counts moved, a second
 line gives parent -> change for the correction count, k_opt, the
 backtrack, verdict, iteration, round and certificate tallies and the
 oracle's support, solve and proven-rejection counts, and the relative
-change of l1. Four lines sum those counts, parent -> change: one over the
-real correction items, one over the complex ones, one over the negated one
-and one over the generated instances.
+change of l1. Five lines sum those counts, parent -> change: one over the
+real correction items, one over the complex ones, one over the negated one,
+one over the scaled ones and one over the generated instances.
 
 Each tree then runs the runners and writes their files: `run_scenario` on
 toy and test_case_1, `run_oracle` on toy up to support 2, `tradeoff_sweep`
@@ -71,6 +73,8 @@ INSTANCE_SEEDS = range(1, 11)                         # of the benchmark's insta
 COMPLEX = ("test_case_1", "fail_rate_n50_row1")       # run again with their tapers times e^{j PHASE}
 PHASE = 0.3
 NEGATED = ("test_case_1",)                            # run again with their tapers times -1
+SCALED = ("test_case_1", "test_case_2_sll22")          # run again with their tapers times 2^SCALE
+SCALE = -10
 RUN_PROBLEMS = ("toy", "test_case_1")
 RUNNER_ORACLE = ("toy", 2)                            # problem, largest support
 SWEEP = ("fail_rate_n50_row1", (-20.0, -22.0, -40.0))  # problem, targets loosest first
@@ -154,6 +158,8 @@ def collect() -> dict:
         problems[f"complex:{name}"] = replace(res, weights=res.weights * np.exp(1j * PHASE))
     for name in NEGATED:
         problems[f"negated:{name}"] = replace(problems[name], weights=-problems[name].weights)
+    for name in SCALED:
+        problems[f"scaled:{name}"] = replace(problems[name], weights=problems[name].weights * 2.0 ** SCALE)
 
     raised = []  # certified flags of the InfeasibleErrors that the removal loop's solves raise
     solve = correction.solve_constrained_l1
@@ -257,7 +263,8 @@ def moved(a: dict, b: dict) -> str:
 
 
 def totals(items: dict, kind: str = "") -> dict:
-    """Each MOVED count summed over the items of one kind: "" (real corrections), "complex", "negated" or "instance"."""
+    """Each MOVED count summed over the items of one kind: "" (real corrections), "complex", "negated", "scaled"
+    or "instance"."""
     rows = [v for k, v in items.items() if k.rpartition(":")[0] == kind]
     return {k: sum(r.get(k, 0) for r in rows) for k in MOVED if any(k in r for r in rows)}
 
@@ -293,7 +300,7 @@ def main(argv) -> int:
         if diff or any(a.get(k) != b.get(k) for k in MOVED):
             print(f"{'':28s} {moved(a, b)}")
     print(f"{bad} of {len(names)} items differ")
-    for kind in ("", "complex", "negated", "instance"):
+    for kind in ("", "complex", "negated", "scaled", "instance"):
         sums = [totals(parent, kind), totals(change, kind)]
         print(f"{kind or 'correction'} totals: " + ", ".join(f"{k} {sums[0].get(k)} -> {sums[1].get(k)}"
                                                             for k in MOVED if k in sums[0] or k in sums[1]))
