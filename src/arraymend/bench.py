@@ -138,20 +138,25 @@ class ResolvedScenario:
 
 
 def _resolve_taper(spec: ScenarioSpec) -> tuple[np.ndarray, float | None]:
+    """
+    The taper's excitations, and its design sidelobe level when it is a
+    Dolph-Chebyshev design. A taper is either {"dolph_chebyshev": {"sll_db":
+    x}}, each object holding exactly that key, or a flat list of n_elements
+    numbers; anything else is a ValueError naming the taper.
+    """
     taper = spec.taper
-    design = taper.get("dolph_chebyshev") if isinstance(taper, dict) else None
-    if isinstance(design, dict) and "sll_db" in design:
-        sll = _real(design["sll_db"], "sll_db")
-        return dolph_chebyshev(spec.n_elements, sll), sll
-    if isinstance(taper, dict) and "weights" in taper:
-        taper = taper["weights"]
     if isinstance(taper, (list, tuple)):
         weights = _listed(taper, "taper", (int, float, complex, np.number), "a flat list of numbers")
         w = np.asarray(weights, dtype=complex)
         if w.size != spec.n_elements:
             raise ValueError("explicit taper length must equal n_elements")
         return w, None
-    raise ValueError("taper must be {'dolph_chebyshev': {'sll_db': ...}} or a weight list")
+    design = taper.get("dolph_chebyshev") if isinstance(taper, dict) and len(taper) == 1 else None
+    if not isinstance(design, dict) or set(design) != {"sll_db"}:
+        raise ValueError("scenario field taper must be {'dolph_chebyshev': {'sll_db': <number>}} "
+                         f"or a flat list of numbers, got {taper!r}")
+    sll = _real(design["sll_db"], "sll_db")
+    return dolph_chebyshev(spec.n_elements, sll), sll
 
 
 def default_bw_target(n_working: int, sll_db: float, spacing: float = 0.5) -> float:
@@ -398,14 +403,13 @@ def run_oracle(spec: ScenarioSpec, out_dir, max_support: int | None = None,
         "elapsed_s": result.elapsed_s,
     })
     if result.feasible:
-        w_corrected = apply_failures(res.weights, res.scenario) + result.delta
         record.update({
             "support": list(result.support),
             "min_support": result.min_support,
             "n_corrections": result.n_corrections,
             "l1": result.l1,
             "achieved_phi_db": result.achieved_phi_db,
-            "sll_corrected_db": max_sll(res.geometry, w_corrected, res.metric.region),
+            "sll_corrected_db": result.achieved_phi_db,
         })
     _write_json(out / f"{spec.name}_oracle.json", record)
     return record, result
@@ -478,11 +482,13 @@ def batch_run(spec_dir, out_dir, parallelism: int = 1,
     """
     Run every scenario file in a directory and write one summary table.
 
-    Scenarios run one at a time, in sorted file order, in the calling
-    thread. Scenario failures (parse errors, infeasible targets) become rows
-    in the summary rather than aborting the batch. A file whose scenario
-    name an earlier file in sorted order already uses is an error row naming
-    that file, and writes nothing. Rows follow the sorted file order.
+    One loop takes the files in sorted order, in the calling thread: it
+    parses a file, claims its scenario name, runs it and appends its row.
+    Scenario failures (parse errors, invalid fields, infeasible targets)
+    become rows in the summary rather than aborting the batch; an infeasible
+    row is the diagnostic record that run_scenario wrote. A file whose
+    scenario name an earlier file in sorted order already claimed is an
+    error row naming that file, and writes nothing.
 
     parallelism is checked (ValueError below 1) but does not change how the
     batch runs. Two threads were slower than one: they hand the interpreter
@@ -496,34 +502,21 @@ def batch_run(spec_dir, out_dir, parallelism: int = 1,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    # each file with its scenario, or with the error that rules it out
-    jobs: list[tuple[Path, ScenarioSpec | Exception]] = []
+    records: list[dict] = []
     first: dict[str, Path] = {}             # the file that claimed each scenario name
     for path in sorted(spec_dir.glob("*.json")):
         try:
             spec = ScenarioSpec.from_file(path)
-        except Exception as err:  # parse problem: keep the batch going
-            jobs.append((path, err))
-            continue
-        owner = first.setdefault(spec.name, path)
-        if owner != path:
-            spec = ValueError(f"scenario name {spec.name!r} is already used by {owner.name}")
-        jobs.append((path, spec))
-
-    def one(job) -> dict:
-        path, spec = job
-        if isinstance(spec, Exception):
-            return {"name": path.stem, "status": f"error: {spec}"}
-        try:
-            return run_scenario(spec, out, grid_density)[0]
+            owner = first.setdefault(spec.name, path)
+            if owner != path:
+                raise ValueError(f"scenario name {spec.name!r} is already used by {owner.name}")
+            records.append(run_scenario(spec, out, grid_density)[0])
         except InfeasibleError:
             # run_scenario wrote the diagnostic record before raising.
             with open(out / f"{spec.name}_result.json", "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except Exception as err:  # validation problem: keep the batch going
-            return {"name": path.stem, "status": f"error: {err}"}
-
-    records = [one(job) for job in jobs]
+                records.append(json.load(fh))
+        except Exception as err:  # parse or validation problem: keep the batch going
+            records.append({"name": path.stem, "status": f"error: {err}"})
     rows = [[r.get(c) for c in _SUMMARY_COLUMNS] for r in records]
     _write_csv(out / "summary.csv", _SUMMARY_COLUMNS, rows)
     return records

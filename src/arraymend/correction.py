@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
-from .model import (ZERO_THRESHOLD, ArrayGeometry, FailureScenario, MetricSpec, as_weights, peak_level_db,
-                    steering_matrix)
+from .model import ArrayGeometry, FailureScenario, MetricSpec, as_weights, peak_level_db, steering_matrix
 from .solver import _EXCHANGE_SLACK, SolverConfig, l0_norm, l1_norm, solve_constrained_l1
 from .taper import apply_failures
 
@@ -64,15 +63,17 @@ def least_important(delta, required) -> int | None:
     """
     1-based position of the smallest correction still worth trying to drop.
 
-    Considers entries above ZERO_THRESHOLD that are not marked required;
-    ties go to the lowest index. None means every remaining correction is
-    required (or zero), which is the convergence signal.
+    Considers the nonzero entries that are not marked required: a solve
+    returns its zeros exactly, so every entry it left nonzero is a correction
+    the loop tries to drop. Ties go to the lowest index. None means every
+    remaining correction is required (or zero), which is the convergence
+    signal.
     """
     mag = np.abs(as_weights(delta))
     req = np.asarray(required, dtype=bool)
     if req.shape != mag.shape:
         raise ValueError("required mask length must match the correction vector")
-    candidates = np.flatnonzero((mag > ZERO_THRESHOLD) & ~req)
+    candidates = np.flatnonzero((mag != 0) & ~req)
     if candidates.size == 0:
         return None
     return int(candidates[np.argmin(mag[candidates])]) + 1
@@ -98,11 +99,9 @@ def minimize_corrections(geometry: ArrayGeometry, original, scenario: FailureSce
     target.
     """
     t0 = time.perf_counter()
-    cfg = config if config is not None else SolverConfig()
-    w = as_weights(original, geometry.n)
     if scenario.n != geometry.n:
         raise ValueError("scenario length must match the array size")
-    w_faulty = apply_failures(w, scenario)
+    w_faulty = apply_failures(original, scenario)
     omega = scenario.mask
 
     # The metric's region field F = A(w_faulty + delta) and broadside field
@@ -121,7 +120,7 @@ def minimize_corrections(geometry: ArrayGeometry, original, scenario: FailureSce
     non_required = np.zeros(geometry.n, dtype=bool)
     trace: list[TraceEntry] = []
 
-    best = solve_constrained_l1(geometry, w_faulty, metric, mask=omega, config=cfg)
+    best = solve_constrained_l1(geometry, w_faulty, metric, mask=omega, config=config)
     field = field_of(best)
     best_phi = peak_level_db(*field)
     non_required[(best == 0) & ~omega] = True
@@ -158,7 +157,7 @@ def minimize_corrections(geometry: ArrayGeometry, original, scenario: FailureSce
             continue
         try:
             solved = solve_constrained_l1(geometry, w_faulty, metric,
-                                          mask=omega | non_required, start=trial, config=cfg)
+                                          mask=omega | non_required, start=trial, config=config)
         except InfeasibleError:
             non_required[n - 1] = False
             required[n - 1] = True

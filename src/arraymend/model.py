@@ -6,8 +6,11 @@ from direction u = sin(theta) is 2*pi*x_n*u and no explicit wavenumber is
 carried around; the far field over u samples is steering_matrix(g, u) @ w.
 All level metrics are power ratios in dB relative to broadside (u = 0):
 pattern_db over any samples, max_sll over a region, beamwidth at a dB
-threshold. ZERO_THRESHOLD, the magnitude at or below which an excitation or
-a correction entry counts as zero, is defined here for every module.
+threshold. ZERO_THRESHOLD is a share of the largest magnitude: an excitation
+at or below it is dead for dynamic_range, and a solve returns a correction
+entry at or below it, in the solve's units (the power of two nearest the
+largest faulty excitation), as an exact zero. Nothing else applies it: a
+count of corrections counts the nonzero entries.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ DB_FLOOR = -300.0
 DEFAULT_GRID_DENSITY = 4001
 """Default number of uniform u samples over [-1, 1] for metric evaluation."""
 
-ZERO_THRESHOLD = 1e-12  # magnitudes at or below this count as zero: a dead element, an unchanged entry
+ZERO_THRESHOLD = 1e-12  # magnitudes at or below this share of the largest count as zero
 
 _PATTERN_BLOCK = 1024   # u samples per block when a pattern is evaluated over a grid
 _BEAM_WINDOW = 16       # grid samples on each side of broadside in beamwidth's first window
@@ -347,13 +350,14 @@ def dynamic_range(weights) -> float:
     """
     Largest adjacent-element excitation magnitude ratio.
 
-    Pairs containing a dead element (magnitude at or below ZERO_THRESHOLD)
-    are skipped, and each surviving pair contributes max(|a|/|b|, |b|/|a|),
-    so the result is always >= 1. Arrays whose active elements are never
-    adjacent report 1.
+    Pairs containing a dead element (magnitude at or below ZERO_THRESHOLD
+    times the largest magnitude, so the answer does not depend on the
+    excitations' units) are skipped, and each surviving pair contributes
+    max(|a|/|b|, |b|/|a|), so the result is always >= 1. Arrays whose active
+    elements are never adjacent report 1.
     """
     mag = np.abs(as_weights(weights))
-    active = mag > ZERO_THRESHOLD
+    active = mag > ZERO_THRESHOLD * np.max(mag)
     if int(active.sum()) < 2:
         raise ValueError("need at least 2 active elements")
     both = active[:-1] & active[1:]

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, InfeasibleError
-from .model import (ArrayGeometry, FailureScenario, MetricSpec, as_weights, evaluate_metric,
-                    steering_matrix)
+from .model import ArrayGeometry, FailureScenario, MetricSpec, evaluate_metric, steering_matrix
 from .solver import SolverConfig, l0_norm, l1_norm, proves, solve_constrained_l1
 from .taper import apply_failures
 
@@ -104,11 +103,9 @@ def exhaustive_min(geometry: ArrayGeometry, original, scenario: FailureScenario,
     subsets would be examined, whether solved or rejected by the pool.
     """
     t0 = time.perf_counter()
-    cfg = config if config is not None else SolverConfig()
-    w = as_weights(original, geometry.n)
     if scenario.n != geometry.n:
         raise ValueError("scenario length must match the array size")
-    w_faulty = apply_failures(w, scenario)
+    w_faulty = apply_failures(original, scenario)
     working = np.flatnonzero(scenario.admissible)
 
     limit = scenario.n_controllable if max_support is None else int(max_support)
@@ -129,7 +126,7 @@ def exhaustive_min(geometry: ArrayGeometry, original, scenario: FailureScenario,
             mask = np.ones(geometry.n, dtype=bool)
             mask[list(subset)] = False
             try:
-                delta = solve_constrained_l1(geometry, w_faulty, metric, mask=mask, config=cfg)
+                delta = solve_constrained_l1(geometry, w_faulty, metric, mask=mask, config=config)
             except InfeasibleError as err:
                 certified += err.certified
                 if err.weights is not None:

@@ -187,8 +187,12 @@ def l1_norm(delta) -> float:
 
 
 def l0_norm(delta) -> int:
-    """Number of correction entries with magnitude above ZERO_THRESHOLD."""
-    return int(np.count_nonzero(np.abs(as_weights(delta)) > ZERO_THRESHOLD))
+    """
+    Number of nonzero correction entries. A solve returns its zeros exactly,
+    so this counts the elements whose excitation a correction changes,
+    whatever the excitations' units.
+    """
+    return int(np.count_nonzero(as_weights(delta)))
 
 
 def _lattice_lags(positions: np.ndarray, free: np.ndarray) -> np.ndarray | None:

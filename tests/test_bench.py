@@ -96,6 +96,10 @@ MALFORMED = {
     "string_taper_weights": ({"taper": ["1", "0.5", "0.5", "1"]}, "taper"),
     "boolean_taper_weights": ({"taper": [True, 1, 1, True]}, "taper"),
     "nested_taper_weights": ({"taper": [[1.0, 0.5], [0.5, 1.0]]}, "taper"),
+    "unknown_taper_level_key": ({"taper": {"dolph_chebyshev": {"sll_db": -25.0, "sll_bd": -40.0}}}, "taper"),
+    "taper_design_beside_weights": ({"taper": {"dolph_chebyshev": {"sll_db": -25.0},
+                                               "weights": [1.0, 0.5, 0.5, 1.0]}}, "taper"),
+    "taper_weights_object": ({"taper": {"weights": [1.0, 0.419, 0.419, 1.0]}}, "taper"),
     "pair_list_metric": ({"metric": [["target_db", -5.5]]}, "metric"),
     "pair_list_solver": ({"solver": [["constraint_tol_db", 0.1]]}, "solver"),
     "unknown_metric_kind": (toy_metric(kind="directivity"), "kind"),
@@ -292,6 +296,7 @@ class TestRunOracle:
         assert result.min_support == 1
         assert record["support"] == [3]
         assert record["status"] == "ok"
+        assert record["sll_corrected_db"] == record["achieved_phi_db"]
         written = json.loads((tmp_path / "toy_oracle.json").read_text())
         assert written["n_supports"] == 3 and written["n_certified"] == 2  # (), (1,) rejected
 
@@ -458,6 +463,23 @@ class TestCli:
         assert code == 0
         assert "minimum support=1 elements=[3] (minimum proven)" in capsys.readouterr().out
 
+    def test_oracle_infeasible_up_to_support(self, tmp_path, capsys):
+        # the toy needs one correction, so no support of size 0 meets its target
+        code = cli_main(["oracle", str(SCENARIO_DIR / "toy.json"), "--max-support", "0",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().out == "toy: infeasible up to support 0\n"
+
+    def test_batch_prints_a_line_per_scenario(self, tmp_path, capsys):
+        spec_dir = tmp_path / "specs"
+        spec_dir.mkdir()
+        (spec_dir / "toy.json").write_text(json.dumps(toy_spec_dict()))
+        (spec_dir / "broken.json").write_text("{not json")
+        assert cli_main(["batch", str(spec_dir), "--out", str(tmp_path / "out")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("broken: error:") and lines[1] == "toy: ok"
+
     def test_scale_output(self, capsys):
         code = cli_main(["scale", "--base", "5,45", "--base-n", "50", "--factor", "2",
                          "--count", "4"])
@@ -545,6 +567,12 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "target -5:" in out and "target -5.5:" in out
+
+    def test_sweep_cli_prints_infeasible_targets(self, tmp_path, capsys):
+        code = cli_main(["sweep", str(SCENARIO_DIR / "toy.json"), "--targets=-5.5,-100",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1] == "target -100: infeasible"
 
 
 class TestDefaultBwTarget:

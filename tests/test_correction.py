@@ -41,9 +41,11 @@ class TestLeastImportant:
         delta = np.array([0.5, 0.0, 0.5, 0.9])
         assert least_important(delta, np.zeros(4, dtype=bool)) == 1
 
-    def test_threshold_excludes_dust(self):
-        delta = np.array([1e-13, 0.7, 0.0, 0.0])
-        assert least_important(delta, np.zeros(4, dtype=bool)) == 2
+    def test_exact_zeros_are_skipped_and_dust_is_a_candidate(self):
+        # A solve returns its zeros exactly, so any entry it left nonzero,
+        # however small in the excitations' units, is a correction to try.
+        assert least_important(np.array([1e-13, 0.7, 0.0, 0.0]), np.zeros(4, dtype=bool)) == 1
+        assert least_important(np.array([0.0, 0.7, 0.0, 0.0]), np.zeros(4, dtype=bool)) == 2
 
 
 class TestMakeTrial:
@@ -183,6 +185,25 @@ def test_a_global_phase_of_the_taper_rotates_the_answer(name, theta):
     assert result.l1 == pytest.approx(real.l1, rel=1e-9)
     if theta != 0.3:    # a taper times e^(j pi / 2) or -1 runs the real taper's program
         assert np.allclose(result.delta, real.delta * rot, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["test_case_1", "fail_rate_n50_row1", "test_case_2_sll22"])
+def test_the_answer_does_not_depend_on_the_excitations_units(name):
+    # A solve runs in units of the power of two nearest the largest faulty
+    # excitation, so a taper times 2^k gives the correction times 2^k bit for
+    # bit. The loop and the count read the solve's exact zeros: a second,
+    # absolute threshold left entries of a taper times 2^-10 in delta that
+    # were never tried and never counted (test_case_1: 3 corrections
+    # reported, 5 elements changed, k_opt 9 against 14).
+    res, real = _real_run(name)
+    for k in (-20, -10, 10):
+        scaled = minimize_corrections(res.geometry, res.weights * 2.0 ** k, res.scenario, res.metric,
+                                      res.config)
+        assert np.array_equal(scaled.delta, real.delta * 2.0 ** k)
+        assert scaled.k_opt == real.k_opt
+    scaled = minimize_corrections(res.geometry, res.weights * 1e-3, res.scenario, res.metric, res.config)
+    assert scaled.n_corrections == len(scaled.corrected_elements) == real.n_corrections
+    assert scaled.corrected_elements == real.corrected_elements
 
 
 def test_loop_count_is_at_least_the_oracle_minimum_on_random_s179_0():

@@ -252,6 +252,11 @@ class TestDynamicRange:
             w = rng.normal(size=9) + 1j * rng.normal(size=9)
             assert dynamic_range(w) >= 1.0
 
+    def test_does_not_depend_on_the_units(self):
+        # a dead element is one at or below ZERO_THRESHOLD of the largest
+        w = dolph_chebyshev(50, -25.0)
+        assert dynamic_range(w * 2.0 ** -60) == dynamic_range(w)
+
 
 class TestSidelobeRegion:
     def test_full_exclusion_rejected(self):
