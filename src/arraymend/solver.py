@@ -56,7 +56,10 @@ the same whatever the weights' units. A solve takes four steps:
   real taper's answer times e^(j theta), within the solve's tolerances (on
   test_case_1 at theta = 0.3, l1 within 1e-10 relative). A real F(0) keeps
   the phase exactly 1, or -1 when it is negative, so a real taper stays
-  real. Proofs need no rotation: rotating the faulty fields and F(0)
+  real. A rotated real taper keeps imaginary parts at rounding level; when
+  they are at most _LATTICE_ULPS ulps of the largest magnitude they are set
+  to 0, so it takes the real taper's program (the mirror reduction below)
+  and its steps. Proofs need no rotation: rotating the faulty fields and F(0)
   together turns P(lam) - tau' conj(h) h^T into a congruent matrix. The
   embedding adds the scalars tau and kappa: it starts from the central point
   (x = 0, s = z = e, tau = kappa = 1), needs no feasible point, and ends
@@ -963,7 +966,12 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
         unit = unit * np.exp(1j * np.angle(f0))
     elif f0.real < 0.0:
         unit = -unit
-    land = _Landscape(geometry, w / unit, metric, free)
+    w = w / unit
+    # A real taper times e^(j theta) keeps imaginary parts at rounding level
+    # after the rotation: it is taken as real, so the mirror reduction runs.
+    if np.max(np.abs(w.imag)) <= _LATTICE_ULPS * np.finfo(float).eps * np.max(np.abs(w)):
+        w.imag = 0.0
+    land = _Landscape(geometry, w, metric, free)
 
     tol_ratio = 10.0 ** (cfg.constraint_tol_db / 10.0)
     z = np.zeros(nfree, dtype=complex)
