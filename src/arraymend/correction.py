@@ -3,16 +3,18 @@ Backtracking reduction of a correction vector to a minimal set of element
 changes.
 
 Starting from the smallest-l1 correction over all controllable elements,
-the loop repeatedly guesses the least important remaining correction
-(smallest nonzero magnitude is expected to perturb the pattern least),
-removes it, and re-solves the l1 problem with that element frozen. When
-the removal cannot be repaired the guess is undone and the element is
-marked required; required marks are cleared after every successful
-removal, so an element is only final once no removable correction is left.
-Two bool vectors track the state: `non_required` for removals that held,
-`required` for removals that had to be restored. An element whose
-correction an accepted solve left at zero counts as removed too, so a
-re-solve never brings it back and the support never grows.
+the loop tries to remove the corrections of the current answer one at a
+time, smallest magnitude first (the smallest is expected to perturb the
+pattern least). A removal either holds as it is or is repaired by a
+re-solve of the l1 problem that freezes exactly the trial's zeros; the
+answer it gives starts the next round of trials. A removal that cannot be
+repaired is undone and the next correction is tried. The loop has
+converged when every correction of the answer was tried and undone.
+
+The answer is the loop's only state. Since a re-solve freezes every zero of
+its trial, a removed correction never comes back and the support never
+grows; and since an undone trial leaves the answer as it was, the next
+candidate is the next entry in the same order.
 """
 
 from __future__ import annotations
@@ -43,6 +45,14 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class CorrectionResult:
+    """
+    The last accepted correction of the removal loop, with its trace.
+
+    required is the final support: each of its elements was tried for
+    removal and restored since the last accepted removal. non_required marks
+    the working elements whose correction was removed (or never made).
+    """
+
     delta: np.ndarray
     n_corrections: int
     l1: float
@@ -59,24 +69,17 @@ class CorrectionResult:
         return [int(i) + 1 for i in np.flatnonzero(self.delta != 0)]
 
 
-def least_important(delta, required) -> int | None:
+def removal_order(delta) -> list[int]:
     """
-    1-based position of the smallest correction still worth trying to drop.
+    1-based positions of the nonzero corrections, smallest magnitude first.
 
-    Considers the nonzero entries that are not marked required: a solve
-    returns its zeros exactly, so every entry it left nonzero is a correction
-    the loop tries to drop. Ties go to the lowest index. None means every
-    remaining correction is required (or zero), which is the convergence
-    signal.
+    A solve returns its zeros exactly, so every entry it left nonzero is a
+    correction the loop tries to drop, and exact zeros are skipped. Ties go
+    to the lowest index. An empty list means there is nothing left to try.
     """
     mag = np.abs(as_weights(delta))
-    req = np.asarray(required, dtype=bool)
-    if req.shape != mag.shape:
-        raise ValueError("required mask length must match the correction vector")
-    candidates = np.flatnonzero((mag != 0) & ~req)
-    if candidates.size == 0:
-        return None
-    return int(candidates[np.argmin(mag[candidates])]) + 1
+    nonzero = np.flatnonzero(mag)
+    return [int(i) + 1 for i in nonzero[np.argsort(mag[nonzero], kind="stable")]]
 
 
 def make_trial(delta, n_least: int) -> np.ndarray:
@@ -116,55 +119,44 @@ def minimize_corrections(geometry: ArrayGeometry, original, scenario: FailureSce
     # The bound that every solve and certificate answers, within the
     # exchange's slack: a trial accepted without a re-solve meets it too.
     feasible_db = metric.target_db + 10.0 * np.log10(1.0 + _EXCHANGE_SLACK)
-    required = np.zeros(geometry.n, dtype=bool)
-    non_required = np.zeros(geometry.n, dtype=bool)
     trace: list[TraceEntry] = []
 
     best = solve_constrained_l1(geometry, w_faulty, metric, mask=omega, config=config)
     field = field_of(best)
     best_phi = peak_level_db(*field)
-    non_required[(best == 0) & ~omega] = True
     trace.append(TraceEntry(k=0, step=0, event="accepted",
                             l0=l0_norm(best), l1=l1_norm(best), phi_db=best_phi))
-
-    def accept(k: int, n: int, delta: np.ndarray, delta_field, phi: float) -> None:
-        nonlocal best, field, best_phi
-        best, field, best_phi = delta, delta_field, phi
-        required[:] = False
-        non_required[(delta == 0) & ~omega] = True
-        trace.append(TraceEntry(k=k, step=2, event="accepted", n_least=n,
-                                l0=l0_norm(delta), l1=l1_norm(delta), phi_db=phi))
 
     k = 0
     hard_cap = 4 * geometry.n * geometry.n + 64
     while True:
-        k += 1
-        if k > hard_cap:
-            raise RuntimeError("removal loop exceeded its iteration guard")
-        n = least_important(best, required)
-        if n is None:
-            trace.append(TraceEntry(k=k, step=1, event="converged",
+        for n in removal_order(best):
+            k += 1
+            if k > hard_cap:
+                raise RuntimeError("removal loop exceeded its iteration guard")
+            trial = make_trial(best, n)
+            removed = best[n - 1]
+            trial_field = (field[0] - removed * a[:, n - 1], field[1] - removed)
+            trial_phi = peak_level_db(*trial_field)
+            if trial_phi > feasible_db:
+                # The removal alone misses: re-solve with the trial's zeros frozen.
+                try:
+                    trial = solve_constrained_l1(geometry, w_faulty, metric,
+                                                 mask=trial == 0, start=trial, config=config)
+                except InfeasibleError:
+                    trace.append(TraceEntry(k=k, step=3, event="backtracked", n_least=n))
+                    continue
+                trial_field = field_of(trial)
+                trial_phi = peak_level_db(*trial_field)
+            best, field, best_phi = trial, trial_field, trial_phi
+            trace.append(TraceEntry(k=k, step=2, event="accepted", n_least=n,
                                     l0=l0_norm(best), l1=l1_norm(best), phi_db=best_phi))
             break
-        non_required[n - 1] = True
-        trial = make_trial(best, n)
-        removed = best[n - 1]
-        trial_field = (field[0] - removed * a[:, n - 1], field[1] - removed)
-        trial_phi = peak_level_db(*trial_field)
-        if trial_phi <= feasible_db:
-            # Removal already holds; no re-solve needed.
-            accept(k, n, trial, trial_field, trial_phi)
-            continue
-        try:
-            solved = solve_constrained_l1(geometry, w_faulty, metric,
-                                          mask=omega | non_required, start=trial, config=config)
-        except InfeasibleError:
-            non_required[n - 1] = False
-            required[n - 1] = True
-            trace.append(TraceEntry(k=k, step=3, event="backtracked", n_least=n))
-            continue
-        solved_field = field_of(solved)
-        accept(k, n, solved, solved_field, peak_level_db(*solved_field))
+        else:       # every correction was tried and restored
+            break
+    k += 1
+    trace.append(TraceEntry(k=k, step=1, event="converged",
+                            l0=l0_norm(best), l1=l1_norm(best), phi_db=best_phi))
 
     return CorrectionResult(
         delta=best,
@@ -172,8 +164,8 @@ def minimize_corrections(geometry: ArrayGeometry, original, scenario: FailureSce
         l1=l1_norm(best),
         achieved_phi_db=best_phi,
         k_opt=k,
-        required=required,
-        non_required=non_required,
+        required=best != 0,
+        non_required=(best == 0) & ~omega,
         trace=tuple(trace),
         elapsed_s=time.perf_counter() - t0,
     )

@@ -53,6 +53,8 @@ def check_trace_invariants(result, metric, geometry, scenario, w_faulty, config=
     assert np.all(result.delta[result.non_required] == 0)
     assert not np.any(result.required & result.non_required)
     assert not np.any(result.required[scenario.mask]) and not np.any(result.non_required[scenario.mask])
+    assert np.array_equal(result.required, result.delta != 0)
+    assert np.array_equal(result.non_required, (result.delta == 0) & ~scenario.mask)
 
     phi = evaluate_metric(metric, geometry, w_faulty + result.delta)
     assert phi <= feasible_db + 1e-9

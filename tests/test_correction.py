@@ -22,30 +22,27 @@ from arraymend import (
 )
 from arraymend.bench import ScenarioSpec, resolve_scenario
 from arraymend import correction
-from arraymend.correction import least_important, make_trial
+from arraymend.correction import make_trial, removal_order
 from conftest import SCENARIO_DIR, check_trace_invariants
 
 INITIAL_SOLVE_REF = np.array([-0.438, 0.0, 0.593, -9.72e-6])
 
 
-class TestLeastImportant:
-    def test_picks_smallest_nonzero(self):
-        assert least_important(INITIAL_SOLVE_REF, np.zeros(4, dtype=bool)) == 4
-
-    def test_skips_required(self):
-        delta = np.array([0.0, 0.0, 1.09, 0.0])
-        required = np.array([False, False, True, False])
-        assert least_important(delta, required) is None
+class TestRemovalOrder:
+    def test_smallest_first(self):
+        assert removal_order(INITIAL_SOLVE_REF) == [4, 1, 3]
 
     def test_tie_goes_to_lowest_index(self):
-        delta = np.array([0.5, 0.0, 0.5, 0.9])
-        assert least_important(delta, np.zeros(4, dtype=bool)) == 1
+        assert removal_order(np.array([0.5, 0.0, 0.5, 0.9])) == [1, 3, 4]
 
     def test_exact_zeros_are_skipped_and_dust_is_a_candidate(self):
         # A solve returns its zeros exactly, so any entry it left nonzero,
         # however small in the excitations' units, is a correction to try.
-        assert least_important(np.array([1e-13, 0.7, 0.0, 0.0]), np.zeros(4, dtype=bool)) == 1
-        assert least_important(np.array([0.0, 0.7, 0.0, 0.0]), np.zeros(4, dtype=bool)) == 2
+        assert removal_order(np.array([1e-13, 0.7, 0.0, 0.0])) == [1, 2]
+        assert removal_order(np.array([0.0, 0.7, 0.0, 0.0])) == [2]
+
+    def test_all_zero_correction_has_no_candidate(self):
+        assert removal_order(np.zeros(4)) == []
 
 
 class TestMakeTrial:
@@ -160,6 +157,40 @@ def test_every_trial_level_is_the_metric_of_the_trial(name, monkeypatch):
     assert np.max(np.abs(errors)) <= 1e-9
     assert result.achieved_phi_db == pytest.approx(
         evaluate_metric(res.metric, res.geometry, w_faulty + result.delta), abs=1e-9)
+
+
+@pytest.mark.parametrize("name, restored_then_accepted", [("test_case_1", 0), ("size_scan_n25_row1", 1)])
+def test_each_resolve_freezes_its_trial_zeros_and_trials_follow_the_removal_order(
+        name, restored_then_accepted, monkeypatch):
+    # The loop's only state is its answer: a re-solve freezes exactly the
+    # zeros of the trial it starts from, and between two accepts the tried
+    # corrections are the iterate's nonzero entries, smallest first, so a
+    # restored trial is followed by the next entry of the same order.
+    res = resolve_scenario(ScenarioSpec.from_file(SCENARIO_DIR / f"{name}.json"))
+    solve, make = correction.solve_constrained_l1, correction.make_trial
+    resolves, tried = [], []    # (mask, start) of each re-solve; (iterate, [n tried]) per iterate
+
+    def solve_constrained_l1(*args, mask, start=None, **kwargs):
+        if start is not None:
+            resolves.append((mask, start))
+        return solve(*args, mask=mask, start=start, **kwargs)
+
+    def make_trial(delta, n):
+        if not tried or not np.array_equal(tried[-1][0], delta):
+            tried.append((delta, []))
+        tried[-1][1].append(n)
+        return make(delta, n)
+
+    monkeypatch.setattr(correction, "solve_constrained_l1", solve_constrained_l1)
+    monkeypatch.setattr(correction, "make_trial", make_trial)
+    result = minimize_corrections(res.geometry, res.weights, res.scenario, res.metric, res.config)
+    assert resolves and all(np.array_equal(mask, start == 0) for mask, start in resolves)
+    assert sum(len(ns) - 1 for _, ns in tried[:-1]) == restored_then_accepted
+    for delta, ns in tried:
+        assert ns == removal_order(delta)[:len(ns)]
+    assert tried[-1][1] == removal_order(result.delta)  # converged: every correction restored
+    accepted = [e.n_least for e in result.trace if e.event == "accepted"][1:]
+    assert accepted == [ns[-1] for _, ns in tried[:-1]]
 
 
 @functools.cache
