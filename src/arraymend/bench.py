@@ -343,7 +343,7 @@ def _correct(res: ResolvedScenario, record: dict) -> tuple[CorrectionResult, np.
     w_corrected = apply_failures(res.weights, res.scenario) + result.delta
     record.update({
         "status": "ok",
-        "sll_corrected_db": max_sll(res.geometry, w_corrected, res.metric.region),
+        "sll_corrected_db": result.achieved_phi_db,
         "dr_corrected": _safe_dr(w_corrected),
         "n_corrections": result.n_corrections,
         "eta_c_hat_pct": 100.0 * result.n_corrections / res.scenario.n_controllable,

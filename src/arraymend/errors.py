@@ -8,17 +8,15 @@ class InfeasibleError(RuntimeError):
     certified is True when the failure is proven (a dual certificate, or an
     exact check with nothing left to solve for), False when the solve found
     neither a point meeting the bound nor a proof. A certified failure
-    carries its proof: free, the mask of the elements free in the solve, and
-    weights, the certificate's weights on the whole region's samples,
-    summing to 1 (None on the exact check, which needs none).
+    carries its proof: weights, the certificate's weights on the whole
+    region's samples, summing to 1 (None on the exact check, which needs
+    none).
     """
 
-    def __init__(self, message: str = "", certified: bool = False,
-                 weights=None, free=None):
+    def __init__(self, message: str = "", certified: bool = False, weights=None):
         super().__init__(message)
         self.certified = certified
         self.weights = weights
-        self.free = free
 
 
 class NumericalFailureError(RuntimeError):

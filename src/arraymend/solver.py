@@ -13,8 +13,8 @@ excitations on a mirrored region, below); everything is deterministic.
 
 A solve returns a correction that meets the bound, or raises; a certified
 InfeasibleError carries its proof, a certificate's weights on the whole
-region's samples and the free mask they were proved for, so that a caller
-can test the same weights on other supports (proves). The problem is
+region's samples, proved for the elements outside the caller's mask, so
+that a caller can test the same weights on other supports (proves). The problem is
 homogeneous in the excitations, and a solve runs in units of the power of two
 nearest their largest magnitude times the phase of their broadside field
 (an exact rescaling and rotation; below), so the absolute floors below mean
@@ -981,8 +981,7 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
     if np.max(ratio) <= tol_ratio:
         return np.zeros(geometry.n, dtype=complex)
     if nfree == 0:
-        raise InfeasibleError("no free elements and the zero correction misses the target",
-                              certified=True, free=free)
+        raise InfeasibleError("no free elements and the zero correction misses the target", certified=True)
     if start is not None:
         s = as_weights(start, geometry.n)
         if np.any(s[mask] != 0):
@@ -1007,7 +1006,7 @@ def solve_constrained_l1(geometry: ArrayGeometry, w_faulty, metric: MetricSpec,
             weights = 0.5 * (weights + weights[::-1])
         raise InfeasibleError(
             "certified: a weighting of the region samples keeps the sidelobe power "
-            "above the bound for every correction", certified=True, weights=weights, free=free,
+            "above the bound for every correction", certified=True, weights=weights,
         )
     if z is None:
         raise InfeasibleError(f"the cone IPM ended {info['verdict']} at relative gap {info['gap']:.2e} "
