@@ -14,11 +14,12 @@ excitations on a mirrored region, below); everything is deterministic.
 A solve returns a correction that meets the bound, or raises; a certified
 InfeasibleError carries its proof, a certificate's weights on the whole
 region's samples, proved for the elements outside the caller's mask, so
-that a caller can test the same weights on other supports (proves). The problem is
-homogeneous in the excitations, and a solve runs in units of the power of two
-nearest their largest magnitude times the phase of their broadside field
-(an exact rescaling and rotation; below), so the absolute floors below mean
-the same whatever the weights' units. A solve takes four steps:
+that a caller can test the same weights on other supports (proves). The
+problem is homogeneous in the excitations, and a solve runs in units of the
+power of two nearest their largest magnitude times the phase of their
+broadside field (an exact rescaling and rotation; below), so the absolute
+floors below mean the same whatever the weights' units. A solve takes four
+steps:
 
 * the zero correction is returned when it meets the toleranced target; with
   no free element left, a miss is certified infeasible.
