@@ -16,14 +16,14 @@ over (Re z, Im z), and these do), on test_case_1 with its taper times -1
 on test_case_1 and test_case_2_sll22 with their tapers times 2^-10 (items
 scaled:<name>: an answer must not depend on the excitations' units), and
 the test_case_1 oracle up to support 3. The script compares each
-correction vector exactly, plus the correction count, l1, k_opt, the
-`required` and `non_required` masks, the removal trace and the removal
-loop's backtracks tallied by the certified flag of the InfeasibleError
-behind each (a proof, as against a ray or a stall; the collecting
-process wraps `arraymend.correction`'s
-`solve_constrained_l1` to see them), and the oracle's support, the
-supports it examined (n_supports) and its count of proven rejections
-(n_certified). It also wraps
+correction vector exactly (which elements it changes, and so which
+corrections the loop kept, is a function of it), plus the correction
+count, l1, k_opt, the removal trace and the removal loop's backtracks
+tallied by the certified flag of the InfeasibleError behind each (a proof,
+as against a ray or a stall; the collecting process wraps
+`arraymend.correction`'s `solve_constrained_l1` to see them), and the
+oracle's support, the supports it examined (n_supports) and its count of
+proven rejections (n_certified). It also wraps
 `arraymend.solver._exchange` and compares each item's exchange verdicts
 (optimal, ray, undecided), cone IPM iterations and exchange rounds, and
 wraps `arraymend.solver._certificate` to compare each item's certificate
@@ -203,8 +203,7 @@ def collect() -> dict:
                          **tallies}
             continue
         out[name] = {"delta": _complex_list(r.delta), "n_corrections": r.n_corrections,
-                     "l1": r.l1, "k_opt": r.k_opt, "required": r.required.tolist(),
-                     "non_required": r.non_required.tolist(), "trace": [asdict(e) for e in r.trace],
+                     "l1": r.l1, "k_opt": r.k_opt, "trace": [asdict(e) for e in r.trace],
                      "backtracks_certified": sum(raised),
                      "backtracks_uncertified": len(raised) - sum(raised), **tallies}
     correction.solve_constrained_l1 = solve
