@@ -328,19 +328,26 @@ def _start(spec: ScenarioSpec, out_dir, grid_density: int | None):
     return out, res, grid, record, weight_sets
 
 
-def _correct(res: ResolvedScenario, record: dict) -> tuple[CorrectionResult, np.ndarray]:
+def run_scenario(spec: ScenarioSpec, out_dir,
+                 grid_density: int | None = None) -> tuple[dict, CorrectionResult]:
     """
-    Minimize the corrections and fill in the record, on InfeasibleError before
-    re-raising; returns the result and the corrected excitations.
+    Run the correction on one scenario and write its three output files.
+
+    Writes <name>_result.json, <name>_pattern.csv, and <name>_trace.csv in
+    out_dir. On an infeasible scenario the diagnostic record is written
+    before InfeasibleError is re-raised.
     """
+    out, res, grid, record, weight_sets = _start(spec, out_dir, grid_density)
     try:
         result = minimize_corrections(res.geometry, res.weights, res.scenario,
                                       res.metric, res.config)
     except InfeasibleError as err:
         record.update({"status": "infeasible", "detail": str(err)})
+        _grid_patterns(res, grid, record, weight_sets)
+        _write_json(out / f"{spec.name}_result.json", record)
         raise
 
-    w_corrected = apply_failures(res.weights, res.scenario) + result.delta
+    w_corrected = weight_sets[1] + result.delta   # the faulty excitations, corrected
     record.update({
         "status": "ok",
         "sll_corrected_db": result.achieved_phi_db,
@@ -353,25 +360,6 @@ def _correct(res: ResolvedScenario, record: dict) -> tuple[CorrectionResult, np.
         "corrected_elements": result.corrected_elements,
         "elapsed_s": result.elapsed_s,
     })
-    return result, w_corrected
-
-
-def run_scenario(spec: ScenarioSpec, out_dir,
-                 grid_density: int | None = None) -> tuple[dict, CorrectionResult]:
-    """
-    Run the correction on one scenario and write its three output files.
-
-    Writes <name>_result.json, <name>_pattern.csv, and <name>_trace.csv in
-    out_dir. On an infeasible scenario the diagnostic record is written
-    before InfeasibleError is re-raised.
-    """
-    out, res, grid, record, weight_sets = _start(spec, out_dir, grid_density)
-    try:
-        result, w_corrected = _correct(res, record)
-    except InfeasibleError:
-        _grid_patterns(res, grid, record, weight_sets)
-        _write_json(out / f"{spec.name}_result.json", record)
-        raise
     patterns = _grid_patterns(res, grid, record, weight_sets + [w_corrected])
     _write_json(out / f"{spec.name}_result.json", record)
 
@@ -431,13 +419,13 @@ def tradeoff_sweep(spec: ScenarioSpec, targets, out_dir,
     header = ["target_db", "status", "n_corrections", "achieved_sll_db", "l1"]
     rows: list[dict] = []
     for target in targets:
-        _, res, _, record, _ = _start(replace(spec, metric={**spec.metric, "target_db": target}),
-                                      out, grid_density)
+        res = resolve_scenario(replace(spec, metric={**spec.metric, "target_db": target}), grid_density)
+        row = {**dict.fromkeys(header), "target_db": target, "status": "infeasible"}
         with suppress(InfeasibleError):
-            _correct(res, record)
-        rows.append({"target_db": target, "status": record["status"],
-                     "n_corrections": record.get("n_corrections"),
-                     "achieved_sll_db": record.get("sll_corrected_db"), "l1": record.get("l1")})
+            result = minimize_corrections(res.geometry, res.weights, res.scenario, res.metric, res.config)
+            row.update(status="ok", n_corrections=result.n_corrections,
+                       achieved_sll_db=result.achieved_phi_db, l1=result.l1)
+        rows.append(row)
     _write_csv(out / f"{spec.name}_sweep.csv", header, [[r[c] for c in header] for r in rows])
     return rows
 

@@ -48,9 +48,8 @@ class CorrectionResult:
     """
     The last accepted correction of the removal loop, with its trace.
 
-    required is the final support: each of its elements was tried for
-    removal and restored since the last accepted removal. non_required marks
-    the working elements whose correction was removed (or never made).
+    Each element of its support (corrected_elements) was tried for removal
+    and restored since the last accepted removal.
     """
 
     delta: np.ndarray
@@ -58,8 +57,6 @@ class CorrectionResult:
     l1: float
     achieved_phi_db: float
     k_opt: int
-    required: np.ndarray
-    non_required: np.ndarray
     trace: tuple[TraceEntry, ...]
     elapsed_s: float
 
@@ -105,7 +102,6 @@ def minimize_corrections(geometry: ArrayGeometry, original, scenario: FailureSce
     if scenario.n != geometry.n:
         raise ValueError("scenario length must match the array size")
     w_faulty = apply_failures(original, scenario)
-    omega = scenario.mask
 
     # The metric's region field F = A(w_faulty + delta) and broadside field
     # F(0) of the current correction: a removal trial updates them by one
@@ -121,7 +117,7 @@ def minimize_corrections(geometry: ArrayGeometry, original, scenario: FailureSce
     feasible_db = metric.target_db + 10.0 * np.log10(1.0 + _EXCHANGE_SLACK)
     trace: list[TraceEntry] = []
 
-    best = solve_constrained_l1(geometry, w_faulty, metric, mask=omega, config=config)
+    best = solve_constrained_l1(geometry, w_faulty, metric, mask=scenario.mask, config=config)
     field = field_of(best)
     best_phi = peak_level_db(*field)
     trace.append(TraceEntry(k=0, step=0, event="accepted",
@@ -164,8 +160,6 @@ def minimize_corrections(geometry: ArrayGeometry, original, scenario: FailureSce
         l1=l1_norm(best),
         achieved_phi_db=best_phi,
         k_opt=k,
-        required=best != 0,
-        non_required=(best == 0) & ~omega,
         trace=tuple(trace),
         elapsed_s=time.perf_counter() - t0,
     )

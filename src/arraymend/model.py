@@ -291,9 +291,7 @@ def evaluate_metric(metric: MetricSpec, geometry: ArrayGeometry, weights) -> flo
 
 
 def _crossing(u0: float, u1: float, p0: float, p1: float, threshold: float) -> float:
-    # Linear interpolation of the dB pattern between two grid samples.
-    if p0 == p1:
-        return u1
+    # Linear interpolation of the dB pattern between two grid samples, p0 >= threshold > p1.
     return u0 + (u1 - u0) * (p0 - threshold) / (p0 - p1)
 
 

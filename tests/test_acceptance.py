@@ -31,7 +31,7 @@ def test_criterion_1_toy_trace(toy_parts, toy_result):
     assert result.n_corrections == 1
     assert abs(result.delta[2]) == pytest.approx(1.09, abs=0.03)
     assert result.achieved_phi_db == pytest.approx(-5.5, abs=0.05)
-    assert result.required.astype(int).tolist() == [0, 0, 1, 0]
+    assert result.corrected_elements == [3]
     first = result.trace[0]
     assert first.l1 == pytest.approx(1.03, abs=0.03)
     assert first.l0 == 3
