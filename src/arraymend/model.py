@@ -324,9 +324,13 @@ def beamwidth(geometry: ArrayGeometry, weights, threshold_db: float) -> float:
 
 
 def _mainlobe_width(u: np.ndarray, p: np.ndarray, threshold_db: float) -> float:
-    """beamwidth of the dB pattern p sampled on the grid u, for a caller that already holds p."""
+    """
+    beamwidth of the dB pattern p sampled on the grid u, for a caller that
+    already holds p. A threshold at or above 0 dB raises NoMainlobeError:
+    the pattern is 0 dB at broadside, so nothing lies above it.
+    """
     if threshold_db >= 0:
-        raise ValueError("threshold must be negative dB")
+        raise NoMainlobeError(f"pattern is 0 dB at broadside, not above {threshold_db} dB")
     center = int(np.argmin(np.abs(u)))
     if p[center] < threshold_db:
         raise NoMainlobeError(f"pattern is below {threshold_db} dB at broadside")

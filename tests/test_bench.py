@@ -574,6 +574,38 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out.splitlines()[1] == "target -100: infeasible"
 
+    @pytest.mark.parametrize("target", [0.0, 0.5])
+    def test_target_at_or_above_0_db_writes_null_beamwidths(self, tmp_path, capsys, target):
+        # The pattern is 0 dB at broadside, so no mainlobe lies above such a
+        # level: the export's beamwidths are null, and the faulty test_case_1
+        # (-10.19 dB) needs no correction.
+        data = load_spec("test_case_1").to_dict()
+        data["metric"]["target_db"] = target
+        spec_dir = tmp_path / "specs"
+        spec_dir.mkdir()
+        spec_path = spec_dir / "test_case_1.json"
+        spec_path.write_text(json.dumps(data))
+        widths = [f"bw_{key}_deg" for key in ("original", "faulty", "corrected")]
+
+        assert cli_main(["run", str(spec_path), "--out", str(tmp_path / "run")]) == 0
+        assert "corrections=0" in capsys.readouterr().out
+        record = json.loads((tmp_path / "run" / "test_case_1_result.json").read_text())
+        assert [record[k] for k in widths] == [None, None, None]
+        assert record["sll_corrected_db"] == pytest.approx(-10.19, abs=0.005)
+        for suffix in ("pattern.csv", "trace.csv"):
+            assert (tmp_path / "run" / f"test_case_1_{suffix}").exists()
+
+        assert cli_main(["oracle", str(spec_path), "--out", str(tmp_path / "oracle")]) == 0
+        assert "minimum support=0" in capsys.readouterr().out
+        record = json.loads((tmp_path / "oracle" / "test_case_1_oracle.json").read_text())
+        assert [record[k] for k in widths[:2]] == [None, None]
+
+        assert cli_main(["batch", str(spec_dir), "--out", str(tmp_path / "batch")]) == 0
+        assert capsys.readouterr().out == "test_case_1: ok\n"
+        summary = (tmp_path / "batch" / "summary.csv").read_text().splitlines()
+        row = dict(zip(summary[0].split(","), summary[1].split(",")))
+        assert [row[k] for k in widths] == ["", "", ""]
+
 
 class TestDefaultBwTarget:
     def test_matches_direct_measurement(self):
