@@ -416,8 +416,12 @@ def _certificate(land: _Landscape, rows: np.ndarray,
     (Elfving's duality); weights below 1e-12 of the largest are set to zero.
     The search returns None
     - when P is singular;
-    - when v meets the bound on the set, since then no weighting of the set
-      can exclude it;
+    - when no weighting of the set can prove infeasibility: by minimax
+      duality the best ratio sum_u lam_u |F(u)|^2 / |F(0)|^2 that a
+      weighting of the set proves is at most max_u |g_u^T v|^2 / |h^T v|^2
+      over the set (v's own ratio), and a proof needs more than
+      tau*(1 + margin), so the search stops once v's ratio is at or below
+      it ("no proof on the set");
     - when 1/(h^T v), the least sum_u lam_u |F(u)|^2 / |F(0)|^2 these
       weights allow, would still be below the target at the update cap if
       it kept the pace of its last few updates (the pace slows as the
@@ -452,8 +456,8 @@ def _certificate(land: _Landscape, rows: np.ndarray,
             break
         v = np.linalg.solve(p, np.conj(h))
         gv = np.abs(sub.A @ v[:f] + (0.0 if land.homogeneous else sub.F_base * v[f]))
-        if land.tau * abs(h @ v) ** 2 >= np.max(gv) ** 2:
-            outcome = "bound met on the set"
+        if np.max(gv) ** 2 <= tau * (h @ v).real ** 2:
+            outcome = "no proof on the set"
             break
         lows.append(1.0 / (h @ v).real)
         if len(lows) > _CERT_TREND:

@@ -701,7 +701,7 @@ class TestConeIpm:
         assert len(messages) == 2                       # one record per search
         for message in messages:
             assert re.search(r"after \d+ updates on 4 of 4 region samples", message)
-        assert messages[0].startswith(("certificate: bound met on the set", "certificate: trend"))
+        assert messages[0].startswith(("certificate: no proof on the set", "certificate: trend"))
         assert messages[1].startswith("certificate: proof")
 
 
