@@ -405,6 +405,16 @@ class TestScenarioAndMetric:
         with pytest.raises(ValueError):
             FailureScenario.from_indices(4, [2, 2])
 
+    def test_integer_mask_becomes_a_bool_mask(self):
+        sc = FailureScenario(mask=[0, 1, 0])
+        assert sc.mask.dtype == bool
+        assert sc.mask.tolist() == [False, True, False]
+        assert not sc.mask.flags.writeable
+
+    def test_rejects_integer_mask_entries_other_than_0_and_1(self):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            FailureScenario(mask=[0, 2, 0])
+
     def test_metric_validation(self):
         region = AngularRegion(np.array([0.5]))
         with pytest.raises(ValueError):
