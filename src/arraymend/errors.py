@@ -32,7 +32,7 @@ class DegenerateBroadsideError(ValueError):
 
 
 class NoMainlobeError(ValueError):
-    """The normalized pattern is below the threshold at broadside."""
+    """The normalized pattern (0 dB at broadside) has no mainlobe above the threshold."""
 
 
 class EmptyRegionError(ValueError):
