@@ -165,7 +165,7 @@ def default_bw_target(n_working: int, sll_db: float, spacing: float = 0.5) -> fl
     return beamwidth(uniform_positions(n_working, spacing), ref, sll_db)
 
 
-def resolve_scenario(spec: ScenarioSpec, grid_density: int | None = None) -> ResolvedScenario:
+def resolve_scenario(spec: ScenarioSpec) -> ResolvedScenario:
     """Build geometry, taper, failure mask, metric region, and solver config."""
     geometry = uniform_positions(spec.n_elements, spec.spacing_wavelengths)
     weights, design_sll = _resolve_taper(spec)
@@ -183,16 +183,11 @@ def resolve_scenario(spec: ScenarioSpec, grid_density: int | None = None) -> Res
         target = _real(target, "target_db")
     if bw_target is not None:
         bw_target = _real(bw_target, "bw_target_deg")
-    if density is not None:
-        density = _integer(density, "region_density")
+    density = DEFAULT_GRID_DENSITY if density is None else _integer(density, "region_density")
     if samples is not None:
         samples = _listed(samples, "region_samples", _REAL, "a flat list of real numbers")
     if metric:
         raise ValueError(f"unknown metric fields: {sorted(metric)}")
-    if grid_density is not None:
-        density = grid_density
-    if density is None:
-        density = DEFAULT_GRID_DENSITY
 
     if target is None:
         if design_sll is None:
@@ -209,7 +204,7 @@ def resolve_scenario(spec: ScenarioSpec, grid_density: int | None = None) -> Res
             bw_target = default_bw_target(scenario.n_controllable, design_sll,
                                           spec.spacing_wavelengths)
         bw_val = float(bw_target)
-        region = sidelobe_region(bw_val, int(density))
+        region = sidelobe_region(bw_val, density)
 
     unknown = set(spec.solver) - {f.name for f in fields(SolverConfig)}
     if unknown:
@@ -315,21 +310,20 @@ def _grid_patterns(res: ResolvedScenario, grid, record: dict, weight_sets) -> li
     return patterns
 
 
-def _start(spec: ScenarioSpec, out_dir, grid_density: int | None):
+def _start(spec: ScenarioSpec, out_dir):
     """
     Output directory, resolved scenario, export grid, base record, and the
     original and faulty excitations of one run.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    res = resolve_scenario(spec, grid_density)
-    grid = uniform_grid(DEFAULT_GRID_DENSITY if grid_density is None else grid_density)
+    res = resolve_scenario(spec)
+    grid = uniform_grid()
     record, weight_sets = _base_record(res)
     return out, res, grid, record, weight_sets
 
 
-def run_scenario(spec: ScenarioSpec, out_dir,
-                 grid_density: int | None = None) -> tuple[dict, CorrectionResult]:
+def run_scenario(spec: ScenarioSpec, out_dir) -> tuple[dict, CorrectionResult]:
     """
     Run the correction on one scenario and write its three output files.
 
@@ -337,7 +331,7 @@ def run_scenario(spec: ScenarioSpec, out_dir,
     out_dir. On an infeasible scenario the diagnostic record is written
     before InfeasibleError is re-raised.
     """
-    out, res, grid, record, weight_sets = _start(spec, out_dir, grid_density)
+    out, res, grid, record, weight_sets = _start(spec, out_dir)
     try:
         result = minimize_corrections(res.geometry, res.weights, res.scenario,
                                       res.metric, res.config)
@@ -375,10 +369,9 @@ def run_scenario(spec: ScenarioSpec, out_dir,
     return record, result
 
 
-def run_oracle(spec: ScenarioSpec, out_dir, max_support: int | None = None,
-               grid_density: int | None = None) -> tuple[dict, OracleResult]:
+def run_oracle(spec: ScenarioSpec, out_dir, max_support: int | None = None) -> tuple[dict, OracleResult]:
     """Exhaustive minimum search for one scenario, serialized like run_scenario."""
-    out, res, grid, record, weight_sets = _start(spec, out_dir, grid_density)
+    out, res, grid, record, weight_sets = _start(spec, out_dir)
     _grid_patterns(res, grid, record, weight_sets)
     result = exhaustive_min(res.geometry, res.weights, res.scenario, res.metric,
                             res.config, max_support=max_support)
@@ -403,13 +396,15 @@ def run_oracle(spec: ScenarioSpec, out_dir, max_support: int | None = None,
     return record, result
 
 
-def tradeoff_sweep(spec: ScenarioSpec, targets, out_dir,
-                   grid_density: int | None = None) -> list[dict]:
+def tradeoff_sweep(spec: ScenarioSpec, targets, out_dir) -> list[dict]:
     """
     Correction runs over a ladder of targets, loosest first.
 
     Emits one row per target with the correction count and the achieved
-    level; infeasible targets are recorded and the sweep continues.
+    level; infeasible targets are recorded and the sweep continues. The
+    scenario is resolved once, with the first target in place of its own
+    (so an explicit taper without a target_db resolves too): its taper and
+    region do not depend on the target, and each run takes the same region.
     """
     targets = [float(t) for t in targets]
     if any(t1 > t0 for t0, t1 in zip(targets, targets[1:])):
@@ -418,11 +413,13 @@ def tradeoff_sweep(spec: ScenarioSpec, targets, out_dir,
     out.mkdir(parents=True, exist_ok=True)
     header = ["target_db", "status", "n_corrections", "achieved_sll_db", "l1"]
     rows: list[dict] = []
+    if targets:
+        res = resolve_scenario(replace(spec, metric={**spec.metric, "target_db": targets[0]}))
     for target in targets:
-        res = resolve_scenario(replace(spec, metric={**spec.metric, "target_db": target}), grid_density)
+        metric = replace(res.metric, target_db=target)
         row = {**dict.fromkeys(header), "target_db": target, "status": "infeasible"}
         with suppress(InfeasibleError):
-            result = minimize_corrections(res.geometry, res.weights, res.scenario, res.metric, res.config)
+            result = minimize_corrections(res.geometry, res.weights, res.scenario, metric, res.config)
             row.update(status="ok", n_corrections=result.n_corrections,
                        achieved_sll_db=result.achieved_phi_db, l1=result.l1)
         rows.append(row)
@@ -465,8 +462,7 @@ _SUMMARY_COLUMNS = [
 ]
 
 
-def batch_run(spec_dir, out_dir, parallelism: int = 1,
-              grid_density: int | None = None) -> list[dict]:
+def batch_run(spec_dir, out_dir, parallelism: int = 1) -> list[dict]:
     """
     Run every scenario file in a directory and write one summary table.
 
@@ -498,7 +494,7 @@ def batch_run(spec_dir, out_dir, parallelism: int = 1,
             owner = first.setdefault(spec.name, path)
             if owner != path:
                 raise ValueError(f"scenario name {spec.name!r} is already used by {owner.name}")
-            records.append(run_scenario(spec, out, grid_density)[0])
+            records.append(run_scenario(spec, out)[0])
         except InfeasibleError:
             # run_scenario wrote the diagnostic record before raising.
             with open(out / f"{spec.name}_result.json", "r", encoding="utf-8") as fh:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .bench import ScenarioSpec, batch_run, run_oracle, run_scenario, scale_failure_scenario, tradeoff_sweep
 from .errors import BudgetExceededError, InfeasibleError, NumericalFailureError
@@ -22,28 +21,24 @@ def _parse_args(argv):
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
+        p.add_argument("spec", help="scenario JSON file: the run's only input (its solver "
+                                    "object holds the accepted overshoot, constraint_tol_db)")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
-        p.add_argument("--grid", type=int, default=None, metavar="POINTS",
-                       help="override the u-grid density for metrics and pattern export")
-        p.add_argument("--constraint-tol", type=float, default=None, metavar="DB",
-                       help="override the accepted overshoot of the dB target")
 
     p_run = sub.add_parser("run", help="run the correction on one scenario file")
-    p_run.add_argument("spec", help="scenario JSON file")
     add_common(p_run)
 
     p_oracle = sub.add_parser("oracle", help="exhaustive minimum-support search")
-    p_oracle.add_argument("spec", help="scenario JSON file")
+    add_common(p_oracle)
     p_oracle.add_argument("--max-support", type=int, default=None, metavar="M",
                           help="largest support size to enumerate (default: all working elements)")
-    add_common(p_oracle)
 
     p_sweep = sub.add_parser("sweep", help="corrections over a ladder of targets")
-    p_sweep.add_argument("spec", help="scenario JSON file")
-    p_sweep.add_argument("--targets", required=True,
-                         help="comma-separated dB targets, loosest first; use the = form "
-                              "for negative values (e.g. --targets=-22.4,-23.5,-24.5)")
     add_common(p_sweep)
+    p_sweep.add_argument("--targets", required=True,
+                         help="comma-separated dB targets, loosest first, each replacing the "
+                              "file's target_db; use the = form for negative values "
+                              "(e.g. --targets=-22.4,-23.5,-24.5)")
 
     p_scale = sub.add_parser("scale", help="grow a failure layout onto a larger array")
     p_scale.add_argument("--base", required=True, help="comma-separated seed fault indices")
@@ -52,9 +47,8 @@ def _parse_args(argv):
     p_scale.add_argument("--count", type=int, required=True, help="faults emitted per seed")
 
     p_batch = sub.add_parser("batch", help="run every scenario file in a directory")
-    p_batch.add_argument("spec_dir", help="directory of scenario JSON files")
-    p_batch.add_argument("--out", default="out")
-    p_batch.add_argument("--grid", type=int, default=None, metavar="POINTS")
+    p_batch.add_argument("spec_dir", help="directory of scenario JSON files, each its run's only input")
+    p_batch.add_argument("--out", default="out", help="output directory (default: ./out)")
     p_batch.add_argument("--parallel", type=int, default=1, metavar="K",
                          help="checked (at least 1), but scenarios run one at a time: "
                               "threads were slower than one and held twice the memory")
@@ -62,25 +56,16 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
-def _load_spec(args) -> ScenarioSpec:
-    """The scenario file, with any --constraint-tol written into its solver object."""
-    spec = ScenarioSpec.from_file(args.spec)
-    tol = getattr(args, "constraint_tol", None)
-    if tol is not None:
-        spec = replace(spec, solver={**spec.solver, "constraint_tol_db": tol})
-    return spec
-
-
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if args.command == "run":
-            record, _ = run_scenario(_load_spec(args), args.out, args.grid)
+            record, _ = run_scenario(ScenarioSpec.from_file(args.spec), args.out)
             print(f"{record['name']}: corrections={record['n_corrections']} "
                   f"sll={record['sll_corrected_db']:.6g} dB "
                   f"(target {record['target_db']:.6g} dB)")
         elif args.command == "oracle":
-            record, result = run_oracle(_load_spec(args), args.out, args.max_support, args.grid)
+            record, result = run_oracle(ScenarioSpec.from_file(args.spec), args.out, args.max_support)
             if result.feasible:
                 rejected = result.n_supports - 1
                 proof = ("minimum proven" if result.n_certified == rejected else
@@ -92,7 +77,7 @@ def main(argv=None) -> int:
                 return EXIT_INFEASIBLE
         elif args.command == "sweep":
             targets = [float(t) for t in args.targets.split(",") if t.strip()]
-            rows = tradeoff_sweep(_load_spec(args), targets, args.out, args.grid)
+            rows = tradeoff_sweep(ScenarioSpec.from_file(args.spec), targets, args.out)
             for row in rows:
                 if row["status"] == "ok":
                     print(f"target {row['target_db']:.6g}: corrections={row['n_corrections']} "
@@ -104,7 +89,7 @@ def main(argv=None) -> int:
             scaled = scale_failure_scenario(base, args.base_n, args.factor, args.count)
             print(",".join(str(i) for i in scaled))
         elif args.command == "batch":
-            records = batch_run(args.spec_dir, args.out, args.parallel, args.grid)
+            records = batch_run(args.spec_dir, args.out, args.parallel)
             for record in records:
                 print(f"{record.get('name')}: {record.get('status')}")
     except InfeasibleError as err:

@@ -31,7 +31,7 @@ from arraymend.bench import (
     scale_failure_scenario,
     tradeoff_sweep,
 )
-from arraymend import bench, cli
+from arraymend import bench, cli, correction, solver
 from arraymend.cli import main as cli_main
 from conftest import SCENARIO_DIR, load_spec
 
@@ -53,6 +53,13 @@ def toy_spec_dict(**overrides):
     }
     data.update(overrides)
     return data
+
+
+def toleranced_toy(directory) -> str:
+    """The toy scenario with a 3.1 dB constraint_tol_db, written to directory/toy.json."""
+    path = directory / "toy.json"
+    path.write_text(json.dumps({**load_spec("toy").to_dict(), "solver": {"constraint_tol_db": 3.1}}))
+    return str(path)
 
 
 def toy_metric(**fields):
@@ -103,6 +110,13 @@ MALFORMED = {
     "pair_list_metric": ({"metric": [["target_db", -5.5]]}, "metric"),
     "pair_list_solver": ({"solver": [["constraint_tol_db", 0.1]]}, "solver"),
     "unknown_metric_kind": (toy_metric(kind="directivity"), "kind"),
+    "unknown_metric_field": (toy_metric(region_width=3), "region_width"),
+    "short_taper_weights": ({"taper": [1.0, 0.419, 1.0]}, "n_elements"),
+    "taper_weights_without_region": ({"metric": {"target_db": -5.5}}, "region_samples"),
+    "region_samples_beyond_one": (toy_metric(region_samples=[0.5, 1.5]), "region samples"),
+    "empty_region_samples": (toy_metric(region_samples=[]), "metric region"),
+    "two_point_region_density": (toy_metric(region_density=2), "grid density"),
+    "non_finite_spacing": ({"spacing_wavelengths": float("nan")}, "positions"),
 }
 
 
@@ -174,8 +188,9 @@ class TestResolve:
             "name": "x", "n_elements": 16,
             "taper": {"dolph_chebyshev": {"sll_db": -15.0}},
             "faulty_indices": [2],
+            "metric": {"region_density": 801},
         })
-        res = resolve_scenario(spec, grid_density=801)
+        res = resolve_scenario(spec)
         full = np.linspace(-1, 1, 801)
         assert np.isin(res.metric.region.samples, full).all()
 
@@ -197,6 +212,11 @@ class TestScaleRule:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             scale_failure_scenario([1], 50, 2, 3)  # 2*1 - 2 = 0
+        with pytest.raises(ValueError, match="at least 1"):
+            scale_failure_scenario([5], 50, 0, 1)
+        for seed in (0, 51):
+            with pytest.raises(ValueError, match=f"seed fault {seed} outside 1..50"):
+                scale_failure_scenario([seed], 50, 2, 1)
 
 
 class TestRunScenario:
@@ -339,6 +359,41 @@ class TestSweep:
         assert rows[0]["status"] == "ok"
         assert rows[1]["status"] == "infeasible"
         assert rows[1]["n_corrections"] is None
+
+    def test_scenario_is_resolved_once(self, tmp_path, monkeypatch):
+        # The region and the taper do not depend on the target: three targets
+        # share one region steering matrix, and the taper and its reference
+        # (the default beamwidth target's) are designed once each.
+        spec = load_spec("test_case_1")
+        rows = resolve_scenario(spec).metric.region.size
+        built, designs = [], []
+        for module in (correction, solver):
+            steering_matrix = module.steering_matrix
+
+            def counted(geometry, u, steering_matrix=steering_matrix):
+                a = steering_matrix(geometry, u)
+                if a.shape[0] == rows and not any(a is b for b in built):
+                    built.append(a)
+                return a
+            monkeypatch.setattr(module, "steering_matrix", counted)
+        design = bench.dolph_chebyshev
+        monkeypatch.setattr(bench, "dolph_chebyshev", lambda *args: designs.append(args) or design(*args))
+        swept = tradeoff_sweep(spec, [-14.0, -15.0, -40.0], tmp_path)
+        monkeypatch.undo()
+        assert [r["status"] for r in swept] == ["ok", "ok", "infeasible"]
+        assert len(built) == 1
+        assert designs == [(16, -15.0), (13, -15.0)]
+
+    def test_explicit_taper_without_a_target(self, tmp_path):
+        data = toy_spec_dict()
+        del data["metric"]["target_db"]
+        rows = tradeoff_sweep(ScenarioSpec.from_dict(data), [-5.0, -5.5], tmp_path / "a")
+        assert rows == tradeoff_sweep(load_spec("toy"), [-5.0, -5.5], tmp_path / "b")
+        assert rows[1]["n_corrections"] == 1
+
+    def test_empty_ladder_writes_the_header(self, tmp_path):
+        assert tradeoff_sweep(load_spec("toy"), [], tmp_path) == []
+        assert (tmp_path / "toy_sweep.csv").read_text() == "target_db,status,n_corrections,achieved_sll_db,l1\n"
 
 
 class TestBatch:
@@ -545,10 +600,9 @@ class TestCli:
 
     def test_constraint_tol_reaches_the_solve(self, tmp_path, capsys):
         # the faulty toy sits at -2.45 dB, within 3.1 dB of its -5.5 dB target
-        toy = str(SCENARIO_DIR / "toy.json")
-        assert cli_main(["run", toy, "--out", str(tmp_path / "a")]) == 0
+        assert cli_main(["run", str(SCENARIO_DIR / "toy.json"), "--out", str(tmp_path / "a")]) == 0
         assert "corrections=1" in capsys.readouterr().out
-        assert cli_main(["run", toy, "--constraint-tol", "3.1", "--out", str(tmp_path / "b")]) == 0
+        assert cli_main(["run", toleranced_toy(tmp_path), "--out", str(tmp_path / "b")]) == 0
         assert "corrections=0" in capsys.readouterr().out
 
     def test_constraint_tol_reaches_the_sweep(self, tmp_path, capsys):
@@ -556,7 +610,7 @@ class TestCli:
         toy = str(SCENARIO_DIR / "toy.json")
         assert cli_main(["sweep", toy, "--targets=-5.5", "--out", str(tmp_path / "a")]) == 0
         assert "corrections=1" in capsys.readouterr().out
-        assert cli_main(["sweep", toy, "--targets=-5.5", "--constraint-tol", "3.1",
+        assert cli_main(["sweep", toleranced_toy(tmp_path), "--targets=-5.5",
                          "--out", str(tmp_path / "b")]) == 0
         assert "corrections=0" in capsys.readouterr().out
 
