@@ -12,7 +12,6 @@ from .correction import CorrectionResult, TraceEntry, minimize_corrections
 from .errors import (
     BudgetExceededError,
     DegenerateBroadsideError,
-    EmptyRegionError,
     InfeasibleError,
     NoMainlobeError,
     NumericalFailureError,
@@ -44,7 +43,6 @@ __all__ = [
     "BudgetExceededError",
     "CorrectionResult",
     "DegenerateBroadsideError",
-    "EmptyRegionError",
     "FailureScenario",
     "InfeasibleError",
     "MetricSpec",

@@ -34,6 +34,3 @@ class DegenerateBroadsideError(ValueError):
 class NoMainlobeError(ValueError):
     """The normalized pattern (0 dB at broadside) has no mainlobe above the threshold."""
 
-
-class EmptyRegionError(ValueError):
-    """The requested mainlobe exclusion leaves no sidelobe samples."""

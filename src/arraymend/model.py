@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateBroadsideError, EmptyRegionError, NoMainlobeError
+from .errors import DegenerateBroadsideError, NoMainlobeError
 
 DB_FLOOR = -300.0
 """Reported dB level for an exactly zero power ratio (keeps metrics finite)."""
@@ -171,16 +171,15 @@ def sidelobe_region(bw_target_deg: float, grid_density: int = DEFAULT_GRID_DENSI
     """
     All u samples of a uniform grid outside a mainlobe of the given width.
 
-    The excluded zone is the open interval |u| < sin(bw_target_deg / 2).
+    The excluded zone is the open interval |u| < sin(bw_target_deg / 2). Its
+    edge is at most 1, and the grid's ends are exactly -1 and 1, so the
+    region always keeps them.
     """
     if not 0.0 < bw_target_deg < 180.0:
         raise ValueError("beamwidth target must be in (0, 180) degrees")
     u = uniform_grid(grid_density)
     edge = np.sin(np.deg2rad(bw_target_deg / 2.0))
-    keep = np.abs(u) >= edge
-    if not np.any(keep):
-        raise EmptyRegionError(f"mainlobe exclusion of {bw_target_deg} deg covers the whole grid")
-    return AngularRegion(samples=u[keep])
+    return AngularRegion(samples=u[np.abs(u) >= edge])
 
 
 @dataclass(frozen=True)

@@ -858,9 +858,9 @@ def _cone_ipm(land: _Landscape):
 
 def _lobe_stride(geometry: ArrayGeometry, u: np.ndarray) -> int:
     """Region-sample stride that puts about _EXCHANGE_PER_LOBE samples on each sidelobe."""
-    aperture = float(np.ptp(geometry.positions))
-    if u.size < 2 or aperture == 0.0:
+    if u.size < 2:
         return 1
+    aperture = float(np.ptp(geometry.positions))    # positive: positions strictly increase
     spacing = float(np.median(np.diff(u)))
     return max(1, int(1.0 / (aperture * spacing * _EXCHANGE_PER_LOBE)))
 

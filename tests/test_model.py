@@ -11,7 +11,6 @@ from arraymend import (
     AngularRegion,
     ArrayGeometry,
     DegenerateBroadsideError,
-    EmptyRegionError,
     FailureScenario,
     MetricSpec,
     NoMainlobeError,
@@ -62,6 +61,8 @@ class TestGeometry:
             uniform_positions(8, 0.0)
         with pytest.raises(ValueError):
             ArrayGeometry(positions=np.array([0.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="at least 2"):
+            ArrayGeometry(positions=np.array([0.0]))
 
 
 class TestArrayFactor:
@@ -91,6 +92,15 @@ class TestArrayFactor:
         g = uniform_positions(4, 0.5)
         with pytest.raises(ValueError):
             pattern_db(g, [1.0, 1.0], [0.3])
+
+    @pytest.mark.parametrize("weights, named", [
+        ([[1.0, 0.5, 0.5, 1.0]], "1-D"),
+        ([1.0, np.nan, 0.5, 1.0], "finite"),
+        ([1.0, 0.5, np.inf, 1.0], "finite"),
+    ])
+    def test_rejects_malformed_excitations(self, weights, named):
+        with pytest.raises(ValueError, match=named):
+            pattern_db(uniform_positions(4, 0.5), weights, [0.3])
 
 
 class TestLevels:
@@ -260,8 +270,13 @@ class TestDynamicRange:
 
 class TestSidelobeRegion:
     def test_full_exclusion_rejected(self):
-        with pytest.raises((EmptyRegionError, ValueError)):
+        with pytest.raises(ValueError, match="beamwidth target"):
             sidelobe_region(180.0, 101)
+
+    def test_widest_exclusion_keeps_the_grid_ends(self):
+        # sin(bw/2) <= 1 for bw below 180 degrees, and the grid's ends are exactly -1 and 1
+        region = sidelobe_region(np.nextafter(180.0, 0.0), 101)
+        assert region.samples.tolist() == [-1.0, 1.0]
 
     def test_tc1_exclusion_edge(self):
         region = sidelobe_region(14.6, 2001)
@@ -410,6 +425,10 @@ class TestScenarioAndMetric:
         assert sc.mask.dtype == bool
         assert sc.mask.tolist() == [False, True, False]
         assert not sc.mask.flags.writeable
+
+    def test_rejects_a_2d_mask(self):
+        with pytest.raises(ValueError, match="1-D"):
+            FailureScenario(mask=np.zeros((2, 2), dtype=bool))
 
     def test_rejects_integer_mask_entries_other_than_0_and_1(self):
         with pytest.raises(ValueError, match="must be 0 or 1"):

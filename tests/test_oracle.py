@@ -77,6 +77,11 @@ class TestExhaustiveMin:
         with pytest.raises(ValueError):
             exhaustive_min(geometry, weights, scenario, metric, max_support=4)
 
+    def test_rejects_a_scenario_of_another_length(self, toy):
+        geometry, weights, _, metric = toy
+        with pytest.raises(ValueError, match="scenario length"):
+            exhaustive_min(geometry, weights, FailureScenario.from_indices(5, [2]), metric)
+
     def test_winner_is_independently_feasible(self, toy):
         geometry, weights, scenario, metric = toy
         result = exhaustive_min(geometry, weights, scenario, metric, max_support=2)
