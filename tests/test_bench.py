@@ -376,8 +376,11 @@ class TestSweep:
                     built.append(a)
                 return a
             monkeypatch.setattr(module, "steering_matrix", counted)
-        design = bench.dolph_chebyshev
-        monkeypatch.setattr(bench, "dolph_chebyshev", lambda *args: designs.append(args) or design(*args))
+
+        def design(*args, dolph_chebyshev=bench.dolph_chebyshev):
+            designs.append(args)
+            return dolph_chebyshev(*args)
+        monkeypatch.setattr(bench, "dolph_chebyshev", design)
         swept = tradeoff_sweep(spec, [-14.0, -15.0, -40.0], tmp_path)
         monkeypatch.undo()
         assert [r["status"] for r in swept] == ["ok", "ok", "infeasible"]
