@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, InfeasibleError
-from .model import ArrayGeometry, FailureScenario, MetricSpec, evaluate_metric, steering_matrix
-from .solver import SolverConfig, l0_norm, l1_norm, proves, solve_constrained_l1
+from .model import ArrayGeometry, FailureScenario, MetricSpec, evaluate_metric
+from .solver import SolverConfig, _Landscape, l0_norm, l1_norm, proves, solve_constrained_l1
 from .taper import apply_failures
 
 DEFAULT_SUPPORT_CAP = 2_000_000
@@ -53,8 +53,9 @@ class _ProofPool:
     """
     The proofs of earlier rejections, most recently useful first.
 
-    A proof is a weighting lam of the region samples. With g_u = (every
-    element's steering entry, F_base_u), F_base the faulty pattern, its
+    A proof is a weighting lam of the region samples. The pool keeps a
+    solver._Landscape with every element free, whose steering rows full and
+    faulty fields F_base give g_u = (full_u, F_base_u); a proof's
     P(lam) = sum_u lam_u conj(g_u) g_u^T is built once. A subset S is
     rejected when proves holds for the principal submatrix of P(lam) on
     S and the base column with h = (1_S, F0_base): that is the test
@@ -64,25 +65,22 @@ class _ProofPool:
     """
 
     def __init__(self, geometry: ArrayGeometry, w_faulty: np.ndarray, metric: MetricSpec):
-        self.full = steering_matrix(geometry, metric.region.samples)
-        self.f_base = self.full @ w_faulty
-        self.f0_base = complex(np.sum(w_faulty))
-        self.tau = 10.0 ** (metric.target_db / 10.0)
-        self.m = int(metric.region.samples.size)
+        self.land = _Landscape(geometry, w_faulty, metric, np.ones(geometry.n, dtype=bool))
         self.proofs = []    # (weights, P(weights)), move-to-front
 
     def add(self, weights: np.ndarray) -> None:
         nz = np.flatnonzero(weights)
-        g = np.column_stack([self.full[nz], self.f_base[nz]])
+        g = np.column_stack([self.land.full[nz], self.land.F_base[nz]])
         self.proofs.insert(0, (weights, (np.conj(g).T * weights[nz]) @ g))
 
     def rejects(self, subset) -> np.ndarray | None:
         """The weights of a pooled proof that no correction on subset meets the target, or None."""
-        cols = [*subset, self.full.shape[1]]
+        land = self.land
+        cols = [*subset, land.full.shape[1]]
         block = np.ix_(cols, cols)
-        h = np.append(np.ones(len(subset)), self.f0_base)
+        h = np.append(np.ones(len(subset)), land.F0_base)
         for k, (weights, p) in enumerate(self.proofs):
-            if proves(p[block], h, self.tau, self.m):
+            if proves(p[block], h, land.tau, land.m):
                 self.proofs.insert(0, self.proofs.pop(k))
                 return weights
         return None

@@ -73,11 +73,14 @@ steps:
     proves only the restriction infeasible.
   - undecided: the solve stalled or reached its iteration cap; its point is
     its best iterate.
-  Each iteration builds one normal matrix G^T W^-2 G: two real products
-  over one stacked real operator from the unknowns to (Re F, Im F)
-  (_Landscape.stacked; a complex program is the same real program over
-  (Re z, Im z)), rank-one terms, and each l1 cone's W^-2 (a 3x3 matrix per
-  cone, held as a (3, 3, f + m) array) with t eliminated. Its
+  The IPM's unknowns are one real vector x over one real operator from x
+  to (Re F, Im F), _Landscape.stacked(): x is Re z on a mirrored half
+  (below) and (Re z, Im z) otherwise, so a complex program is the same real
+  program, and x becomes the correction z only when the IPM returns. Each
+  iteration builds one normal matrix G^T W^-2 G: two real products over
+  that operator (one a weighted Gram, _stacked_gram, which the certificate
+  shares off a lattice), rank-one terms, and each l1 cone's W^-2 (a 3x3
+  matrix per cone, held as a (3, 3, f + m) array) with t eliminated. Its
   inverse serves three KKT solves per iteration (the tau column, the
   predictor and the corrector), each refined twice against the assembled
   normal matrix itself, not against the operator form (_newton_solver). The
@@ -329,22 +332,29 @@ def _adjoint(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.conj(a.T @ np.conj(x))
 
 
+def _stacked_gram(land: _Landscape, w: np.ndarray) -> np.ndarray:
+    """
+    B^T diag(w) B for B = _Landscape.stacked() and w >= 0 on its 2m rows, one
+    symmetric product (syrk). With the same weights on the Re F and Im F rows
+    its first f columns are (Re, Im) of A^H diag(w) A stacked, Re alone on
+    half().
+    """
+    v = land.stacked() * np.sqrt(w)[:, None]
+    return v.T @ v
+
+
 def _gram(land: _Landscape, w: np.ndarray) -> np.ndarray:
     """
     A^H diag(w) A for real w >= 0, the certificate's Gram: a Toeplitz gather
-    of one matrix-vector product on a lattice, else a real syrk.
+    of one matrix-vector product on a lattice, else _stacked_gram (its real
+    part alone on half(), the only part _weighted_gram keeps there).
     """
     if land.lags is not None:
         lag = (w * np.conj(land.full[:, 0])) @ land.full    # lags 0 .. N-1
         return np.concatenate([np.conj(lag[:0:-1]), lag])[land.lags]
-    m, nfree = land.A.shape
-    v = np.empty((m, 2 * nfree))
-    root = np.sqrt(w)[:, None]
-    np.multiply(land.A.real, root, out=v[:, :nfree])
-    np.multiply(land.A.imag, root, out=v[:, nfree:])
-    vv = v.T @ v
-    re, im = vv[:nfree], vv[nfree:]
-    return (re[:, :nfree] + im[:, nfree:]) + 1j * (re[:, nfree:] - im[:, :nfree])
+    f = land.cols.size
+    g = _stacked_gram(land, np.concatenate([w, w]))
+    return g if land.real else g[:f, :f] + 1j * g[f:, :f]
 
 
 def _weighted_gram(land: _Landscape, lam: np.ndarray) -> np.ndarray:
@@ -474,17 +484,19 @@ def _certificate(land: _Landscape, rows: np.ndarray,
     return proof
 
 
-# The cone program. With x = (t, z), t the f l1 bounds and z the correction,
+# The cone program. Its variables are t, the f l1 bounds, and x, the real
+# unknowns of _Landscape.stacked() (Re z, or Re z then Im z, for the
+# correction z):
 #
-#     minimize c^T x = sum(t)  s.t.  s = h - G x in K;
+#     minimize c^T (t, x) = sum(t)  s.t.  s = h - G (t, x) in K;
 #
-# its dual is to maximize -h^T z subject to G^T z + c = 0 and z in K.
+# its dual is to maximize -h^T y subject to G^T y + c = 0 and y in K.
 # K is f + m three-dimensional second-order cones {(s0, s1, s2): s0 >= |(s1, s2)|},
 # held as the columns of (3, f + m) arrays, one contiguous row per cone
 # component, so that a per-cone product is a few operations on whole rows: the
-# l1 cones (t_n, Re z_n, Im z_n) first, then one cone
-# (sqrt(tau) Re F(0), Re F(u), Im F(u)) per region sample. The map -G x is
-# _lin, and h is _lin's value at x = 0 plus the faulty fields.
+# l1 cones (t_n, Re z_n, Im z_n) first (Im z_n = 0 for a real z), then one cone
+# (sqrt(tau) Re F(0), Re F(u), Im F(u)) per region sample. The map -G (t, x)
+# is _lin, and h is _lin's value at (0, 0) plus the faulty fields.
 
 _J = np.array([1.0, -1.0, -1.0])
 _JCOL = _J[:, None]     # J on the rows of a (3, k) array
@@ -624,25 +636,28 @@ class _Scaling:
         return mm
 
 
-def _lin(land: _Landscape, t: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """-G x for x = (t, z): the cones that x alone contributes, as a (3, f + m) array."""
+def _lin(land: _Landscape, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """
+    -G (t, x) for the l1 bounds t and the unknowns x of _Landscape.stacked()
+    (Re z, then Im z for a complex z): the cones that they alone contribute,
+    as a (3, f + m) array. A real z leaves the l1 cones' third row 0.
+    """
     f = t.size
-    out = np.empty((3, f + land.m))
-    out[0, :f], out[1, :f], out[2, :f] = t, z.real, z.imag
-    out[0, f:] = np.sqrt(land.tau) * np.add.reduce(z).real
-    x = z if land.real else np.concatenate([z.real, z.imag])
+    out = np.zeros((3, f + land.m))
+    out[0, :f] = t
+    out[1:1 + x.size // f, :f] = x.reshape(-1, f)
+    out[0, f:] = np.sqrt(land.tau) * np.add.reduce(x[:f])
     out[1:, f:] = (land.stacked() @ x).reshape(2, land.m)
     return out
 
 
 def _lin_adjoint(land: _Landscape, y: np.ndarray):
-    """(-G)^T y as (t part, z part packed as d/dRe + i d/dIm; d/dRe alone for a real z)."""
+    """(-G)^T y as (t part, x part) over the unknowns of _lin."""
     f = land.cols.size
     field = land.stacked().T @ y[1:, f:].reshape(-1)    # (Re, Im) of A^H (y1 + i y2), Re alone for a real z
-    re = y[1, :f] + np.sqrt(land.tau) * np.add.reduce(y[0, f:]) + field[:f]
-    if land.real:
-        return y[0, :f], re
-    return y[0, :f], re + 1j * (y[2, :f] + field[f:])
+    own = y[1:1 + field.size // f, :f].copy()           # the l1 cones' Re z row, then Im z row
+    own[0] += np.sqrt(land.tau) * np.add.reduce(y[0, f:])
+    return y[0, :f], (own + field.reshape(-1, f)).reshape(-1)
 
 
 def _apply_weights(mm: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -652,13 +667,13 @@ def _apply_weights(mm: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _normal_matrix(land: _Landscape, mm: np.ndarray) -> np.ndarray:
     """
-    G^T W^-2 G over (Re z, Im z), or Re z alone for a real z, t eliminated:
-    the IPM's normal matrix.
+    G^T W^-2 G over the unknowns x of _Landscape.stacked() (Re z, or Re z
+    then Im z), t eliminated: the IPM's normal matrix.
 
-    mm holds W^-2 of each cone (_Scaling.weights). With B = _Landscape.stacked,
-    whose rows map the unknowns to Re F(u) and then Im F(u), and M the
-    sample cones' W^-2, those cones give Br^T diag(M11) Br +
-    Bi^T diag(M22) Bi + C + C^T for C = Br^T diag(M12) Bi, plus
+    mm holds W^-2 of each cone (_Scaling.weights). With B = stacked(), whose
+    rows map x to Re F(u) and then Im F(u), and M the sample cones' W^-2,
+    those cones give Br^T diag(M11) Br + Bi^T diag(M22) Bi (_stacked_gram)
+    + C + C^T for C = Br^T diag(M12) Bi, plus
     sqrt(tau) (a0 b^T + b a0^T) with b = Br^T M01 + Bi^T M02, plus
     tau sum(M00) a0 a0^T, where a0 is 1 on Re z and 0 on Im z (the rows and
     columns :f). The l1 cones' W^-2 couple each (t_n, Re z_n, Im z_n) only;
@@ -668,8 +683,7 @@ def _normal_matrix(land: _Landscape, mm: np.ndarray) -> np.ndarray:
     f = land.cols.size
     ml, mu = mm[:, :, :f], mm[:, :, f:]
     b, m = land.stacked(), land.m
-    v = b * np.sqrt(mu[1:, 1:].diagonal().T.reshape(-1))[:, None]
-    h = v.T @ v                          # a symmetric product (syrk)
+    h = _stacked_gram(land, mu[1:, 1:].diagonal().T.reshape(-1))
     c = b[:m].T @ (mu[1, 2][:, None] * b[m:])
     h += c
     h += c.T
@@ -686,36 +700,34 @@ def _normal_matrix(land: _Landscape, mm: np.ndarray) -> np.ndarray:
 
 def _newton_solver(land: _Landscape, mm: np.ndarray):
     """
-    The solve (bt, bz) -> (dt, dz) of H dx = (bt, bz), with H = G^T W^-2 G
-    over x = (t, z) and mm holding W^-2 of each cone.
+    The solve (bt, bx) -> (dt, dx) of H (dt, dx) = (bt, bx), with
+    H = G^T W^-2 G over the l1 bounds t and the unknowns x of
+    _Landscape.stacked(), and mm holding W^-2 of each cone.
 
     t_n enters only its own l1 cone, so it is eliminated cone by cone, leaving
-    the normal matrix's system hm d = r over (Re z, Im z), or Re z alone for
-    a real z (_normal_matrix). hm is inverted once, equilibrated by its
-    diagonal, which spans many decades; each solve refines d
-    _IPM_REFINEMENTS times against the assembled hm, d += hm^-1 (r - hm d),
-    then recovers t; without the refinements most solves stall short of
-    their targets. Raises LinAlgError when hm is singular.
+    the normal matrix's system hm dx = r (_normal_matrix). hm is inverted
+    once, equilibrated by its diagonal, which spans many decades; each solve
+    refines dx _IPM_REFINEMENTS times against the assembled hm,
+    dx += hm^-1 (r - hm dx), then recovers t; without the refinements most
+    solves stall short of their targets. Raises LinAlgError when hm is
+    singular.
     """
     f = land.cols.size
     hm = _normal_matrix(land, mm)
     unit = 1.0 / np.sqrt(np.diag(hm))
     scale = np.outer(unit, unit)
     kinv = np.linalg.inv(hm * scale) * scale
-    m00, m01, m02 = mm[0, :, :f]
+    m00, cross = mm[0, 0, :f], mm[0, 1:1 + hm.shape[0] // f, :f]    # W^-2's (t, Re z) and (t, Im z)
 
-    def solve(bt, bz):
-        if land.real:
-            r = bz - m01 / m00 * bt
-        else:
-            r = np.concatenate([bz.real - m01 / m00 * bt, bz.imag - m02 / m00 * bt])
+    def solve(bt, bx):
+        r = (bx.reshape(-1, f) - cross / m00 * bt).reshape(-1)
         d = kinv @ r
         for _ in range(_IPM_REFINEMENTS):
             d += kinv @ (r - hm @ d)
-        if land.real:
-            return (bt - m01 * d) / m00, d
-        dt = (bt - m01 * d[:f] - m02 * d[f:]) / m00
-        return dt, d[:f] + 1j * d[f:]
+        dt = bt
+        for c, dk in zip(cross, d.reshape(-1, f)):
+            dt = dt - c * dk
+        return dt / m00, d
 
     return solve
 
@@ -724,15 +736,17 @@ def _cone_ipm(land: _Landscape):
     """
     The cone program in the homogeneous self-dual model, from the central point.
 
-    The iterates (x, s, z, tau, kappa) need not be feasible: the residuals
-    of G x + s = h tau, G^T z + c tau = 0 and kappa = -(c^T x + h^T z) shrink
-    at the pace of the complementarity (s^T z + tau kappa) / (f + m + 1).
-    Returns (z, info) with z the correction x / tau; info holds the
-    iterations, the relative gap, the relative primal and dual residuals, the
-    final tau and kappa, and the verdict:
+    The iterates (t, x, s, y, tau, kappa), y the dual, need not be feasible:
+    the residuals of G (t, x) + s = h tau, G^T y + c tau = 0 and
+    kappa = -(c^T (t, x) + h^T y) shrink at the pace of the complementarity
+    (s^T y + tau kappa) / (f + m + 1). Returns (z, info) with z the
+    correction, made from x / tau once, at the exit (real when x is Re z
+    alone); info holds the iterations, the relative gap, the relative primal
+    and dual residuals, the final tau and kappa, and the verdict:
     - "optimal": gap and residuals all met their targets;
-    - "ray": z in K and ||G^T z|| <= _IPM_RAY * -h^T z, a Farkas ray: every
-      feasible x has (G^T z)^T x <= h^T z, so none has a norm below 1 / _IPM_RAY;
+    - "ray": y in K and ||G^T y|| <= _IPM_RAY * -h^T y, a Farkas ray: every
+      feasible (t, x) has (G^T y)^T (t, x) <= h^T y, so none has a norm
+      below 1 / _IPM_RAY;
     - "undecided": the solve stalled or hit its iteration cap, and z and info
       are its best iterate's.
     info["weights"] holds the final dual iterate's sample-cone weights z_u0,
@@ -744,7 +758,7 @@ def _cone_ipm(land: _Landscape):
     h[1, f:], h[2, f:] = land.F_base.real, land.F_base.imag
     h_norm = max(1.0, float(np.linalg.norm(h)))
 
-    t, z, tau, kappa = np.zeros(f), np.zeros(f, dtype=float if land.real else complex), 1.0, 1.0
+    t, x, tau, kappa = np.zeros(f), np.zeros(land.stacked().shape[1]), 1.0, 1.0
     s = np.zeros_like(h)
     s[0] = 1.0
     dual = s.copy()
@@ -752,27 +766,27 @@ def _cone_ipm(land: _Landscape):
     degree = f + land.m + 1
     best, best_score, best_progress, best_it, verdict = None, np.inf, np.inf, 0, "undecided"
     for it in range(_IPM_ITERATIONS + 1):
-        rz = s - tau * h - _lin(land, t, z)              # G x + s - h tau
-        ray_t, ray_z = (-a for a in _lin_adjoint(land, dual))   # G^T z
-        rx_t, rx_z = ray_t + tau, ray_z                   # G^T z + c tau
-        hz = float(np.vdot(h, dual))                      # h^T z
-        pobj = float(np.add.reduce(t))                    # c^T x
+        rz = s - tau * h - _lin(land, t, x)              # G (t, x) + s - h tau
+        ray_t, ray_x = (-a for a in _lin_adjoint(land, dual))   # G^T y
+        rx_t, rx_x = ray_t + tau, ray_x                   # G^T y + c tau
+        hz = float(np.vdot(h, dual))                      # h^T y
+        pobj = float(np.add.reduce(t))                    # c^T (t, x)
         rt = kappa + pobj + hz
         lam, lam_j = w.lam, w.lam_j
-        gap = float(np.vdot(lam, lam))                    # s^T z
+        gap = float(np.vdot(lam, lam))                    # s^T y
         now = {"gap": gap / (tau * max(tau, abs(pobj), abs(hz))),
                "primal": float(np.linalg.norm(rz)) / (tau * h_norm),
-               "dual": float(np.sqrt(rx_t @ rx_t + np.vdot(rx_z, rx_z).real)) / (tau * np.sqrt(f)),
+               "dual": float(np.sqrt(rx_t @ rx_t + rx_x @ rx_x)) / (tau * np.sqrt(f)),
                "tau": tau, "kappa": kappa}
         residual = max(now["primal"], now["dual"]) / _IPM_RESIDUAL
         score = max(now["gap"] / _IPM_GAP, residual)
         ray = np.inf
         if hz < 0.0 and np.all(dual[0] > np.hypot(dual[1], dual[2])):
-            ray = float(np.sqrt(ray_t @ ray_t + np.vdot(ray_z, ray_z).real)) / (-hz * _IPM_RAY)
+            ray = float(np.sqrt(ray_t @ ray_t + ray_x @ ray_x)) / (-hz * _IPM_RAY)
         if not np.isfinite(score):
             break
         if score < best_score:
-            best, best_score = (z / tau, now), score
+            best, best_score = (x, tau, now), score
         # Progress: the embedding shrinks the complementarity mu and the residuals
         # (not divided by tau, which falls to 0 on an infeasible program) at one
         # pace. Near the end the normal matrix loses digits and one of them stalls:
@@ -785,7 +799,7 @@ def _cone_ipm(land: _Landscape):
             verdict = "optimal"
             break
         if ray <= 1.0:
-            best, verdict = (z / tau, now), "ray"
+            best, verdict = (x, tau, now), "ray"
             break
         if it == _IPM_ITERATIONS or it - best_it >= _IPM_STALL:
             break
@@ -795,26 +809,26 @@ def _cone_ipm(land: _Landscape):
         except np.linalg.LinAlgError:
             break
 
-        def kkt(bt, bz, gc):
-            # G^T dz = (bt, bz), G dx - W^2 dz = W^2 gc, through H dx = (bt, bz) - (-G)^T gc
-            gt, gz = _lin_adjoint(land, gc)
-            dt, dz = solve(bt - gt, bz - gz)
-            return dt, dz, -_apply_weights(mm, _lin(land, dt, dz)) - gc
+        def kkt(bt, bx, gc):
+            # G^T dy = (bt, bx), G (dt, dx) - W^2 dy = W^2 gc, through H (dt, dx) = (bt, bx) - (-G)^T gc
+            gt, gx = _lin_adjoint(land, gc)
+            dt, dx = solve(bt - gt, bx - gx)
+            return dt, dx, -_apply_weights(mm, _lin(land, dt, dx)) - gc
 
-        # the tau column: (dx, dz) per unit of dtau
-        col = kkt(-np.ones(f), np.zeros_like(z), _apply_weights(mm, h))
-        col_c = float(np.add.reduce(col[0])) + float(np.vdot(h, col[2]))   # c^T dx + h^T dz
+        # the tau column: (dt, dx, dy) per unit of dtau
+        col = kkt(-np.ones(f), np.zeros_like(x), _apply_weights(mm, h))
+        col_c = float(np.add.reduce(col[0])) + float(np.vdot(h, col[2]))   # c^T (dt, dx) + h^T dy
 
         def direction(eta, wl, xi):
             # Newton direction with residuals scaled by eta, scaled complementarity
-            # lam o (W dz + W^-1 ds) = xi given as wl = W^-1 (lam \ xi), and
+            # lam o (W dy + W^-1 ds) = xi given as wl = W^-1 (lam \ xi), and
             # kappa dtau + tau dkappa = xi.
-            dt, dz, dd = kkt(-eta * rx_t, -eta * rx_z, -eta * _apply_weights(mm, rz) - wl)
+            dt, dx, dd = kkt(-eta * rx_t, -eta * rx_x, -eta * _apply_weights(mm, rz) - wl)
             c1 = float(np.add.reduce(dt)) + float(np.vdot(h, dd))
             dtau = (-eta * rt - xi / tau - c1) / (col_c - kappa / tau)
-            dt, dz, dd = dt + dtau * col[0], dz + dtau * col[1], dd + dtau * col[2]
-            ds = _lin(land, dt, dz) + dtau * h - eta * rz
-            return dt, dz, dtau, (xi - kappa * dtau) / tau, ds, dd
+            dt, dx, dd = dt + dtau * col[0], dx + dtau * col[1], dd + dtau * col[2]
+            ds = _lin(land, dt, dx) + dtau * h - eta * rz
+            return dt, dx, dtau, (xi - kappa * dtau) / tau, ds, dd
 
         def scaled(ds, dd):
             # W^-1 ds and W dd, stacked as (3, 2, f + m)
@@ -838,13 +852,13 @@ def _cone_ipm(land: _Landscape):
         centre[0] += sigma * mu
         del ds, dd, pair
         # combined direction: centring plus the predictor's second-order term
-        dt, dz, dtau, dkappa, ds, dd = direction(
+        dt, dx, dtau, dkappa, ds, dd = direction(
             1.0 - sigma, w.apply_inverse(_jdiv(lam, lam_j, centre)) - dual,
             -tau * kappa - dtau * dkappa + sigma * mu)
         del centre
         pair = scaled(ds, dd)
         step = min(1.0, _IPM_STEP * max_step(pair, dtau, dkappa))
-        t, z = t + step * dt, z + step * dz
+        t, x = t + step * dt, x + step * dx
         tau, kappa = tau + step * dtau, kappa + step * dkappa
         s += step * ds
         dual += step * dd
@@ -852,8 +866,9 @@ def _cone_ipm(land: _Landscape):
         w.step(pair, step)
         del pair
 
-    z, now = best
-    return z, {"iterations": it, **now, "verdict": verdict, "weights": dual[0, f:]}
+    x, tau, now = best
+    z = x if x.size == f else x[:f] + 1j * x[f:]      # Re z, or (Re z, Im z), as z
+    return z / tau, {"iterations": it, **now, "verdict": verdict, "weights": dual[0, f:]}
 
 
 def _lobe_stride(geometry: ArrayGeometry, u: np.ndarray) -> int:

@@ -343,19 +343,20 @@ class TestKernels:
             _assert_close(b.T @ y, ahy.real if sub.real else np.concatenate([ahy.real, ahy.imag]))
 
     # Each IPM step solves a Newton system with the Hessian G^T W^-2 G of the
-    # quadratic x^T G^T W^-2 G x / 2 (the normal matrix, t eliminated). The
-    # step refines against the assembled normal matrix; its gradient in
+    # quadratic x^T G^T W^-2 G x / 2 (the normal matrix, t eliminated), over
+    # the real unknowns of stacked(): (t, Re z, Im z), or (t, Re z) on a half.
+    # The step refines against the assembled normal matrix; its gradient in
     # operator form, _lin_adjoint(W^-2 _lin(x)), is the reference both must
     # agree with, as must an explicit G.
 
     def test_stage_gradient_matches_reference(self, name):
         land, z = _landscape(PROBLEMS[name](), 3.0)
         mm = _random_weights(land)
-        t = np.abs(z) + 0.1
-        grad_t, grad_z = _lin_adjoint(land, _apply_weights(mm, _lin(land, t, z)))
+        t, x = np.abs(z) + 0.1, np.concatenate([z.real, z.imag])
+        grad_t, grad_x = _lin_adjoint(land, _apply_weights(mm, _lin(land, t, x)))
         g, blocks = _dense_system(land, mm)
-        ref = g.T @ blocks @ g @ np.concatenate([t, z.real, z.imag])
-        got = np.concatenate([grad_t, grad_z.real, grad_z.imag])
+        ref = g.T @ blocks @ g @ np.concatenate([t, x])
+        got = np.concatenate([grad_t, grad_x])
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_stage_hessian_matches_reference(self, name):
@@ -381,26 +382,25 @@ class TestKernels:
         assert np.max(np.abs(_normal_matrix(half, mm) - ref)) <= 1e-12 * np.max(np.abs(ref))
         t = np.abs(z) + 0.1
         grad_t, grad_x = _lin_adjoint(half, _apply_weights(mm, _lin(half, t, z.real)))
-        ref_t, ref_z = _lin_adjoint(whole, _apply_weights(mm, _lin(whole, t, z.real + 0j)))
-        assert np.isrealobj(grad_x)
+        ref_t, ref_x = _lin_adjoint(whole, _apply_weights(mm, _lin(whole, t, np.append(z.real, np.zeros(f)))))
+        assert grad_x.shape == (f,)
         assert np.max(np.abs(grad_t - ref_t)) <= 1e-12 * np.max(np.abs(ref_t))
-        assert np.max(np.abs(grad_x - ref_z.real)) <= 1e-12 * np.max(np.abs(ref_z.real))
+        assert np.max(np.abs(grad_x - ref_x[:f])) <= 1e-12 * np.max(np.abs(ref_x[:f]))
 
     def test_newton_solve_meets_the_operator_form(self, name):
         # A solve refined against the assembled normal matrix meets the
-        # operator form of H, for a complex z and for a real z on the half.
+        # operator form of H, over (Re z, Im z) and over Re z on the half.
         land, z = _landscape(PROBLEMS[name](), 3.0)
         assert (land.lags is not None) == ON_LATTICE[name]
         rng = np.random.default_rng(7)
-        for sub in (land, land.half()):
+        for sub, k in ((land, 2), (land.half(), 1)):
             mm = _random_weights(sub)
-            bt = rng.standard_normal(z.size)
-            bz = rng.standard_normal(z.size) + (0.0 if sub.real else 1j * rng.standard_normal(z.size))
-            dt, dz = _newton_solver(sub, mm)(bt, bz)
-            assert np.isrealobj(dz) == sub.real
-            ot, oz = _lin_adjoint(sub, _apply_weights(mm, _lin(sub, dt, dz)))
-            residual = np.sqrt(np.sum((ot - bt) ** 2) + np.sum(np.abs(oz - bz) ** 2))
-            assert residual <= 1e-10 * np.sqrt(np.sum(bt ** 2) + np.sum(np.abs(bz) ** 2))
+            bt, bx = rng.standard_normal(z.size), rng.standard_normal(k * z.size)
+            dt, dx = _newton_solver(sub, mm)(bt, bx)
+            assert dx.shape == bx.shape
+            ot, ox = _lin_adjoint(sub, _apply_weights(mm, _lin(sub, dt, dx)))
+            residual = np.sqrt(np.sum((ot - bt) ** 2) + np.sum((ox - bx) ** 2))
+            assert residual <= 1e-10 * np.sqrt(np.sum(bt ** 2) + np.sum(bx ** 2))
 
     def test_stage_hessian_matches_gradient_differences(self, name):
         land, z = _landscape(PROBLEMS[name](), 3.0)
@@ -410,11 +410,9 @@ class TestKernels:
         step = 1e-3
 
         def real_grad(x):
-            # t at the minimum of the quadratic for this z, as the IPM eliminates it
-            zx = x[:n] + 1j * x[n:]
-            t = -(m01 * zx.real + m02 * zx.imag) / m00
-            g = _lin_adjoint(land, _apply_weights(mm, _lin(land, t, zx)))[1]
-            return np.concatenate([g.real, g.imag])
+            # t at the minimum of the quadratic for this x, as the IPM eliminates it
+            t = -(m01 * x[:n] + m02 * x[n:]) / m00
+            return _lin_adjoint(land, _apply_weights(mm, _lin(land, t, x)))[1]
 
         x = np.concatenate([z.real, z.imag])
         fd = np.empty((2 * n, 2 * n))

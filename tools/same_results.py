@@ -10,10 +10,11 @@ results. Both run `minimize_corrections` on every catalog scenario under
 scenarios/ (read from this checkout), on the batch's unreachable row
 (`BATCH_UNREACHABLE` of benchmark/bench_workloads.py: test_case_2_sll22 at
 -30 dB), on test_case_1 and fail_rate_n50_row1 with their tapers times
-e^{0.3j} (items complex:<name>: no catalog scenario reaches the cone program
-over (Re z, Im z), and these do), on test_case_1 with its taper times -1
-(item negated:test_case_1: a real taper whose broadside field is negative),
-on test_case_1 and test_case_2_sll22 with their tapers times 2^-10 (items
+e^{0.3j} (items complex:<name>: complex weights, which a solve rotates back
+to a real taper, so like every catalog scenario they run the cone program
+over Re z alone; no item reaches the one over (Re z, Im z)), on
+test_case_1 with its taper times -1 (item negated:test_case_1: a real taper
+whose broadside field is negative), on test_case_1 and test_case_2_sll22 with their tapers times 2^-10 (items
 scaled:<name>: an answer must not depend on the excitations' units), and
 the test_case_1 oracle up to support 3. The script compares each
 correction vector exactly (which elements it changes, and so which
