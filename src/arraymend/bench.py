@@ -402,9 +402,11 @@ def tradeoff_sweep(spec: ScenarioSpec, targets, out_dir) -> list[dict]:
 
     Emits one row per target with the correction count and the achieved
     level; infeasible targets are recorded and the sweep continues. The
-    scenario is resolved once, with the first target in place of its own
-    (so an explicit taper without a target_db resolves too): its taper and
-    region do not depend on the target, and each run takes the same region.
+    scenario is resolved once, with the first target in place of its own, or
+    0 dB for an empty ladder (so an explicit taper without a target_db
+    resolves too, and a malformed file fails whatever the ladder): its taper
+    and region do not depend on the target, and each run takes the same
+    region.
     """
     targets = [float(t) for t in targets]
     if any(t1 > t0 for t0, t1 in zip(targets, targets[1:])):
@@ -413,8 +415,7 @@ def tradeoff_sweep(spec: ScenarioSpec, targets, out_dir) -> list[dict]:
     out.mkdir(parents=True, exist_ok=True)
     header = ["target_db", "status", "n_corrections", "achieved_sll_db", "l1"]
     rows: list[dict] = []
-    if targets:
-        res = resolve_scenario(replace(spec, metric={**spec.metric, "target_db": targets[0]}))
+    res = resolve_scenario(replace(spec, metric={**spec.metric, "target_db": targets[0] if targets else 0.0}))
     for target in targets:
         metric = replace(res.metric, target_db=target)
         row = {**dict.fromkeys(header), "target_db": target, "status": "infeasible"}
@@ -475,10 +476,11 @@ def batch_run(spec_dir, out_dir, parallelism: int = 1) -> list[dict]:
     error row naming that file, and writes nothing.
 
     parallelism is checked (ValueError below 1) but does not change how the
-    batch runs. Two threads were slower than one: they hand the interpreter
-    lock back and forth around each of a solve's microsecond numpy calls,
-    and they hold two scenarios' region steering matrices at once. A process
-    pool is the planned meaning of a value above 1.
+    batch runs; it stays only because the benchmark harness passes
+    parallelism=2, and the CLI has no flag for it. Two threads were slower
+    than one: they hand the interpreter lock back and forth around each of a
+    solve's microsecond numpy calls, and they hold two scenarios' region
+    steering matrices at once.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be at least 1, got {parallelism}")

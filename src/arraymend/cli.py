@@ -49,9 +49,6 @@ def _parse_args(argv):
     p_batch = sub.add_parser("batch", help="run every scenario file in a directory")
     p_batch.add_argument("spec_dir", help="directory of scenario JSON files, each its run's only input")
     p_batch.add_argument("--out", default="out", help="output directory (default: ./out)")
-    p_batch.add_argument("--parallel", type=int, default=1, metavar="K",
-                         help="checked (at least 1), but scenarios run one at a time: "
-                              "threads were slower than one and held twice the memory")
 
     return parser.parse_args(argv)
 
@@ -89,7 +86,7 @@ def main(argv=None) -> int:
             scaled = scale_failure_scenario(base, args.base_n, args.factor, args.count)
             print(",".join(str(i) for i in scaled))
         elif args.command == "batch":
-            records = batch_run(args.spec_dir, args.out, args.parallel)
+            records = batch_run(args.spec_dir, args.out)
             for record in records:
                 print(f"{record.get('name')}: {record.get('status')}")
     except InfeasibleError as err:

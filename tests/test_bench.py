@@ -421,16 +421,12 @@ class TestBatch:
             100.0 * int(row["n_corrections"]) / n_controllable, rel=1e-4)
 
     @pytest.mark.parametrize("parallelism", [0, -2])
-    def test_rejects_parallelism_below_one(self, tmp_path, capsys, parallelism):
+    def test_rejects_parallelism_below_one(self, tmp_path, parallelism):
         spec_dir = tmp_path / "specs"
         spec_dir.mkdir()
         (spec_dir / "toy.json").write_text(json.dumps(toy_spec_dict()))
-        with pytest.raises(ValueError, match="parallelism"):
+        with pytest.raises(ValueError, match="parallelism must be at least 1"):
             batch_run(spec_dir, tmp_path / "out", parallelism=parallelism)
-        code = cli_main(["batch", str(spec_dir), "--out", str(tmp_path / "out"),
-                         f"--parallel={parallelism}"])
-        assert code == 1
-        assert "parallelism must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_empty_directory(self, tmp_path):
@@ -624,6 +620,22 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "target -5:" in out and "target -5.5:" in out
+
+    def test_sweep_cli_reads_a_malformed_file_whatever_the_ladder(self, tmp_path, capsys):
+        spec_path = tmp_path / "toy.json"
+        spec_path.write_text(json.dumps(toy_spec_dict(**MALFORMED["unknown_metric_field"][0])))
+        for targets in ("--targets=", "--targets=-5"):
+            assert cli_main(["sweep", str(spec_path), targets, "--out", str(tmp_path / "out")]) == 1
+            assert "unknown metric fields" in capsys.readouterr().err
+            assert not (tmp_path / "out" / "toy_sweep.csv").exists()
+
+    def test_sweep_cli_empty_ladder_on_an_explicit_taper_without_a_target(self, tmp_path):
+        data = toy_spec_dict()
+        del data["metric"]["target_db"]
+        spec_path = tmp_path / "toy.json"
+        spec_path.write_text(json.dumps(data))
+        assert cli_main(["sweep", str(spec_path), "--targets=", "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "toy_sweep.csv").read_text() == "target_db,status,n_corrections,achieved_sll_db,l1\n"
 
     def test_sweep_cli_prints_infeasible_targets(self, tmp_path, capsys):
         code = cli_main(["sweep", str(SCENARIO_DIR / "toy.json"), "--targets=-5.5,-100",
