@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import suppress
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,40 +72,48 @@ def _file_name(value, name: str) -> str:
     return value
 
 
+def _indices(value, name: str) -> list[int]:
+    """value as a list of ints, with a ValueError naming the field unless it is a flat list of integers."""
+    return [int(i) for i in _listed(value, name, (int, np.integer), "a list of integers")]
+
+
+def _object(value, name: str) -> dict:
+    """value, with a ValueError naming the field unless it is a JSON object."""
+    return _checked(value, name, dict, "an object")
+
+
 @dataclass
 class ScenarioSpec:
-    """One correction problem: array, taper, failures, and metric target."""
+    """
+    One correction problem: array, taper, failures, and metric target.
 
-    name: str
-    n_elements: int
-    faulty_indices: list[int]
-    taper: dict | list
-    metric: dict = field(default_factory=dict)
-    spacing_wavelengths: float = 0.5
-    solver: dict = field(default_factory=dict)
+    The fields are the scenario file's top level: the ones without a default
+    are required, and each "check" converts the file's value or raises a
+    ValueError naming the field. The taper is checked whole when it is
+    resolved (_resolve_taper).
+    """
+
+    name: str = field(metadata={"check": _file_name})
+    n_elements: int = field(metadata={"check": _integer})
+    faulty_indices: list[int] = field(metadata={"check": _indices})
+    taper: dict | list = field(metadata={"check": lambda value, name: value})
+    metric: dict = field(default_factory=dict, metadata={"check": _object})
+    spacing_wavelengths: float = field(default=0.5, metadata={"check": _real})
+    solver: dict = field(default_factory=dict, metadata={"check": _object})
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
         if not isinstance(data, dict):
             raise ValueError(f"a scenario must be a JSON object, got {data!r}")
-        known = {"name", "n_elements", "faulty_indices", "taper", "metric",
-                 "spacing_wavelengths", "solver"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
-        missing = {"name", "n_elements", "faulty_indices", "taper"} - set(data)
+        missing = [f.name for f in fields(cls) if f.name not in data
+                   and f.default is MISSING and f.default_factory is MISSING]
         if missing:
             raise ValueError(f"scenario is missing fields: {sorted(missing)}")
-        return cls(
-            name=_file_name(data["name"], "name"),
-            n_elements=_integer(data["n_elements"], "n_elements"),
-            faulty_indices=[int(i) for i in _listed(data["faulty_indices"], "faulty_indices",
-                                                    (int, np.integer), "a list of integers")],
-            taper=data["taper"],
-            metric=_checked(data.get("metric", {}), "metric", dict, "an object"),
-            spacing_wavelengths=_real(data.get("spacing_wavelengths", 0.5), "spacing_wavelengths"),
-            solver=_checked(data.get("solver", {}), "solver", dict, "an object"),
-        )
+        return cls(**{f.name: f.metadata["check"](data[f.name], f.name)
+                      for f in fields(cls) if f.name in data})
 
     @classmethod
     def from_file(cls, path) -> "ScenarioSpec":
@@ -113,15 +121,8 @@ class ScenarioSpec:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n_elements": self.n_elements,
-            "spacing_wavelengths": self.spacing_wavelengths,
-            "taper": self.taper,
-            "faulty_indices": list(self.faulty_indices),
-            "metric": dict(self.metric),
-            "solver": dict(self.solver),
-        }
+        """The scenario file's fields, as an independent deep copy."""
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -186,6 +187,9 @@ def resolve_scenario(spec: ScenarioSpec) -> ResolvedScenario:
     density = DEFAULT_GRID_DENSITY if density is None else _integer(density, "region_density")
     if samples is not None:
         samples = _listed(samples, "region_samples", _REAL, "a flat list of real numbers")
+        clash = [k for k in ("bw_target_deg", "region_density") if spec.metric.get(k) is not None]
+        if clash:
+            raise ValueError(f"metric region_samples excludes {' and '.join(clash)}")
     if metric:
         raise ValueError(f"unknown metric fields: {sorted(metric)}")
 

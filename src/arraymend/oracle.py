@@ -88,8 +88,7 @@ class _ProofPool:
 
 def exhaustive_min(geometry: ArrayGeometry, original, scenario: FailureScenario,
                    metric: MetricSpec, config: SolverConfig | None = None,
-                   max_support: int | None = None,
-                   max_supports: int = DEFAULT_SUPPORT_CAP) -> OracleResult:
+                   max_support: int | None = None) -> OracleResult:
     """
     Smallest support size whose best correction meets the metric target.
 
@@ -97,8 +96,9 @@ def exhaustive_min(geometry: ArrayGeometry, original, scenario: FailureScenario,
     by lexicographic order; the correction returned for the winner is the
     inner solver's and may differ between solver configurations). When no
     subset up to max_support is feasible the result reports that bound with
-    feasible=False. Raises BudgetExceededError when more than max_supports
-    subsets would be examined, whether solved or rejected by the pool.
+    feasible=False. Raises BudgetExceededError when more than
+    DEFAULT_SUPPORT_CAP subsets would be examined, whether solved or
+    rejected by the pool.
     """
     t0 = time.perf_counter()
     if scenario.n != geometry.n:
@@ -115,8 +115,8 @@ def exhaustive_min(geometry: ArrayGeometry, original, scenario: FailureScenario,
     for m in range(limit + 1):
         for subset in itertools.combinations(working, m):
             supports += 1
-            if supports > max_supports:
-                raise BudgetExceededError(f"oracle examined more than {max_supports} supports")
+            if supports > DEFAULT_SUPPORT_CAP:
+                raise BudgetExceededError(f"oracle examined more than {DEFAULT_SUPPORT_CAP} supports")
             if pool.rejects(subset) is not None:
                 certified += 1
                 continue

@@ -67,6 +67,11 @@ def toy_metric(**fields):
     return {"metric": {"target_db": -5.5, "bw_target_deg": 60.0, **fields}}
 
 
+def toy_samples(samples, **fields):
+    """An override of the toy's metric: its target on the region samples given, then fields."""
+    return {"metric": {"target_db": -5.5, "region_samples": samples, **fields}}
+
+
 # Malformed scenario fields, with a word the error must name.
 MALFORMED = {
     "unknown_solver_field": ({"solver": {"bogus": 1}}, "bogus"),
@@ -96,10 +101,10 @@ MALFORMED = {
     "list_region_density": (toy_metric(region_density=[5]), "region_density"),
     "fractional_region_density": (toy_metric(region_density=801.7), "region_density"),
     "string_taper_level": ({"taper": {"dolph_chebyshev": {"sll_db": "-20"}}}, "sll_db"),
-    "string_region_samples": (toy_metric(region_samples=["0.5", "0.7"]), "region_samples"),
-    "boolean_region_samples": (toy_metric(region_samples=True), "region_samples"),
-    "scalar_region_samples": (toy_metric(region_samples=0.6), "region_samples"),
-    "nested_region_samples": (toy_metric(region_samples=[[0.5, 0.7], [0.8, 0.9]]), "region_samples"),
+    "string_region_samples": (toy_samples(["0.5", "0.7"]), "region_samples"),
+    "boolean_region_samples": (toy_samples(True), "region_samples"),
+    "scalar_region_samples": (toy_samples(0.6), "region_samples"),
+    "nested_region_samples": (toy_samples([[0.5, 0.7], [0.8, 0.9]]), "region_samples"),
     "string_taper_weights": ({"taper": ["1", "0.5", "0.5", "1"]}, "taper"),
     "boolean_taper_weights": ({"taper": [True, 1, 1, True]}, "taper"),
     "nested_taper_weights": ({"taper": [[1.0, 0.5], [0.5, 1.0]]}, "taper"),
@@ -113,9 +118,11 @@ MALFORMED = {
     "unknown_metric_field": (toy_metric(region_width=3), "region_width"),
     "short_taper_weights": ({"taper": [1.0, 0.419, 1.0]}, "n_elements"),
     "taper_weights_without_region": ({"metric": {"target_db": -5.5}}, "region_samples"),
-    "region_samples_beyond_one": (toy_metric(region_samples=[0.5, 1.5]), "region samples"),
-    "empty_region_samples": (toy_metric(region_samples=[]), "metric region"),
+    "region_samples_beyond_one": (toy_samples([0.5, 1.5]), "region samples"),
+    "empty_region_samples": (toy_samples([]), "metric region"),
     "two_point_region_density": (toy_metric(region_density=2), "grid density"),
+    "region_samples_beside_bw_target": (toy_samples([-0.7, 0.7], bw_target_deg=170.0), "bw_target_deg"),
+    "region_samples_beside_region_density": (toy_samples([-0.7, 0.7], region_density=3), "region_density"),
     "non_finite_spacing": ({"spacing_wavelengths": float("nan")}, "positions"),
 }
 
@@ -124,6 +131,21 @@ class TestScenarioSpec:
     def test_round_trip(self):
         spec = ScenarioSpec.from_dict(toy_spec_dict())
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+
+    def test_to_dict_is_an_independent_copy(self):
+        spec = ScenarioSpec.from_dict(toy_spec_dict())
+        data = spec.to_dict()
+        data["taper"][1] = 5.0
+        data["metric"]["region_samples"].append(0.9)
+        data["faulty_indices"].append(3)
+        assert spec == ScenarioSpec.from_dict(toy_spec_dict())
+
+    def test_defaults_come_from_the_dataclass(self):
+        data = toy_spec_dict()
+        del data["spacing_wavelengths"], data["metric"]
+        spec = ScenarioSpec.from_dict(data)
+        assert (spec.spacing_wavelengths, spec.metric, spec.solver) == (0.5, {}, {})
+        assert type(spec.spacing_wavelengths) is float
 
     def test_numpy_integers_are_accepted(self):
         spec = ScenarioSpec.from_dict(toy_spec_dict(n_elements=np.int64(4), faulty_indices=[np.int32(2)]))

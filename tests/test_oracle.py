@@ -66,11 +66,12 @@ class TestExhaustiveMin:
         assert result.support == ()
         assert result.n_solves == 1
 
-    def test_budget_exceeded(self, toy):
+    def test_budget_exceeded(self, toy, monkeypatch):
         geometry, weights, scenario, metric = toy
         hopeless = MetricSpec(region=AngularRegion(np.array(TOY_REGION)), target_db=-100.0)
-        with pytest.raises(BudgetExceededError):
-            exhaustive_min(geometry, weights, scenario, hopeless, max_support=3, max_supports=2)
+        monkeypatch.setattr(oracle, "DEFAULT_SUPPORT_CAP", 2)
+        with pytest.raises(BudgetExceededError, match="more than 2 supports"):
+            exhaustive_min(geometry, weights, scenario, hopeless, max_support=3)
 
     def test_rejects_bad_max_support(self, toy):
         geometry, weights, scenario, metric = toy

@@ -12,11 +12,17 @@ scenarios/ (read from this checkout), on the batch's unreachable row
 -30 dB), on test_case_1 and fail_rate_n50_row1 with their tapers times
 e^{0.3j} (items complex:<name>: complex weights, which a solve rotates back
 to a real taper, so like every catalog scenario they run the cone program
-over Re z alone; no item reaches the one over (Re z, Im z)), on
-test_case_1 with its taper times -1 (item negated:test_case_1: a real taper
-whose broadside field is negative), on test_case_1 and test_case_2_sll22 with their tapers times 2^-10 (items
-scaled:<name>: an answer must not depend on the excitations' units), and
-the test_case_1 oracle up to support 3. The script compares each
+over Re z alone), on test_case_1 with its taper times -1 (item
+negated:test_case_1: a real taper whose broadside field is negative), on
+test_case_1 and test_case_2_sll22 with their tapers times 2^-10 (items
+scaled:<name>: an answer must not depend on the excitations' units), on
+three variants of test_case_1 that leave the catalog's paths: its region cut
+to u > -0.95 (item asymmetric:test_case_1, a region a scenario file reaches
+through region_samples) and its taper times e^{0.05j n} (item
+ramp:test_case_1), which run the cone program over (Re z, Im z), and its
+positions moved by a seeded uniform +-0.01 wavelengths (item
+jittered:test_case_1), which takes the Gram off a lattice, and the
+test_case_1 oracle up to support 3. The script compares each
 correction vector exactly (which elements it changes, and so which
 corrections the loop kept, is a function of it), plus the correction
 count, l1, k_opt, the removal trace and the removal loop's backtracks
@@ -43,9 +49,10 @@ under each item that differs, or whose reported counts moved, a second
 line gives parent -> change for the correction count, k_opt, the
 backtrack, verdict, iteration, round and certificate tallies and the
 oracle's support, solve and proven-rejection counts, and the relative
-change of l1. Five lines sum those counts, parent -> change: one over the
+change of l1. Eight lines sum those counts, parent -> change: one over the
 real correction items, one over the complex ones, one over the negated one,
-one over the scaled ones and one over the generated instances.
+one over the scaled ones, one over each of the three variants and one over
+the generated instances.
 
 Each tree then runs the runners and writes their files: `run_scenario` on
 toy and test_case_1, `run_oracle` on toy up to support 2, `tradeoff_sweep`
@@ -77,6 +84,11 @@ PHASE = 0.3
 NEGATED = ("test_case_1",)                            # run again with their tapers times -1
 SCALED = ("test_case_1", "test_case_2_sll22")          # run again with their tapers times 2^SCALE
 SCALE = -10
+VARIANT = "test_case_1"                               # run again on three paths the catalog misses:
+ASYMMETRIC_EDGE = -0.95                               # its region cut to u > ASYMMETRIC_EDGE,
+RAMP = 0.05                                           # its taper times e^{j RAMP n}, n = 0..N-1,
+JITTER, JITTER_SEED = 0.01, 1                         # its positions plus uniform +-JITTER wavelengths
+VARIANTS = ("asymmetric", "ramp", "jittered")
 RUN_PROBLEMS = ("toy", "test_case_1")
 RUNNER_ORACLE = ("toy", 2)                            # problem, largest support
 SWEEP = ("fail_rate_n50_row1", (-20.0, -22.0, -40.0))  # problem, targets loosest first
@@ -145,6 +157,7 @@ def collect() -> dict:
     import bench_workloads as bw
     from arraymend import correction, solver
     from arraymend.errors import InfeasibleError
+    from arraymend.model import AngularRegion, ArrayGeometry
     from arraymend.oracle import exhaustive_min
 
     def resolved(name):
@@ -162,6 +175,15 @@ def collect() -> dict:
         problems[f"negated:{name}"] = replace(problems[name], weights=-problems[name].weights)
     for name in SCALED:
         problems[f"scaled:{name}"] = replace(problems[name], weights=problems[name].weights * 2.0 ** SCALE)
+    res = problems[VARIANT]
+    u, positions = res.metric.region.samples, res.geometry.positions
+    asymmetric = replace(res.metric, region=AngularRegion(u[u > ASYMMETRIC_EDGE]))
+    jitter = np.random.default_rng(JITTER_SEED).uniform(-JITTER, JITTER, positions.size)
+    problems.update({
+        f"asymmetric:{VARIANT}": replace(res, metric=asymmetric),
+        f"ramp:{VARIANT}": replace(res, weights=res.weights * np.exp(1j * RAMP * np.arange(positions.size))),
+        f"jittered:{VARIANT}": replace(res, geometry=ArrayGeometry(positions + jitter)),
+    })
 
     raised = []  # certified flags of the InfeasibleErrors that the removal loop's solves raise
     solve = correction.solve_constrained_l1
@@ -265,8 +287,8 @@ def moved(a: dict, b: dict) -> str:
 
 
 def totals(items: dict, kind: str = "") -> dict:
-    """Each MOVED count summed over the items of one kind: "" (real corrections), "complex", "negated", "scaled"
-    or "instance"."""
+    """Each MOVED count summed over the items of one kind: "" (real corrections), "complex", "negated", "scaled",
+    one of VARIANTS or "instance"."""
     rows = [v for k, v in items.items() if k.rpartition(":")[0] == kind]
     return {k: sum(r.get(k, 0) for r in rows) for k in MOVED if any(k in r for r in rows)}
 
@@ -302,7 +324,7 @@ def main(argv) -> int:
         if diff or any(a.get(k) != b.get(k) for k in MOVED):
             print(f"{'':28s} {moved(a, b)}")
     print(f"{bad} of {len(names)} items differ")
-    for kind in ("", "complex", "negated", "scaled", "instance"):
+    for kind in ("", "complex", "negated", "scaled", *VARIANTS, "instance"):
         sums = [totals(parent, kind), totals(change, kind)]
         print(f"{kind or 'correction'} totals: " + ", ".join(f"{k} {sums[0].get(k)} -> {sums[1].get(k)}"
                                                             for k in MOVED if k in sums[0] or k in sums[1]))
