@@ -140,13 +140,6 @@ class TestScenarioSpec:
         data["faulty_indices"].append(3)
         assert spec == ScenarioSpec.from_dict(toy_spec_dict())
 
-    def test_defaults_come_from_the_dataclass(self):
-        data = toy_spec_dict()
-        del data["spacing_wavelengths"], data["metric"]
-        spec = ScenarioSpec.from_dict(data)
-        assert (spec.spacing_wavelengths, spec.metric, spec.solver) == (0.5, {}, {})
-        assert type(spec.spacing_wavelengths) is float
-
     def test_numpy_integers_are_accepted(self):
         spec = ScenarioSpec.from_dict(toy_spec_dict(n_elements=np.int64(4), faulty_indices=[np.int32(2)]))
         assert spec == ScenarioSpec.from_dict(toy_spec_dict())
